@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import erfc
 
 from . import rng
-from .conditions import EnvelopeFunction, chi_bar
+from .conditions import ROOT_TWO_OVER_PI, EnvelopeFunction, chi_bar
 from .densities import Density, PiecewiseGeometricDensity
 from .solver import FrontierPath, iter_y_chunks
 
@@ -41,8 +41,6 @@ __all__ = [
     "estimate_delta0",
     "early_increment_check",
 ]
-
-ROOT_TWO_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def _normal_tail_two_sided(a):

@@ -38,6 +38,12 @@ def uniform_block(seed, kind, block, n):
     return (bits.astype(np.float64) + 0.5) / _TWO53
 
 
-def normal_block(seed, kind, block, n):
-    """n standard normals, inverse-CDF of the uniform stream."""
-    return ndtri(uniform_block(seed, kind, block, n))
+def normal_block(seed, kind, block, n, lanes=None):
+    """n standard normals, inverse-CDF of the uniform stream.
+
+    With ``lanes`` (an index array into the block) only those lanes are
+    inverted: the result equals ``normal_block(seed, kind, block, n)[lanes]``
+    bit for bit, because the whole uniform block is still drawn.
+    """
+    u = uniform_block(seed, kind, block, n)
+    return ndtri(u if lanes is None else u[lanes])

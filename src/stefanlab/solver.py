@@ -4,8 +4,10 @@ Two routes to the frontier Lambda_t = P(absorption by t):
 
 * ``simulate_particles``: n particles advance by Gaussian increments; at every
   grid instant the physical cascade is resolved exactly on the empirical
-  measure (``physical_jump_scan``), deaths shift the survivors down, and the
-  dead fraction is the frontier estimate.
+  measure, deaths shift the survivors down, and the dead fraction is the
+  frontier estimate. The survivors are kept as a compact (ids, positions)
+  pair, and each cascade sorts only the particles near the barrier
+  (``_near_barrier_cascade``, shared with ``physical_jump_scan``).
 * ``picard_minimal``: fixed-point iteration Lambda <- mean F(running max of
   (-B + Lambda)) over a common set of Brownian paths, increasing pointwise to
   the minimal solution. Assumes no time-0 jump (its value at 0 is F(0) = 0).
@@ -117,7 +119,10 @@ class SolverConfig:
         return cls(picard=picard, **d)
 
     def config_hash(self):
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        """Identifies the result: fields that cannot change it (threads) stay out."""
+        d = self.to_dict()
+        del d["threads"]
+        blob = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -134,6 +139,10 @@ class FrontierPath:
         self.lam = np.asarray(self.lam, dtype=float)
         if self.t.shape != self.lam.shape or self.t.ndim != 1:
             raise ValueError("frontier t and lam must be matching 1-d arrays")
+        if not np.all(np.isfinite(self.t)) or np.any(np.diff(self.t) <= 0.0):
+            raise ValueError("frontier t must be finite and strictly increasing")
+        if not np.all(np.isfinite(self.lam)):
+            raise ValueError("frontier lam must be finite")
         if np.any(np.diff(self.lam) < 0.0):
             raise ValueError("frontier must be nondecreasing")
         if self.lam[0] < 0.0 or self.lam[-1] > 1.0 + 1e-12:
@@ -156,13 +165,22 @@ class FrontierPath:
             header = fh.readline().strip().split(",")
             if header[:2] != ["t", "lambda"]:
                 raise ValueError(f"{path}: expected header t,lambda,alive_fraction")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
                 parts = line.strip().split(",")
                 if len(parts) < 2:
-                    continue
-                ts.append(float(parts[0]))
-                lams.append(float(parts[1]))
-        return FrontierPath(t=np.asarray(ts), lam=np.asarray(lams))
+                    raise ValueError(f"{path}:{lineno}: expected at least 2 fields, "
+                                     f"got {len(parts)}")
+                try:
+                    ts.append(float(parts[0]))
+                    lams.append(float(parts[1]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+        try:
+            return FrontierPath(t=np.asarray(ts), lam=np.asarray(lams))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -172,7 +190,6 @@ class ParticleEnsemble:
     alive: np.ndarray
     death_time: np.ndarray  # +inf while alive
     seed: int
-    rng_streams: str = "philox(key=seed, counter=(block, kind)); lane = particle index"
 
     @property
     def dead_fraction(self):
@@ -203,17 +220,41 @@ def _scan_sorted(y_sorted, n):
     return int(hits[0]) if len(hits) else m
 
 
+def _near_barrier_cascade(y, n):
+    """Indices into y of the k* lowest positions, the particles the cascade kills.
+
+    Only particles at or below k*/n can die, so the scan runs on the
+    candidates y <= b alone, with b doubling from 8/n (or jumping to #cand/n)
+    until the candidates settle k*: a hit inside them, every particle a
+    candidate, or b >= #cand/n (then the next particle, above b, is a hit).
+    Candidates come in index order, so the stable sort breaks ties exactly as
+    a stable argsort of the whole of y does.
+    """
+    m = len(y)
+    b = 8.0 / n
+    while True:
+        cand = np.nonzero(y <= b)[0]
+        yc = y[cand]
+        order = np.argsort(yc, kind="stable")
+        kstar = _scan_sorted(yc[order], n)
+        if kstar < len(cand) or len(cand) == m or b >= len(cand) / n:
+            return cand[order[:kstar]]
+        b = max(2.0 * b, len(cand) / n)
+
+
 def physical_jump_scan(values, n):
     """Jump size of the physical cascade on the empirical measure.
 
-    Sorts the current positions and returns Delta = k*/n where k* is the
-    smallest k with y_(k+1) > k/n (so the k* lowest particles die, and after
-    the survivors shift down by Delta they all sit strictly above 0).
+    Returns Delta = k*/n where k* is the smallest k with y_(k+1) > k/n over
+    the sorted positions (so the k* lowest particles die, and after the
+    survivors shift down by Delta they all sit strictly above 0).
     """
-    y = np.sort(np.asarray(values, dtype=float))
+    y = np.asarray(values, dtype=float).ravel()
     if len(y) > n:
         raise ValueError(f"got {len(y)} positions for ensemble size {n}")
-    return _scan_sorted(y, n) / n
+    if np.any(np.isnan(y)):
+        raise ValueError("positions must not be NaN")
+    return len(_near_barrier_cascade(y, n)) / n
 
 
 def physical_jump_bruteforce(values, n, x_step=1e-6):
@@ -276,6 +317,12 @@ def simulate_particles(density: Density, cfg: SolverConfig):
     With cfg.bridge_correction, survivors are additionally killed with the
     within-step barrier-crossing probability exp(-2 z_old z_new / dt) and the
     cascade reruns once, removing the O(sqrt(dt)) endpoint-monitoring bias.
+
+    The survivors live in a compact pair: ascending particle ids and their
+    positions. A cascade sorts only the particles near the barrier
+    (``_near_barrier_cascade``); the dead are scattered into the full-length
+    outputs and dropped from the pair. Gaussian and bridge lanes stay indexed
+    by particle id, and only the alive lanes are inverted.
     """
     n = cfg.n_particles
     K = cfg.n_steps
@@ -286,13 +333,11 @@ def simulate_particles(density: Density, cfg: SolverConfig):
     u = (np.arange(n) + 0.5) / n
     pos = np.asarray(density.sample(u), dtype=float)
     lam0 = initial_jump_stratified(pos, n)
-    alive = np.ones(n, dtype=bool)
     death_time = np.full(n, np.inf)
     n_dead0 = round(lam0 * n)
-    if n_dead0 > 0:
-        alive[:n_dead0] = False
-        death_time[:n_dead0] = 0.0
-        pos[alive] -= lam0
+    death_time[:n_dead0] = 0.0
+    ids = np.arange(n_dead0, n)
+    p = pos[n_dead0:] - lam0
 
     lam = np.empty(K + 1)
     lam[0] = lam0
@@ -300,47 +345,47 @@ def simulate_particles(density: Density, cfg: SolverConfig):
     if lam0 > threshold:
         jumps.append((0.0, lam0))
 
+    def cascade(tk):
+        """Kill the cascade on p at time tk; returns the survivors' mask and the jump."""
+        nonlocal ids, p
+        dead = _near_barrier_cascade(p, n)
+        if len(dead) == 0:
+            return None, 0.0
+        gone = ids[dead]
+        pos[gone] = p[dead]
+        death_time[gone] = tk
+        keep = np.ones(len(ids), dtype=bool)
+        keep[dead] = False
+        delta = len(dead) / n
+        ids = ids[keep]
+        p = p[keep] - delta
+        return keep, delta
+
     for k in range(1, K + 1):
         step_delta = 0.0
-        if np.any(alive):
-            xi = rng.normal_block(cfg.seed, rng.GAUSS_STEP, k, n)
-            aidx = np.nonzero(alive)[0]
-            z_old = pos[aidx].copy()
-            pos[aidx] += sqdt * xi[aidx]
+        if len(ids):
+            xi = rng.normal_block(cfg.seed, rng.GAUSS_STEP, k, n, lanes=ids)
+            z_old = p.copy() if cfg.bridge_correction else None
+            p += sqdt * xi
+            keep, delta = cascade(t[k])
+            step_delta += delta
 
-            order = np.argsort(pos[aidx], kind="stable")
-            kstar = _scan_sorted(pos[aidx][order], n)
-            if kstar > 0:
-                dead = aidx[order[:kstar]]
-                alive[dead] = False
-                death_time[dead] = t[k]
-                delta = kstar / n
-                pos[alive] -= delta
-                step_delta += delta
-
-            if cfg.bridge_correction and np.any(alive):
-                aidx2 = np.nonzero(alive)[0]
-                keep = np.isin(aidx, aidx2)
-                zo = z_old[keep]
-                zn = pos[aidx2]
-                ub = rng.uniform_block(cfg.seed, rng.BRIDGE, k, n)[aidx2]
-                p_hit = np.exp(-2.0 * zo * zn / cfg.dt)
+            if cfg.bridge_correction and len(ids):
+                zo = z_old if keep is None else z_old[keep]
+                ub = rng.uniform_block(cfg.seed, rng.BRIDGE, k, n)[ids]
+                p_hit = np.exp(-2.0 * zo * p / cfg.dt)
                 crossed = ub < p_hit
                 if np.any(crossed):
-                    pos[aidx2[crossed]] = 0.0
-                    order2 = np.argsort(pos[aidx2], kind="stable")
-                    kstar2 = _scan_sorted(pos[aidx2][order2], n)
-                    dead2 = aidx2[order2[:kstar2]]
-                    alive[dead2] = False
-                    death_time[dead2] = t[k]
-                    delta2 = kstar2 / n
-                    pos[alive] -= delta2
-                    step_delta += delta2
+                    p[crossed] = 0.0
+                    step_delta += cascade(t[k])[1]
 
-        lam[k] = (n - int(np.count_nonzero(alive))) / n
+        lam[k] = (n - len(ids)) / n
         if step_delta > threshold:
             jumps.append((float(t[k]), step_delta))
 
+    pos[ids] = p
+    alive = np.zeros(n, dtype=bool)
+    alive[ids] = True
     frontier = FrontierPath(t=t, lam=lam, jumps=jumps)
     ensemble = ParticleEnsemble(n=n, positions=pos, alive=alive,
                                 death_time=death_time, seed=cfg.seed)

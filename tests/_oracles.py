@@ -5,10 +5,18 @@ averages are summed by plain composite Simpson in the substituted variable
 (per-period panels plus an analytically bounded tail), and the band-density
 averages by a midpoint Riemann sum of the closed-form pdf. Nothing here calls
 the package's expansion or anchored-quadrature machinery.
+
+``simulate_particles_argsort`` keeps the particle scheme's original step loop,
+a full stable argsort of the survivors every step, as the bit-identity referee
+for the production loop.
 """
 import math
 
 import numpy as np
+
+from stefanlab import rng
+from stefanlab.solver import (FrontierPath, ParticleEnsemble, _scan_sorted,
+                              initial_jump_stratified)
 
 
 def sine_osc_integral(alpha, u_lo, u_hi, n_panels=10**6, pts_per_period=64):
@@ -105,3 +113,87 @@ def simpson_scalar(f, a, b, n_panels=4096):
     h = (b - a) / n_panels
     return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
                             + 2.0 * vals[2:-2:2].sum()))
+
+
+def simulate_particles_argsort(density, cfg):
+    """The particle scheme with a full stable argsort of the survivors every step.
+
+    Referee for ``simulate_particles``: the step loop as it stood before the
+    near-barrier cascade and the compact survivors, which must reproduce it
+    bit for bit.
+
+    Initialization is stratified (X_i = F^{-1}((i - 1/2)/n)), which makes the
+    time-0 jump deterministic. Each step: Gaussian increments for the alive
+    particles, one exact cascade resolution, survivors shift down by the jump.
+    With cfg.bridge_correction, survivors are additionally killed with the
+    within-step barrier-crossing probability exp(-2 z_old z_new / dt) and the
+    cascade reruns once, removing the O(sqrt(dt)) endpoint-monitoring bias.
+    """
+    n = cfg.n_particles
+    K = cfg.n_steps
+    t = cfg.t_grid()
+    sqdt = math.sqrt(cfg.dt)
+    threshold = cfg.effective_jump_threshold()
+
+    u = (np.arange(n) + 0.5) / n
+    pos = np.asarray(density.sample(u), dtype=float)
+    lam0 = initial_jump_stratified(pos, n)
+    alive = np.ones(n, dtype=bool)
+    death_time = np.full(n, np.inf)
+    n_dead0 = round(lam0 * n)
+    if n_dead0 > 0:
+        alive[:n_dead0] = False
+        death_time[:n_dead0] = 0.0
+        pos[alive] -= lam0
+
+    lam = np.empty(K + 1)
+    lam[0] = lam0
+    jumps = []
+    if lam0 > threshold:
+        jumps.append((0.0, lam0))
+
+    for k in range(1, K + 1):
+        step_delta = 0.0
+        if np.any(alive):
+            xi = rng.normal_block(cfg.seed, rng.GAUSS_STEP, k, n)
+            aidx = np.nonzero(alive)[0]
+            z_old = pos[aidx].copy()
+            pos[aidx] += sqdt * xi[aidx]
+
+            order = np.argsort(pos[aidx], kind="stable")
+            kstar = _scan_sorted(pos[aidx][order], n)
+            if kstar > 0:
+                dead = aidx[order[:kstar]]
+                alive[dead] = False
+                death_time[dead] = t[k]
+                delta = kstar / n
+                pos[alive] -= delta
+                step_delta += delta
+
+            if cfg.bridge_correction and np.any(alive):
+                aidx2 = np.nonzero(alive)[0]
+                keep = np.isin(aidx, aidx2)
+                zo = z_old[keep]
+                zn = pos[aidx2]
+                ub = rng.uniform_block(cfg.seed, rng.BRIDGE, k, n)[aidx2]
+                p_hit = np.exp(-2.0 * zo * zn / cfg.dt)
+                crossed = ub < p_hit
+                if np.any(crossed):
+                    pos[aidx2[crossed]] = 0.0
+                    order2 = np.argsort(pos[aidx2], kind="stable")
+                    kstar2 = _scan_sorted(pos[aidx2][order2], n)
+                    dead2 = aidx2[order2[:kstar2]]
+                    alive[dead2] = False
+                    death_time[dead2] = t[k]
+                    delta2 = kstar2 / n
+                    pos[alive] -= delta2
+                    step_delta += delta2
+
+        lam[k] = (n - int(np.count_nonzero(alive))) / n
+        if step_delta > threshold:
+            jumps.append((float(t[k]), step_delta))
+
+    frontier = FrontierPath(t=t, lam=lam, jumps=jumps)
+    ensemble = ParticleEnsemble(n=n, positions=pos, alive=alive,
+                                death_time=death_time, seed=cfg.seed)
+    return frontier, ensemble

@@ -164,3 +164,13 @@ def test_env_threads_parsing(workdir, monkeypatch, capsys):
     monkeypatch.setenv("STEFAN_THREADS", "junk")
     assert main(["simulate", "--config", "cfg.json", "--density", "pw.json"]) == 1
     assert "STEFAN_THREADS" in capsys.readouterr().err
+
+
+def test_bounds_rejects_non_monotone_frontier(workdir, capsys):
+    (workdir / "bad.csv").write_text("t,lambda,alive_fraction\n"
+                                     "0.0,0.0,1.0\n0.05,0.1,0.9\n0.02,0.2,0.8\n")
+    assert main(["bounds", "--config", "cfg.json", "--density", "pw.json",
+                 "--frontier", "bad.csv", "--n-paths", "2000", "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "bad.csv" in err and "strictly increasing" in err

@@ -307,3 +307,39 @@ def test_frontier_validation():
         FrontierPath(t=t, lam=np.array([0.0, 0.2, 0.1, 0.3, 0.4]))
     with pytest.raises(ValueError):
         FrontierPath(t=t, lam=np.array([0.0, 0.2, 0.4, 0.9, 1.2]))
+
+
+def test_config_hash_ignores_threads():
+    # threads cannot change a result, so bit-identical runs share a hash
+    one = SolverConfig(n_particles=100, dt=0.001, T=0.1, threads=1)
+    eight = SolverConfig(n_particles=100, dt=0.001, T=0.1, threads=8)
+    assert one.config_hash() == eight.config_hash()
+    assert one.to_dict()["threads"] == 1
+    assert one.config_hash() != SolverConfig(n_particles=100, dt=0.001, T=0.1,
+                                             seed=1).config_hash()
+
+
+@pytest.mark.parametrize("t", [
+    [0.0, 0.2, 0.1, 0.3],           # not monotone
+    [0.0, 0.1, 0.1, 0.3],           # repeated instant
+    [0.0, 0.1, float("nan"), 0.3],
+    [0.0, 0.1, 0.2, float("inf")],
+])
+def test_frontier_rejects_bad_time_grid(t):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        FrontierPath(t=np.array(t), lam=np.zeros(4))
+
+
+def test_frontier_rejects_nonfinite_lam():
+    with pytest.raises(ValueError, match="finite"):
+        FrontierPath(t=np.linspace(0.0, 0.3, 4), lam=np.array([0.0, 0.1, np.nan, 0.2]))
+
+
+def test_read_csv_rejects_truncated_row(tmp_path):
+    path = tmp_path / "f.csv"
+    FrontierPath(t=np.linspace(0.0, 0.1, 5), lam=np.linspace(0.0, 0.2, 5)).write_csv(path)
+    text = path.read_text().splitlines()
+    text[-1] = text[-1].split(",")[0]  # last row cut after its time field
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(ValueError, match=f"{path.name}:6"):
+        FrontierPath.read_csv(path)
