@@ -47,7 +47,7 @@ gp = build_gaussian_path(hurst=0.5, beta_lil=math.sqrt(2.0), grid_size=513, seed
 print("\nGaussian-path density (H = 1/2, seed 7):")
 print(f"  f(0) = {float(gp.pdf(0.0))}, mass on [0,1] = {gp.mass01:.4f}, "
       f"tail mass = {gp.tail_mass:.4f}")
-touches = int(np.count_nonzero((gp.f_grid >= 1.0) & (gp.grid > 0.0)))
+touches = int(np.count_nonzero((gp.values >= 1.0) & (gp.grid > 0.0)))
 print(f"  grid points where the clipped path touches 1: {touches}")
 
 # --- tabulated densities ------------------------------------------------------

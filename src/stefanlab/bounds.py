@@ -21,7 +21,7 @@ from scipy.special import erfc
 from . import rng
 from .conditions import ROOT_TWO_OVER_PI, EnvelopeFunction, chi_bar
 from .densities import Density, PiecewiseGeometricDensity
-from .solver import FrontierPath, iter_y_chunks
+from .solver import FrontierPath, brownian_chunks, iter_y_chunks
 
 __all__ = [
     "SlopeBound",
@@ -218,17 +218,9 @@ def simulate_drifted_sup(c3, n_paths=20000, n_steps=2000, seed=0):
     """Sorted samples of sup over [0, 1] of (B_s + c3 sqrt(s)), discretized."""
     t = np.linspace(0.0, 1.0, n_steps + 1)
     drift = c3 * np.sqrt(t)
-    sqd = np.sqrt(np.diff(t))
     out = np.empty(n_paths)
-    lo = 0
-    chunk_id = 0
-    while lo < n_paths:
-        hi = min(lo + 8192, n_paths)
-        z = rng.normal_block(seed, rng.U_SUP, chunk_id, (hi - lo) * n_steps).reshape(hi - lo, n_steps)
-        b = np.concatenate([np.zeros((hi - lo, 1)), np.cumsum(z * sqd, axis=1)], axis=1)
-        out[lo:hi] = np.max(b + drift[None, :], axis=1)
-        lo = hi
-        chunk_id += 1
+    for (lo, hi), B in brownian_chunks(seed, rng.U_SUP, n_paths, np.sqrt(np.diff(t))):
+        out[lo:hi] = np.max(B + drift, axis=1)
     return np.sort(out)
 
 

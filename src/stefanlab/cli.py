@@ -72,13 +72,27 @@ def _load_json(path, what):
         raise CliError(f"malformed JSON in {path}: {exc.msg} (line {exc.lineno})")
 
 
-def _build_config(args):
+def _set_dotted(d, dotted, value):
+    keys = dotted.split(".")
+    cur = d
+    for k in keys[:-1]:
+        cur = cur.setdefault(k, {})
+        if not isinstance(cur, dict):
+            raise CliError(f"sweep parameter path {dotted!r} conflicts with a scalar field")
+    cur[keys[-1]] = value
+
+
+def _build_config(args, params=()):
+    """SolverConfig from the config file, then the (dotted name, value) params,
+    then the command-line overrides."""
     raw = {}
     if getattr(args, "config", None):
         raw = _load_json(args.config, "config")
         if not isinstance(raw, dict):
             raise CliError(f"config {args.config} must be a JSON object")
     raw.pop("density", None)
+    for name, value in params:
+        _set_dotted(raw, name, value)
     overrides = {
         "seed": getattr(args, "seed", None),
         "threads": getattr(args, "threads", None),
@@ -126,44 +140,35 @@ def _emit(payload, out_path):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args):
-    cfg = _build_config(args)
-    density = _build_density(args)
+def _solve(density, cfg, solver):
+    """Frontier from the particle scheme or Picard, with the run's timings and
+    the solver's manifest fields; warns on stderr when Picard did not converge."""
     t0 = time.perf_counter()
-    frontier, _ = simulate_particles(density, cfg)
-    wall = time.perf_counter() - t0
-    out = args.out or "frontier.csv"
-    frontier.write_csv(out)
-    manifest_path = args.manifest or (str(out) + ".manifest.json")
-    RunManifest(
-        config_hash=cfg.config_hash(), seed=cfg.seed, tool_version=__version__,
-        timings={"simulate_s": wall}, outputs=[str(out)],
-        extra={"jumps": [[t, dl] for t, dl in frontier.jumps],
-               "config": cfg.to_dict(), "density": density.spec_dict(),
-               "solver": "particle"},
-    ).write(manifest_path)
-    return 0
-
-
-def _cmd_picard(args):
-    cfg = _build_config(args)
-    density = _build_density(args)
-    t0 = time.perf_counter()
+    if solver == "particle":
+        frontier, _ = simulate_particles(density, cfg)
+        return frontier, {"simulate_s": time.perf_counter() - t0}, {
+            "jumps": [[t, dl] for t, dl in frontier.jumps]}
     res = picard_minimal(density, cfg)
     wall = time.perf_counter() - t0
-    out = args.out or "frontier.csv"
-    res.frontier.write_csv(out)
-    manifest_path = args.manifest or (str(out) + ".manifest.json")
-    RunManifest(
-        config_hash=cfg.config_hash(), seed=cfg.seed, tool_version=__version__,
-        timings={"picard_s": wall}, outputs=[str(out)],
-        extra={"iterations": res.iterations, "converged": res.converged,
-               "sup_changes": res.history, "config": cfg.to_dict(),
-               "density": density.spec_dict(), "solver": "picard"},
-    ).write(manifest_path)
     if not res.converged:
         sys.stderr.write(f"picard did not converge in {res.iterations} iterations "
                          f"(last sup-change {res.history[-1]:.3e})\n")
+    return res.frontier, {"picard_s": wall}, {
+        "iterations": res.iterations, "converged": res.converged, "sup_changes": res.history}
+
+
+def _cmd_solve(args):
+    cfg = _build_config(args)
+    density = _build_density(args)
+    frontier, timings, extra = _solve(density, cfg, args.solver)
+    out = args.out or "frontier.csv"
+    frontier.write_csv(out)
+    RunManifest(
+        config_hash=cfg.config_hash(), seed=cfg.seed, tool_version=__version__,
+        timings=timings, outputs=[str(out)],
+        extra={**extra, "config": cfg.to_dict(), "density": density.spec_dict(),
+               "solver": args.solver},
+    ).write(args.manifest or (str(out) + ".manifest.json"))
     return 0
 
 
@@ -186,31 +191,21 @@ def _cmd_bounds(args):
     density = _build_density(args)
     if getattr(density, "family", "") != "piecewise":
         raise CliError("bounds requires a piecewise density (field 'family')")
-    timings = {}
     if args.frontier:
         if not Path(args.frontier).exists():
             raise CliError(f"frontier file not found: {args.frontier}")
         frontier = FrontierPath.read_csv(args.frontier)
-        n_mc = cfg.n_particles if args.solver == "particle" else cfg.picard.n_paths
     else:
-        t0 = time.perf_counter()
-        if args.solver == "particle":
-            frontier, _ = simulate_particles(density, cfg)
-            n_mc = cfg.n_particles
-        else:
-            frontier = picard_minimal(density, cfg).frontier
-            n_mc = cfg.picard.n_paths
-        timings["frontier_s"] = time.perf_counter() - t0
+        frontier = _solve(density, cfg, args.solver)[0]
+    n_mc = cfg.n_particles if args.solver == "particle" else cfg.picard.n_paths
 
     g = None
     if args.fit_envelope:
         rep = check_averaging_condition(density, lambda0_candidate=args.envelope_lambda0)
         if rep.holds_1_7:
             g = rep.g_envelope
-    t0 = time.perf_counter()
     report = assemble_bounds_report(density, frontier, n_mc=n_mc, seed=cfg.seed,
                                     n_paths=args.n_paths, g=g)
-    timings["bounds_s"] = time.perf_counter() - t0
     _emit(report.to_json_dict(), args.out)
     if args.emit_csv:
         outdir = Path(args.emit_csv)
@@ -249,16 +244,6 @@ def _cmd_jump(args):
     return 0
 
 
-def _set_dotted(d, dotted, value):
-    keys = dotted.split(".")
-    cur = d
-    for k in keys[:-1]:
-        cur = cur.setdefault(k, {})
-        if not isinstance(cur, dict):
-            raise CliError(f"sweep parameter path {dotted!r} conflicts with a scalar field")
-    cur[keys[-1]] = value
-
-
 def _parse_sweep_value(tok):
     try:
         return json.loads(tok)
@@ -269,7 +254,6 @@ def _parse_sweep_value(tok):
 def _cmd_sweep(args):
     if not args.param:
         raise CliError("sweep needs at least one --param name=v1,v2,...")
-    base = _load_json(args.config, "config") if args.config else {}
     density = _build_density(args)
     names, value_lists = [], []
     for spec in args.param:
@@ -282,17 +266,7 @@ def _cmd_sweep(args):
     outdir.mkdir(parents=True, exist_ok=True)
     index = []
     for i, combo in enumerate(itertools.product(*value_lists)):
-        raw = json.loads(json.dumps(base))
-        raw.pop("density", None)
-        for name, value in zip(names, combo):
-            _set_dotted(raw, name, value)
-        raw.setdefault("threads", args.threads or _default_threads())
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        try:
-            cfg = SolverConfig.from_dict(raw)
-        except (SolverConfigError, TypeError) as exc:
-            raise CliError(f"bad config in sweep cell {i}: {exc}")
+        cfg = _build_config(args, zip(names, combo))
         frontier, _ = simulate_particles(density, cfg)
         cell_csv = outdir / f"cell_{i:03d}.csv"
         frontier.write_csv(cell_csv)
@@ -339,13 +313,13 @@ def build_parser():
                      help="within-step barrier-crossing correction")
     sim.add_argument("--out", help="frontier CSV path (default frontier.csv)")
     sim.add_argument("--manifest", help="run manifest path")
-    sim.set_defaults(fn=_cmd_simulate)
+    sim.set_defaults(fn=_cmd_solve, solver="particle")
 
     pic = subs.add_parser("picard", help="minimal-solution fixed-point iteration")
     _add_common(pic)
     pic.add_argument("--out", help="frontier CSV path (default frontier.csv)")
     pic.add_argument("--manifest", help="run manifest path")
-    pic.set_defaults(fn=_cmd_picard)
+    pic.set_defaults(fn=_cmd_solve, solver="picard")
 
     chk = subs.add_parser("check", help="admission-condition report (exit 2 on failure)")
     _add_common(chk, config=False)

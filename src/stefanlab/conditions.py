@@ -221,11 +221,6 @@ class EnvelopeFunction:
     def g_tilde_max(self):
         return float(self.s_grid[-1] * self.g_values[-1])
 
-    @classmethod
-    def from_callable(cls, fn, s_grid):
-        s_grid = np.asarray(s_grid, dtype=float)
-        return cls(s_grid=s_grid, g_values=np.asarray([fn(s) for s in s_grid], dtype=float))
-
 
 @dataclass(frozen=True)
 class ConditionReport:

@@ -7,9 +7,9 @@ Four families share one interface (pdf, cdf, sample, first moment, windowed sup)
   lines through the origin. Exact rational arithmetic when parameters are.
 * ``PeriodicOscillatoryDensity`` -- (1 + profile(1/x^alpha)) / 2 on (0, a], with
   the support endpoint a fixed by normalization.
-* ``GaussianPathDensity`` -- a clipped Gaussian sample path minus an
-  iterated-logarithm envelope on [0, 1], plus an exponential tail.
 * ``TabulatedDensity`` -- grid + values with linear interpolation.
+* ``GaussianPathDensity`` -- a clipped Gaussian sample path minus an
+  iterated-logarithm envelope, tabulated on [0, 1], plus an exponential tail.
 
 Densities are immutable after construction and safe to share across threads.
 """
@@ -43,9 +43,6 @@ __all__ = [
     "make_density",
     "density_from_json",
     "tabulated_from_csv",
-    "pdf",
-    "cdf",
-    "sample",
 ]
 
 
@@ -319,6 +316,9 @@ class PiecewiseGeometricDensity(Density):
         self.beta2 = (alpha2 * (one - q) + alpha1 * q * (one - p)) / (one - p * q)
         self.a1 = one / self.beta1
         self.admissible = self.beta2 < one
+        # the band walk runs on these, exact, or on their float copies
+        self._band_params = (alpha1, alpha2, p, self.r, self.a1)
+        self._band_params_float = tuple(float(v) for v in self._band_params)
         self._build_float_tables()
 
     # -- band bookkeeping ---------------------------------------------------
@@ -331,24 +331,27 @@ class PiecewiseGeometricDensity(Density):
         """a_{2n} = p r^(n-1) a1 for n >= 1."""
         return self.p * self.r ** (n - 1) * self.a1
 
-    def _band_of(self, x):
-        """(level, lower, upper, n) of the band containing x in (0, a1]."""
+    @staticmethod
+    def _band_of(x, params):
+        """(level, lower, upper, n) of the band containing x in (0, a1].
+
+        params is (alpha1, alpha2, p, r, a1): ``_band_params`` for exact
+        arithmetic, ``_band_params_float`` for floats.
+        """
+        alpha1, alpha2, p, r, a1 = params
         n = 1
-        t = self.r * self.a1  # a3
+        t = r * a1  # a3
         while x < t:
-            t = t * self.r
+            t = t * r
             n += 1
-        a_odd_hi = self.odd_endpoint(n)      # a_{2n-1}
-        a_even = self.even_endpoint(n)       # a_{2n}
-        a_odd_lo = self.odd_endpoint(n + 1)  # a_{2n+1}
+        a_odd_hi = r ** (n - 1) * a1      # a_{2n-1}
+        a_even = p * r ** (n - 1) * a1    # a_{2n}
         if x >= a_even:
-            return self.alpha1, a_even, a_odd_hi, n
-        return self.alpha2, a_odd_lo, a_even, n
+            return alpha1, a_even, a_odd_hi, n
+        return alpha2, r ** n * a1, a_even, n  # a_{2n+1}
 
     def _build_float_tables(self):
-        a1 = float(self.a1)
-        r = float(self.r)
-        p = float(self.p)
+        alpha1, alpha2, p, r, a1 = self._band_params_float
         n_bands = max(2, int(math.ceil(math.log(1e-14) / math.log(r))) + 1)
         # edges ascending: 0, a_{2N+1}, a_{2N}, a_{2N-1}, ..., a_2, a_1
         edges = [0.0]
@@ -358,9 +361,9 @@ class PiecewiseGeometricDensity(Density):
             a_even = p * r ** (n - 1) * a1
             a_odd_hi = r ** (n - 1) * a1
             edges.append(a_odd_lo)
-            levels.append(float(self.alpha2))
+            levels.append(alpha2)
             edges.append(a_even)
-            levels.append(float(self.alpha1))
+            levels.append(alpha1)
             if n == 1:
                 edges.append(a_odd_hi)
         self._edges = np.asarray(edges)
@@ -374,29 +377,15 @@ class PiecewiseGeometricDensity(Density):
             raise DensityError("degenerate band table; parameters too extreme for float64")
 
     def _cdf_scalar_float(self, x, b1, b2):
-        a1 = float(self.a1)
+        alpha1, *_, a1 = self._band_params_float
         if x >= a1:
             return 1.0
         if x <= 0.0:
             return 0.0
-        level, lo, hi, n = self._band_of_float(x)
-        if level == float(self.alpha1):
+        level, lo, hi, n = self._band_of(x, self._band_params_float)
+        if level == alpha1:
             return b2 * lo + level * (x - lo)
         return b1 * lo + level * (x - lo)
-
-    def _band_of_float(self, x):
-        a1, r, p = float(self.a1), float(self.r), float(self.p)
-        n = 1
-        t = r * a1
-        while x < t:
-            t *= r
-            n += 1
-        a_odd_hi = r ** (n - 1) * a1
-        a_even = p * r ** (n - 1) * a1
-        a_odd_lo = r ** n * a1
-        if x >= a_even:
-            return float(self.alpha1), a_even, a_odd_hi, n
-        return float(self.alpha2), a_odd_lo, a_even, n
 
     # -- interface ----------------------------------------------------------
 
@@ -409,7 +398,7 @@ class PiecewiseGeometricDensity(Density):
             x = Fraction(x)
             if x <= 0 or x >= self.a1:
                 return Fraction(0)
-            return self._band_of(x)[0]
+            return self._band_of(x, self._band_params)[0]
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self._edges, x, side="right") - 1
         inside = (x > 0.0) & (x < float(self.a1)) & (idx >= 0) & (idx < len(self._levels))
@@ -424,7 +413,7 @@ class PiecewiseGeometricDensity(Density):
                 return Fraction(0)
             if x >= self.a1:
                 return Fraction(1)
-            level, lo, hi, n = self._band_of(x)
+            level, lo, hi, n = self._band_of(x, self._band_params)
             if level == self.alpha1:
                 return self.beta2 * lo + level * (x - lo)
             return self.beta1 * lo + level * (x - lo)
@@ -468,11 +457,11 @@ class PiecewiseGeometricDensity(Density):
         best, arg = 0.0, None
         x = hi
         while x > lo:
-            level, blo, bhi, _ = self._band_of_float(x * (1.0 - 1e-15))
+            level, blo, bhi, _ = self._band_of(x * (1.0 - 1e-15), self._band_params_float)
             if level > best:
                 best = level
                 arg = 0.5 * (max(blo, lo) + min(bhi, hi))
-            if best == float(self.alpha2) or blo <= 0.0:
+            if best == self._band_params_float[1] or blo <= 0.0:
                 break
             x = blo
         return best, arg
@@ -519,17 +508,6 @@ def make_piecewise(alpha1, alpha2, p, q):
 # ---------------------------------------------------------------------------
 # periodic oscillatory family
 # ---------------------------------------------------------------------------
-
-
-def _tail_stage_chain(g_profile, n_stages):
-    """Antiderivative stages A_1, A_2, ... of the zero-mean parts of g_profile."""
-    stages = []
-    G = g_profile
-    for _ in range(n_stages):
-        A = G.antiderivative_stage()
-        stages.append(A)
-        G = A
-    return stages
 
 
 class _TailExpansion:
@@ -773,164 +751,13 @@ def normalize_periodic(alpha, psi):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian path family
-# ---------------------------------------------------------------------------
-
-
-def _lil_envelope(x, hurst, beta):
-    """beta * sqrt(x^(2H) |log|log x||), with the 0 and 1 endpoints by limit."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = np.abs(np.log(np.abs(np.log(x))))
-        kappa = beta * np.sqrt(x ** (2.0 * hurst) * inner)
-    kappa = np.where(x == 0.0, 0.0, kappa)
-    kappa = np.where(x == 1.0, np.inf, kappa)
-    return kappa
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianPathDensity(Density):
-    """Clipped path density (1 + S_x - kappa_x)_+ ^ 1 on [0, 1] plus an
-    exponential tail m * exp(-(x-1)) carrying the remaining mass."""
-
-    grid: np.ndarray
-    path: np.ndarray
-    hurst: float
-    beta_lil: float
-    seed: int
-    f_grid: np.ndarray = field(repr=False)
-    F_grid: np.ndarray = field(repr=False)
-    mass01: float
-    tail_mass: float
-    rescaled: bool
-
-    family = "gaussian_path"
-
-    @property
-    def support_upper(self):
-        return math.inf if self.tail_mass > 0.0 else 1.0
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        inside = (x >= 0.0) & (x <= 1.0)
-        out[inside] = np.interp(x[inside], self.grid, self.f_grid)
-        tail = x > 1.0
-        if self.tail_mass > 0.0:
-            out[tail] = self.tail_mass * np.exp(-(x[tail] - 1.0))
-        return out if out.shape else float(out)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = _pwl_cdf(x, self.grid, self.f_grid, self.F_grid)
-        tail = x > 1.0
-        if np.any(tail):
-            out[tail] = self.mass01 + self.tail_mass * (1.0 - np.exp(-(x[tail] - 1.0)))
-        return out if out.shape else float(out)
-
-    def sample(self, u):
-        scalar = np.ndim(u) == 0
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty_like(u)
-        body = u <= self.mass01
-        out[body] = _pwl_cdf_invert(u[body], self.grid, self.f_grid, self.F_grid)
-        if np.any(~body):
-            if self.tail_mass > 0.0:
-                frac = (u[~body] - self.mass01) / self.tail_mass
-                out[~body] = 1.0 - np.log1p(-np.minimum(frac, 1.0))
-            else:
-                out[~body] = 1.0
-        return float(out[0]) if scalar else out
-
-    def first_moment(self):
-        xg, fg = self.grid, self.f_grid
-        h = np.diff(xg)
-        c = np.diff(fg) / h
-        # integral of x*(f_i + c (x - x_i)) over each cell, exactly
-        xi, fi = xg[:-1], fg[:-1]
-        body = float(np.sum(fi * (h * xi + h ** 2 / 2.0) + c * (h ** 2 * xi / 2.0 + h ** 3 / 3.0)))
-        return body + 2.0 * self.tail_mass
-
-    def sup_pdf(self, lo, hi):
-        lo, hi = float(lo), float(hi)
-        best, arg = 0.0, None
-        inside = (self.grid > lo) & (self.grid <= hi)
-        cands_x = list(self.grid[inside])
-        for b in (lo, hi):
-            if 0.0 <= b <= 1.0:
-                cands_x.append(b)
-        for x in cands_x:
-            v = float(np.interp(x, self.grid, self.f_grid))
-            if v > best:
-                best, arg = v, x
-        if self.tail_mass > 0.0 and hi > 1.0:
-            xt = max(lo, 1.0)
-            v = self.tail_mass * math.exp(-(xt - 1.0))
-            if v > best:
-                best, arg = v, xt
-        return best, arg
-
-    def spec_dict(self):
-        return {"family": "gaussian_path", "hurst": self.hurst, "beta_lil": self.beta_lil,
-                "grid_size": len(self.grid), "seed": self.seed}
-
-
-def build_gaussian_path(hurst, beta_lil, grid_size=513, seed=0, grid=None):
-    """Exact Gaussian sample of the path on the grid via covariance factorization.
-
-    The covariance is Gamma(x, y) = (x^(2H) + y^(2H) - |x-y|^(2H)) / 2. For
-    H = 1/2 the Cholesky factor is bidiagonal in increments and is applied in
-    closed form; otherwise scipy's dense factorization is used and a failure is
-    reported with the offending grid spacing.
-    """
-    hurst = float(hurst)
-    if not (0.0 < hurst < 1.0):
-        raise DensityError(f"hurst must lie in (0, 1), got {hurst}")
-    if grid is None:
-        if grid_size < 2:
-            raise DensityError("grid_size must be at least 2")
-        grid = np.linspace(0.0, 1.0, int(grid_size))
-    grid = np.asarray(grid, dtype=float)
-    if grid[0] != 0.0:
-        grid = np.concatenate([[0.0], grid])
-    if np.any(np.diff(grid) <= 0.0) or grid[-1] > 1.0 or grid[0] < 0.0:
-        raise DensityError("grid must be strictly increasing within [0, 1]")
-    pos = grid[1:]
-    z = rng.normal_block(seed, rng.GAUSS_PATH, 0, len(pos))
-    if hurst == 0.5:
-        path = np.cumsum(np.sqrt(np.diff(grid)) * z)
-    else:
-        xx, yy = np.meshgrid(pos, pos, indexing="ij")
-        cov = 0.5 * (xx ** (2 * hurst) + yy ** (2 * hurst) - np.abs(xx - yy) ** (2 * hurst))
-        try:
-            L = _cholesky(cov, lower=True)
-        except _LinAlgError as exc:
-            raise DensityError(
-                f"covariance factorization failed; minimal grid spacing {np.min(np.diff(grid)):.3e}"
-            ) from exc
-        path = L @ z
-    S = np.concatenate([[0.0], path])
-    kappa = _lil_envelope(grid, hurst, float(beta_lil))
-    with np.errstate(invalid="ignore"):
-        f_grid = np.clip(1.0 + S - kappa, 0.0, 1.0)
-    f_grid = np.where(np.isnan(f_grid), 0.0, f_grid)
-    mass01 = float(np.trapezoid(f_grid, grid))
-    rescaled = False
-    if mass01 > 1.0:
-        f_grid = f_grid / mass01
-        mass01, tail_mass = 1.0, 0.0
-        rescaled = True
-    else:
-        tail_mass = 1.0 - mass01
-    F_grid = np.concatenate([[0.0], np.cumsum(0.5 * (f_grid[1:] + f_grid[:-1]) * np.diff(grid))])
-    return GaussianPathDensity(grid=grid, path=S, hurst=hurst, beta_lil=float(beta_lil),
-                               seed=int(seed), f_grid=f_grid, F_grid=F_grid,
-                               mass01=mass01, tail_mass=tail_mass, rescaled=rescaled)
-
-
-# ---------------------------------------------------------------------------
 # tabulated family
 # ---------------------------------------------------------------------------
+
+
+def _pwl_F(xg, fg):
+    """Node values of the CDF of a piecewise-linear pdf (cumulative trapezoid)."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (fg[1:] + fg[:-1]) * np.diff(xg))])
 
 
 def _pwl_cdf(x, xg, fg, Fg):
@@ -1037,7 +864,7 @@ def _make_tabulated(grid, values):
     normalized = abs(mass - 1.0) > 1e-12
     if normalized:
         values = values / mass
-    F = np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(grid))])
+    F = _pwl_F(grid, values)
     F[-1] = min(F[-1], 1.0)
     return TabulatedDensity(grid=grid, values=values, F_grid=F, normalized=normalized)
 
@@ -1066,6 +893,141 @@ def tabulated_from_csv(path):
         raise DensityError(f"no tabulated data found in {path}")
     arr = np.asarray(rows)
     return _make_tabulated(arr[:, 0], arr[:, 1])
+
+
+# ---------------------------------------------------------------------------
+# Gaussian path family
+# ---------------------------------------------------------------------------
+
+
+def _lil_envelope(x, hurst, beta):
+    """beta * sqrt(x^(2H) |log|log x||), with the 0 and 1 endpoints by limit."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = np.abs(np.log(np.abs(np.log(x))))
+        kappa = beta * np.sqrt(x ** (2.0 * hurst) * inner)
+    kappa = np.where(x == 0.0, 0.0, kappa)
+    kappa = np.where(x == 1.0, np.inf, kappa)
+    return kappa
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianPathDensity(TabulatedDensity):
+    """Clipped path density (1 + S_x - kappa_x)_+ ^ 1 tabulated on a grid in
+    [0, 1], plus an exponential tail tail_mass * exp(-(x-1)) carrying the
+    remaining mass.
+
+    The tabulated core is zero between the grid's last node and 1; each
+    method below is the core's plus the tail's part.
+    """
+
+    path: np.ndarray
+    hurst: float
+    beta_lil: float
+    seed: int
+    mass01: float
+    tail_mass: float
+
+    family = "gaussian_path"
+
+    @property
+    def support_upper(self):
+        return math.inf if self.tail_mass > 0.0 else super().support_upper
+
+    @staticmethod
+    def _with_tail(x, core, beyond, tail):
+        """The core's values, replaced by tail(x[beyond]) where beyond holds."""
+        out = np.array(core)
+        out[beyond] = tail(x[beyond])
+        return out if out.shape else float(out)
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return self._with_tail(x, super().pdf(x), x > 1.0,
+                               lambda xt: self.tail_mass * np.exp(-(xt - 1.0)))
+
+    def cdf(self, x):
+        # past 1 the value is mass01 plus the tail's mass, even with no tail
+        x = np.asarray(x, dtype=float)
+        return self._with_tail(
+            x, super().cdf(x), x > 1.0,
+            lambda xt: self.mass01 + self.tail_mass * (1.0 - np.exp(-(xt - 1.0))))
+
+    def sample(self, u):
+        u = np.asarray(u, dtype=float)
+        if self.tail_mass > 0.0:
+            def tail(ut):
+                return 1.0 - np.log1p(-np.minimum((ut - self.mass01) / self.tail_mass, 1.0))
+        else:
+            def tail(ut):
+                return 1.0
+        return self._with_tail(u, super().sample(u), ~(u <= self.mass01), tail)
+
+    def first_moment(self):
+        return super().first_moment() + 2.0 * self.tail_mass
+
+    def sup_pdf(self, lo, hi):
+        best, arg = super().sup_pdf(lo, hi)
+        if self.tail_mass > 0.0 and hi > 1.0:
+            xt = max(float(lo), 1.0)
+            v = self.tail_mass * math.exp(-(xt - 1.0))
+            if v > best:
+                best, arg = v, xt
+        return best, arg
+
+    def spec_dict(self):
+        return {"family": "gaussian_path", "hurst": self.hurst, "beta_lil": self.beta_lil,
+                "grid_size": len(self.grid), "seed": self.seed}
+
+
+def build_gaussian_path(hurst, beta_lil, grid_size=513, seed=0, grid=None):
+    """Exact Gaussian sample of the path on the grid via covariance factorization.
+
+    The covariance is Gamma(x, y) = (x^(2H) + y^(2H) - |x-y|^(2H)) / 2. For
+    H = 1/2 the Cholesky factor is bidiagonal in increments and is applied in
+    closed form; otherwise scipy's dense factorization is used and a failure is
+    reported with the offending grid spacing.
+    """
+    hurst = float(hurst)
+    if not (0.0 < hurst < 1.0):
+        raise DensityError(f"hurst must lie in (0, 1), got {hurst}")
+    if grid is None:
+        if grid_size < 2:
+            raise DensityError("grid_size must be at least 2")
+        grid = np.linspace(0.0, 1.0, int(grid_size))
+    grid = np.asarray(grid, dtype=float)
+    if grid[0] != 0.0:
+        grid = np.concatenate([[0.0], grid])
+    if np.any(np.diff(grid) <= 0.0) or grid[-1] > 1.0 or grid[0] < 0.0:
+        raise DensityError("grid must be strictly increasing within [0, 1]")
+    pos = grid[1:]
+    z = rng.normal_block(seed, rng.GAUSS_PATH, 0, len(pos))
+    if hurst == 0.5:
+        path = np.cumsum(np.sqrt(np.diff(grid)) * z)
+    else:
+        xx, yy = np.meshgrid(pos, pos, indexing="ij")
+        cov = 0.5 * (xx ** (2 * hurst) + yy ** (2 * hurst) - np.abs(xx - yy) ** (2 * hurst))
+        try:
+            L = _cholesky(cov, lower=True)
+        except _LinAlgError as exc:
+            raise DensityError(
+                f"covariance factorization failed; minimal grid spacing {np.min(np.diff(grid)):.3e}"
+            ) from exc
+        path = L @ z
+    S = np.concatenate([[0.0], path])
+    kappa = _lil_envelope(grid, hurst, float(beta_lil))
+    with np.errstate(invalid="ignore"):
+        f_grid = np.clip(1.0 + S - kappa, 0.0, 1.0)
+    f_grid = np.where(np.isnan(f_grid), 0.0, f_grid)
+    mass01 = float(np.trapezoid(f_grid, grid))
+    rescaled = mass01 > 1.0
+    if rescaled:
+        f_grid = f_grid / mass01
+        mass01 = 1.0
+    return GaussianPathDensity(grid=grid, values=f_grid, F_grid=_pwl_F(grid, f_grid),
+                               normalized=rescaled, path=S, hurst=hurst,
+                               beta_lil=float(beta_lil), seed=int(seed),
+                               mass01=mass01, tail_mass=1.0 - mass01)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,17 +1072,3 @@ def density_from_json(source):
         text = str(source)
     return make_density(json.loads(text))
 
-
-# module-level operation aliases
-
-
-def pdf(d, x):
-    return d.pdf(x)
-
-
-def cdf(d, x):
-    return d.cdf(x)
-
-
-def sample(d, u):
-    return d.sample(u)

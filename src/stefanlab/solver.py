@@ -36,12 +36,12 @@ __all__ = [
     "ParticleEnsemble",
     "PicardResult",
     "physical_jump_scan",
-    "physical_jump_bruteforce",
     "initial_jump_stratified",
     "simulate_particles",
     "picard_minimal",
     "compute_Y_samples",
     "iter_y_chunks",
+    "brownian_chunks",
 ]
 
 _CHUNK = 8192  # fixed path-chunk size; independent of thread count by design
@@ -257,35 +257,6 @@ def physical_jump_scan(values, n):
     return len(_near_barrier_cascade(y, n)) / n
 
 
-def physical_jump_bruteforce(values, n, x_step=1e-6):
-    """Reference cascade size: scan x = x_step, 2 x_step, ... for the first x
-    with (#{0 < y_i <= x} + #{y_i <= 0}) / n < x, snapped to the k/n grid.
-
-    Test oracle only; quadratic-ish in 1/x_step where the scan is O(m log m).
-    """
-    y = np.sort(np.asarray(values, dtype=float))
-    if not x_step > 0.0:
-        raise ValueError("x_step must be positive")
-    # no x below the sub-zero mass fraction can satisfy counts/n < x
-    c0 = int(np.searchsorted(y, 0.0, side="right"))
-    j = max(1, int(math.floor(c0 / n / x_step)))
-    block = 8192
-    limit = int(math.ceil((1.0 + 2.0 / n) / x_step)) + 2
-    while j <= limit:
-        hi = min(j + block, limit + 1)
-        xs = np.arange(j, hi) * x_step
-        counts = np.searchsorted(y, xs, side="right")
-        cond = counts / n < xs
-        hit = np.nonzero(cond)[0]
-        if len(hit):
-            x = xs[hit[0]]
-            return min(round(x * n), len(y)) / n
-        # counts is nondecreasing, so every x at or below the last count line
-        # fails too; the scan may jump there without skipping a candidate hit
-        j = max(hi, int(math.floor(counts[-1] / n / x_step)))
-    return min(1.0, len(y) / n)
-
-
 def initial_jump_stratified(y0_sorted, n):
     """Discrete time-0 jump for a stratified ensemble y_(k) = F^{-1}((2k-1)/(2n)).
 
@@ -397,20 +368,22 @@ def simulate_particles(density: Density, cfg: SolverConfig):
 # ---------------------------------------------------------------------------
 
 
-def _path_chunks(n_paths, chunk=_CHUNK):
-    return [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+def brownian_chunks(seed, stream, n_paths, sq_steps):
+    """Yield ((lo, hi), B) for n_paths Brownian paths in fixed chunks.
 
-
-def _running_max_chunk(seed, stream, chunk_id, lo, hi, sq_steps, lam):
-    """Y paths for chunk [lo, hi): running max of (-B + lam) on the grid."""
-    m = hi - lo
+    B has one row per path, B[:, 0] = 0 and B[:, 1:] = cumsum(z * sq_steps),
+    with z the normal block of the chunk's index on the stream. The chunk
+    layout does not depend on the thread count, so path j is the same for
+    every consumer.
+    """
     K = len(sq_steps)
-    z = rng.normal_block(seed, stream, chunk_id, m * K).reshape(m, K)
-    negb = np.empty((m, K + 1))
-    negb[:, 0] = 0.0
-    np.cumsum(z * -sq_steps, axis=1, out=negb[:, 1:])
-    negb += lam[None, :]
-    return np.maximum.accumulate(negb, axis=1)
+    for chunk_id, lo in enumerate(range(0, n_paths, _CHUNK)):
+        hi = min(lo + _CHUNK, n_paths)
+        z = rng.normal_block(seed, stream, chunk_id, (hi - lo) * K).reshape(hi - lo, K)
+        B = np.empty((hi - lo, K + 1))
+        B[:, 0] = 0.0
+        np.cumsum(z * sq_steps, axis=1, out=B[:, 1:])
+        yield (lo, hi), B
 
 
 def iter_y_chunks(frontier: FrontierPath, n_paths, seed, stream=rng.Y_SAMPLES):
@@ -420,9 +393,8 @@ def iter_y_chunks(frontier: FrontierPath, n_paths, seed, stream=rng.Y_SAMPLES):
     deterministic regardless of how the chunks are processed.
     """
     sq_steps = np.sqrt(np.diff(frontier.t))
-    lam = frontier.lam
-    for chunk_id, (lo, hi) in enumerate(_path_chunks(n_paths)):
-        yield (lo, hi), _running_max_chunk(seed, stream, chunk_id, lo, hi, sq_steps, lam)
+    for span, B in brownian_chunks(seed, stream, n_paths, sq_steps):
+        yield span, np.maximum.accumulate(np.subtract(frontier.lam, B, out=B), axis=1)
 
 
 def compute_Y_samples(frontier: FrontierPath, n_paths, seed, stream=rng.Y_SAMPLES):
@@ -451,16 +423,13 @@ def picard_minimal(density: Density, cfg: SolverConfig, keep_iterates=False):
     K = cfg.n_steps
     t = cfg.t_grid()
     M = cfg.picard.n_paths
-    sqdt = math.sqrt(cfg.dt)
 
-    chunks = _path_chunks(M)
-    negb32 = np.empty((M, K + 1), dtype=np.float32)
-    for chunk_id, (lo, hi) in enumerate(chunks):
-        z = rng.normal_block(cfg.seed, rng.PICARD_PATHS, chunk_id, (hi - lo) * K).reshape(hi - lo, K)
-        path = np.empty((hi - lo, K + 1))
-        path[:, 0] = 0.0
-        np.cumsum(z * -sqdt, axis=1, out=path[:, 1:])
-        negb32[lo:hi] = path.astype(np.float32)
+    chunks = []
+    b32 = np.empty((M, K + 1), dtype=np.float32)
+    for (lo, hi), B in brownian_chunks(cfg.seed, rng.PICARD_PATHS, M,
+                                       np.full(K, math.sqrt(cfg.dt))):
+        chunks.append((lo, hi))
+        b32[lo:hi] = B
 
     lam = np.zeros(K + 1)
     history = []
@@ -471,8 +440,7 @@ def picard_minimal(density: Density, cfg: SolverConfig, keep_iterates=False):
 
     def run_chunk(ci):
         lo, hi = chunks[ci]
-        z = negb32[lo:hi].astype(np.float64) + lam[None, :]
-        y = np.maximum.accumulate(z, axis=1)
+        y = np.maximum.accumulate(lam - b32[lo:hi], axis=1)
         partial[ci] = np.asarray(density.cdf_fast(y)).sum(axis=0)
 
     for it in range(cfg.picard.max_iters):

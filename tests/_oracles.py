@@ -8,14 +8,21 @@ the package's expansion or anchored-quadrature machinery.
 
 ``simulate_particles_argsort`` keeps the particle scheme's original step loop,
 a full stable argsort of the survivors every step, as the bit-identity referee
-for the production loop.
+for the production loop. ``picard_minimal_negb``, ``compute_Y_samples_negb``
+and ``simulate_drifted_sup_concat`` keep the three Brownian-path loops that
+drew -B (or B) chunk by chunk before the shared ``brownian_chunks`` generator,
+as its bit-identity referees. ``physical_jump_bruteforce`` decides the cascade
+size in exact rational arithmetic.
 """
+import bisect
 import math
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 
 from stefanlab import rng
-from stefanlab.solver import (FrontierPath, ParticleEnsemble, _scan_sorted,
+from stefanlab.solver import (FrontierPath, ParticleEnsemble, PicardResult, _scan_sorted,
                               initial_jump_stratified)
 
 
@@ -197,3 +204,117 @@ def simulate_particles_argsort(density, cfg):
     ensemble = ParticleEnsemble(n=n, positions=pos, alive=alive,
                                 death_time=death_time, seed=cfg.seed)
     return frontier, ensemble
+
+
+def physical_jump_bruteforce(values, n):
+    """Exact cascade size inf{x > 0 : F_n(x) < x}, F_n(x) = #{y_i <= x} / n.
+
+    Every float is a rational, so the positions and the lines k/n are compared
+    exactly. F_n is constant on each gap (a, b) between consecutive breakpoints
+    {k/n} and {y_i > 0}, so the first gap with F_n < b gives the infimum,
+    max(a, F_n).
+    """
+    ys = sorted(Fraction(float(v)) for v in np.ravel(values))
+    points = sorted({Fraction(k, n) for k in range(n + 1)} | {y for y in ys if y > 0})
+    for a, b in zip(points, points[1:] + [math.inf]):
+        level = Fraction(bisect.bisect_right(ys, a), n)
+        if level < b:
+            return float(max(a, level))
+
+
+_CHUNK = 8192
+
+
+def picard_minimal_negb(density, cfg, keep_iterates=False):
+    """``picard_minimal`` with its own store of -B paths, as it stood before the
+    shared ``brownian_chunks`` generator; its iterates must match bit for bit."""
+    K = cfg.n_steps
+    t = cfg.t_grid()
+    M = cfg.picard.n_paths
+    sqdt = math.sqrt(cfg.dt)
+
+    chunks = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
+    negb32 = np.empty((M, K + 1), dtype=np.float32)
+    for chunk_id, (lo, hi) in enumerate(chunks):
+        z = rng.normal_block(cfg.seed, rng.PICARD_PATHS, chunk_id, (hi - lo) * K).reshape(hi - lo, K)
+        path = np.empty((hi - lo, K + 1))
+        path[:, 0] = 0.0
+        np.cumsum(z * -sqdt, axis=1, out=path[:, 1:])
+        negb32[lo:hi] = path.astype(np.float32)
+
+    lam = np.zeros(K + 1)
+    history = []
+    iterates = []
+    converged = False
+    iterations = 0
+    partial = np.empty((len(chunks), K + 1))
+
+    def run_chunk(ci):
+        lo, hi = chunks[ci]
+        z = negb32[lo:hi].astype(np.float64) + lam[None, :]
+        y = np.maximum.accumulate(z, axis=1)
+        partial[ci] = np.asarray(density.cdf_fast(y)).sum(axis=0)
+
+    for it in range(cfg.picard.max_iters):
+        if cfg.threads > 1:
+            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+                list(pool.map(run_chunk, range(len(chunks))))
+        else:
+            for ci in range(len(chunks)):
+                run_chunk(ci)
+        new_lam = partial.sum(axis=0) / M
+        sup_change = float(np.max(np.abs(new_lam - lam)))
+        history.append(sup_change)
+        lam = new_lam
+        if keep_iterates:
+            iterates.append(lam.copy())
+        iterations = it + 1
+        if sup_change < cfg.picard.tol:
+            converged = True
+            break
+
+    frontier = FrontierPath(t=t, lam=lam, jumps=[])
+    return PicardResult(frontier=frontier, iterations=iterations,
+                        history=history, converged=converged, iterates=iterates)
+
+
+def _running_max_chunk(seed, stream, chunk_id, lo, hi, sq_steps, lam):
+    """Y paths for chunk [lo, hi): running max of (-B + lam) on the grid."""
+    m = hi - lo
+    K = len(sq_steps)
+    z = rng.normal_block(seed, stream, chunk_id, m * K).reshape(m, K)
+    negb = np.empty((m, K + 1))
+    negb[:, 0] = 0.0
+    np.cumsum(z * -sq_steps, axis=1, out=negb[:, 1:])
+    negb += lam[None, :]
+    return np.maximum.accumulate(negb, axis=1)
+
+
+def compute_Y_samples_negb(frontier, n_paths, seed, stream=rng.Y_SAMPLES):
+    """``compute_Y_samples`` through its own -B chunk loop, as it stood before
+    the shared ``brownian_chunks`` generator."""
+    sq_steps = np.sqrt(np.diff(frontier.t))
+    out = np.empty((n_paths, len(frontier.t)))
+    for chunk_id, lo in enumerate(range(0, n_paths, _CHUNK)):
+        hi = min(lo + _CHUNK, n_paths)
+        out[lo:hi] = _running_max_chunk(seed, stream, chunk_id, lo, hi, sq_steps, frontier.lam)
+    return out
+
+
+def simulate_drifted_sup_concat(c3, n_paths=20000, n_steps=2000, seed=0):
+    """``simulate_drifted_sup`` with its own 8192-path loop, as it stood before
+    the shared ``brownian_chunks`` generator."""
+    t = np.linspace(0.0, 1.0, n_steps + 1)
+    drift = c3 * np.sqrt(t)
+    sqd = np.sqrt(np.diff(t))
+    out = np.empty(n_paths)
+    lo = 0
+    chunk_id = 0
+    while lo < n_paths:
+        hi = min(lo + 8192, n_paths)
+        z = rng.normal_block(seed, rng.U_SUP, chunk_id, (hi - lo) * n_steps).reshape(hi - lo, n_steps)
+        b = np.concatenate([np.zeros((hi - lo, 1)), np.cumsum(z * sqd, axis=1)], axis=1)
+        out[lo:hi] = np.max(b + drift[None, :], axis=1)
+        lo = hi
+        chunk_id += 1
+    return np.sort(out)

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from _oracles import physical_jump_bruteforce
 from stefanlab import make_piecewise, uniform_density
 from stefanlab.bounds import (
     bruteforce_sup_ratio,
@@ -31,7 +32,6 @@ from stefanlab.conditions import (
 from stefanlab.solver import (
     PicardConfig,
     SolverConfig,
-    physical_jump_bruteforce,
     physical_jump_scan,
     picard_minimal,
     simulate_particles,
@@ -82,7 +82,7 @@ def test_criterion_01_cascade_oracle_equivalence():
     for _ in range(1000):
         m = int(rng.integers(2, 65))
         vals = rng.uniform(-0.2, 1.2, size=m)
-        if physical_jump_scan(vals, m) != physical_jump_bruteforce(vals, m, x_step=1e-6):
+        if physical_jump_scan(vals, m) != physical_jump_bruteforce(vals, m):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     _line(1, "cascade oracle equivalence", mismatches == 0 and elapsed < 5.0,

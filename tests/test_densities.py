@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from stefanlab import (
@@ -20,9 +22,6 @@ from stefanlab.densities import (
     PeriodicOscillatoryDensity,
     SinusoidProfile,
     TabulatedProfile,
-    cdf,
-    pdf,
-    sample,
 )
 
 from _oracles import simpson_scalar, sine_window_mass
@@ -71,32 +70,32 @@ def test_piecewise_cdf_oscillates_between_lines(pw_std):
 
 def test_piecewise_pdf_band_values(pw_std):
     a1 = float(pw_std.a1)
-    assert pdf(pw_std, 0.99 * a1) == 0.5          # [a2, a1) level
-    assert pdf(pw_std, 0.6 * a1) == pytest.approx(0.5)
-    assert pdf(pw_std, float(pw_std.odd_endpoint(2)) * 1.01) == 1.05  # [a3, a2)
-    assert pdf(pw_std, -1.0) == 0.0
-    assert pdf(pw_std, a1 * 1.5) == 0.0
+    assert pw_std.pdf(0.99 * a1) == 0.5          # [a2, a1) level
+    assert pw_std.pdf(0.6 * a1) == pytest.approx(0.5)
+    assert pw_std.pdf(float(pw_std.odd_endpoint(2)) * 1.01) == 1.05  # [a3, a2)
+    assert pw_std.pdf(-1.0) == 0.0
+    assert pw_std.pdf(a1 * 1.5) == 0.0
     assert pw_std.pdf(F(1, 10**6)) in (F(1, 2), F(21, 20))
 
 
 def test_piecewise_cdf_examples(pw_std):
-    assert cdf(pw_std, F(30, 41)) == F(26, 41)    # beta2 * a2
-    assert cdf(pw_std, F(0)) == 0
-    assert cdf(pw_std, pw_std.a1) == 1
+    assert pw_std.cdf(F(30, 41)) == F(26, 41)    # beta2 * a2
+    assert pw_std.cdf(F(0)) == 0
+    assert pw_std.cdf(pw_std.a1) == 1
     xs = np.linspace(0.0, 2.0, 1001)
-    Fx = cdf(pw_std, xs)
+    Fx = pw_std.cdf(xs)
     assert np.all(np.diff(Fx) >= 0.0)
     assert Fx[0] == 0.0 and Fx[-1] == 1.0
 
 
 def test_piecewise_sample_inversion(pw_std):
-    assert sample(pw_std, F(1)) == pw_std.a1
-    assert sample(pw_std, F(26, 41)) == F(30, 41)
-    assert sample(pw_std, F(0)) == 0
+    assert pw_std.sample(F(1)) == pw_std.a1
+    assert pw_std.sample(F(26, 41)) == F(30, 41)
+    assert pw_std.sample(F(0)) == 0
     us = np.linspace(0.0, 1.0, 1001)
-    xs = sample(pw_std, us)
+    xs = pw_std.sample(us)
     assert np.all(np.diff(xs) >= 0.0)
-    assert np.max(np.abs(cdf(pw_std, xs) - us)) < 1e-12
+    assert np.max(np.abs(pw_std.cdf(xs) - us)) < 1e-12
 
 
 def test_piecewise_first_moment_vs_quadrature(pw_std):
@@ -143,11 +142,11 @@ def test_normalize_periodic_sine_residual(sine_density):
 
 
 def test_periodic_pdf_closed_form(sine_density):
-    assert pdf(sine_density, 2.0 / math.pi) == pytest.approx(1.0, abs=1e-14)
-    assert pdf(sine_density, 0.0) == 0.0
-    assert pdf(sine_density, sine_density.a * 1.01) == 0.0
+    assert sine_density.pdf(2.0 / math.pi) == pytest.approx(1.0, abs=1e-14)
+    assert sine_density.pdf(0.0) == 0.0
+    assert sine_density.pdf(sine_density.a * 1.01) == 0.0
     xs = np.geomspace(1e-8, sine_density.a, 4001)
-    fx = pdf(sine_density, xs)
+    fx = sine_density.pdf(xs)
     assert np.all(fx >= 0.0) and np.all(fx <= 1.0)
 
 
@@ -155,20 +154,20 @@ def test_periodic_cdf_matches_oracle(sine_density):
     for x in (0.003, 0.02, 0.17, 0.9, sine_density.a):
         mass, err = sine_window_mass(1.0, 0.0, x, n_panels=2 * 10**6)
         assert err < 1e-9
-        assert float(cdf(sine_density, x)) == pytest.approx(mass, abs=1e-8)
+        assert float(sine_density.cdf(x)) == pytest.approx(mass, abs=1e-8)
 
 
 def test_periodic_cdf_small_x_mean_level(sine_density):
     # mass near 0 rides the profile mean: F(x)/x -> 1/2
     for x in (1e-5, 1e-7):
-        assert float(cdf(sine_density, x)) / x == pytest.approx(0.5, abs=1e-3)
+        assert float(sine_density.cdf(x)) / x == pytest.approx(0.5, abs=1e-3)
 
 
 def test_periodic_sample_roundtrip(sine_density):
     us = np.linspace(0.001, 0.999, 1000)
-    xs = sample(sine_density, us)
+    xs = sine_density.sample(us)
     assert np.all(np.diff(xs) >= -1e-12)
-    assert np.max(np.abs(cdf(sine_density, xs) - us)) < 5e-6
+    assert np.max(np.abs(sine_density.cdf(xs) - us)) < 5e-6
 
 
 def test_periodic_first_moment(sine_density):
@@ -230,15 +229,15 @@ def test_periodic_rejects_bad_profiles():
 def test_gaussian_path_formula_and_mass():
     d = build_gaussian_path(0.5, math.sqrt(2.0), grid_size=513, seed=7)
     assert d.path[0] == 0.0
-    assert float(pdf(d, 0.0)) == 1.0  # S_0 = 0 and the envelope vanishes at 0
+    assert float(d.pdf(0.0)) == 1.0  # S_0 = 0 and the envelope vanishes at 0
     # the clipped-path formula holds at every grid point
     for i in (1, 57, 200, 511):
         x = d.grid[i]
         kap = math.sqrt(2.0) * math.sqrt(x * abs(math.log(abs(math.log(x)))))
         manual = min(max(1.0 + d.path[i] - kap, 0.0), 1.0)
-        assert float(pdf(d, x)) == pytest.approx(manual, abs=1e-15)
-    assert float(pdf(d, 1.0)) == 0.0  # the envelope blows up at 1
-    assert float(cdf(d, 60.0)) == pytest.approx(1.0, abs=1e-12)
+        assert float(d.pdf(x)) == pytest.approx(manual, abs=1e-15)
+    assert float(d.pdf(1.0)) == 0.0  # the envelope blows up at 1
+    assert float(d.cdf(60.0)) == pytest.approx(1.0, abs=1e-12)
     assert d.mass01 + d.tail_mass == pytest.approx(1.0, abs=1e-15)
     assert math.isfinite(d.first_moment())
 
@@ -265,7 +264,7 @@ def test_gaussian_path_lil_touches_majority_of_seeds():
     touch = {0.5: 0, 0.1: 0}
     for s in range(100):
         d = build_gaussian_path(0.5, math.sqrt(2.0), grid=grid, seed=5000 + s)
-        ones = (d.f_grid >= 1.0) & (d.grid > 0.0)
+        ones = (d.values >= 1.0) & (d.grid > 0.0)
         for eps in touch:
             touch[eps] += int(np.any(ones & (d.grid < eps)))
     assert touch[0.5] > 50
@@ -298,12 +297,23 @@ def test_gaussian_path_general_hurst_and_errors():
 def test_gaussian_path_sample_roundtrip():
     d = build_gaussian_path(0.5, math.sqrt(2.0), grid_size=513, seed=11)
     us = np.linspace(0.001, 0.999, 1000)
-    xs = sample(d, us)
+    xs = d.sample(us)
     assert np.all(np.diff(xs) >= -1e-14)
-    assert np.max(np.abs(cdf(d, xs) - us)) < 1e-9
+    assert np.max(np.abs(d.cdf(xs) - us)) < 1e-9
     # tail samples land beyond 1 when the tail carries mass
     if d.tail_mass > 1e-3:
-        assert sample(d, 1.0 - d.tail_mass / 2.0) > 1.0
+        assert d.sample(1.0 - d.tail_mass / 2.0) > 1.0
+
+
+def test_gaussian_path_core_is_zero_past_a_grid_ending_below_one():
+    d = build_gaussian_path(0.5, 0.2, seed=3, grid=np.linspace(0.0, 0.8, 200))
+    assert d.tail_mass > 0.0
+    gap = np.linspace(0.8, 1.0, 41)[1:]
+    assert np.all(d.pdf(gap) == 0.0)
+    assert d.sup_pdf(0.81, 1.0) == (0.0, None)
+    # the pdf integrates to the CDF's total
+    xs = np.union1d(d.grid, np.linspace(0.8, 3.0, 20_001))
+    assert np.trapezoid(d.pdf(xs), xs) == pytest.approx(float(d.cdf(3.0)), abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -313,22 +323,22 @@ def test_gaussian_path_sample_roundtrip():
 
 def test_tabulated_uniforms():
     u = uniform_density(0.0, 2.0)
-    assert sample(u, 0.5) == pytest.approx(1.0, abs=1e-15)
-    assert cdf(u, 1.0) == pytest.approx(0.5)
+    assert u.sample(0.5) == pytest.approx(1.0, abs=1e-15)
+    assert u.cdf(1.0) == pytest.approx(0.5)
     assert u.first_moment() == pytest.approx(1.0)
     half = uniform_density(0.0, 0.5)
-    assert pdf(half, 0.25) == pytest.approx(2.0)  # above 1 is allowed per family
+    assert half.pdf(0.25) == pytest.approx(2.0)  # above 1 is allowed per family
     far = uniform_density(10.0, 11.0)
-    assert cdf(far, 9.9) == 0.0
-    assert sample(far, 0.25) == pytest.approx(10.25)
+    assert far.cdf(9.9) == 0.0
+    assert far.sample(0.25) == pytest.approx(10.25)
 
 
 def test_tabulated_roundtrip_and_normalization():
     d = make_density({"family": "tabulated", "grid": [0.0, 1.0, 2.0], "values": [0.0, 2.0, 0.0]})
     assert d.normalized  # trapezoid mass was 2, rescaled
     us = np.linspace(0.0, 1.0, 1001)
-    xs = sample(d, us)
-    assert np.max(np.abs(cdf(d, xs) - us)) < 1e-12
+    xs = d.sample(us)
+    assert np.max(np.abs(d.cdf(xs) - us)) < 1e-12
     assert d.first_moment() == pytest.approx(1.0)
 
 
@@ -336,7 +346,7 @@ def test_tabulated_from_csv(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("x,f\n0.0,0.5\n2.0,0.5\n")
     d = tabulated_from_csv(p)
-    assert cdf(d, 1.0) == pytest.approx(0.5)
+    assert d.cdf(1.0) == pytest.approx(0.5)
     empty = tmp_path / "empty.csv"
     empty.write_text("x,f\n")
     with pytest.raises(DensityError):
@@ -399,3 +409,31 @@ def test_profile_helpers():
     assert np.max(np.abs(tp.eval(us) - np.sin(us))) < 5e-4
     at = tp.antiderivative_stage()
     assert np.max(np.abs(at.eval(us) - (1.0 - np.cos(us)))) < 5e-3
+
+
+# ---------------------------------------------------------------------------
+# cdf_fast monotonicity, every family
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def cdf_families(pw_std, sine_density):
+    return {
+        "band_exact": pw_std,
+        "band_float": make_piecewise(0.5, 1.05, 0.5, 0.5),
+        "periodic_sine": sine_density,
+        "gaussian_path": build_gaussian_path(0.5, math.sqrt(2.0), grid_size=513, seed=7),
+        "tabulated": make_density({"family": "tabulated", "grid": [0.0, 0.3, 0.7, 1.5],
+                                   "values": [0.2, 1.4, 0.0, 0.9]}),
+    }
+
+
+@pytest.mark.parametrize("family", ["band_exact", "band_float", "periodic_sine",
+                                    "gaussian_path", "tabulated"])
+@settings(max_examples=100, deadline=None)
+@given(xs=st.lists(st.one_of(st.floats(-1.0, 4.0), st.floats(0.0, 1e-6)),
+                   min_size=2, max_size=200))
+def test_cdf_fast_nondecreasing(cdf_families, family, xs):
+    d = cdf_families[family]
+    F = np.asarray(d.cdf_fast(np.sort(np.asarray(xs))))
+    assert np.all(np.diff(F) >= 0.0)

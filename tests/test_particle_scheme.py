@@ -6,14 +6,13 @@ loop with a full stable argsort every step. They must agree bit for bit.
 """
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import simulate_particles_argsort
+from _oracles import physical_jump_bruteforce, simulate_particles_argsort
 from stefanlab import rng, uniform_density
 from stefanlab.solver import (SolverConfig, _near_barrier_cascade, _scan_sorted,
-                              physical_jump_bruteforce, physical_jump_scan,
-                              simulate_particles)
+                              physical_jump_scan, simulate_particles)
 
 
 @pytest.mark.parametrize("density_name, kw", [
@@ -71,11 +70,13 @@ def test_scan_equals_bruteforce_property(y, extra):
     n = len(y) + extra
     if n == 0:
         return
-    # the brute force steps x by 1e-6, so it cannot place a value that sits
-    # less than a step above a cascade line k/n
-    above_line = np.asarray(y) - np.floor(np.asarray(y) * n) / n
-    assume(not np.any((above_line > 0.0) & (above_line <= 2e-6)))
     assert physical_jump_scan(y, n) == physical_jump_bruteforce(y, n)
+
+
+def test_bruteforce_resolves_values_just_above_a_line():
+    # 0.5 + 1e-7 sits above the line 1/2 by less than any fixed x-step
+    assert physical_jump_bruteforce([0.0, 0.5 + 1e-7], 2) == 0.5
+    assert physical_jump_scan([0.0, 0.5 + 1e-7], 2) == 0.5
 
 
 def test_scan_rejects_nan():

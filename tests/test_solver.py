@@ -1,8 +1,13 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import physical_jump_bruteforce
 from stefanlab import make_piecewise, uniform_density
 from stefanlab.solver import (
     FrontierPath,
@@ -11,7 +16,6 @@ from stefanlab.solver import (
     SolverConfigError,
     compute_Y_samples,
     initial_jump_stratified,
-    physical_jump_bruteforce,
     physical_jump_scan,
     picard_minimal,
     simulate_particles,
@@ -299,6 +303,21 @@ def test_frontier_csv_roundtrip(tmp_path):
     back = FrontierPath.read_csv(path)
     assert np.array_equal(back.t, fr.t)
     assert np.array_equal(back.lam, fr.lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t0=st.floats(-1.0, 1.0), steps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=40),
+       data=st.data())
+def test_frontier_csv_roundtrip_property(t0, steps, data):
+    t = t0 + np.concatenate([[0.0], np.cumsum(steps)])
+    lam = np.sort(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(t), max_size=len(t))))
+    fr = FrontierPath(t=t, lam=lam)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        fr.write_csv(path)
+        back = FrontierPath.read_csv(path)
+    assert back.t.tobytes() == fr.t.tobytes()
+    assert back.lam.tobytes() == fr.lam.tobytes()
 
 
 def test_frontier_validation():
