@@ -262,11 +262,13 @@ def _cmd_sweep(args):
         name, _, vals = spec.partition("=")
         names.append(name)
         value_lists.append([_parse_sweep_value(v) for v in vals.split(",") if v])
+    # every cell's config is checked before anything is simulated or written
+    combos = list(itertools.product(*value_lists))
+    cfgs = [_build_config(args, zip(names, combo)) for combo in combos]
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     index = []
-    for i, combo in enumerate(itertools.product(*value_lists)):
-        cfg = _build_config(args, zip(names, combo))
+    for i, (combo, cfg) in enumerate(zip(combos, cfgs)):
         frontier, _ = simulate_particles(density, cfg)
         cell_csv = outdir / f"cell_{i:03d}.csv"
         frontier.write_csv(cell_csv)

@@ -23,9 +23,10 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cholesky as _cholesky, LinAlgError as _LinAlgError
+from scipy.special import roots_legendre
 
 from . import rng
-from .numerics import adaptive_simpson, bisect_nondecreasing
+from .numerics import bisect_nondecreasing
 
 __all__ = [
     "DensityError",
@@ -48,6 +49,10 @@ __all__ = [
 
 class DensityError(ValueError):
     pass
+
+
+#: 8-point Gauss-Legendre rule on [-1, 1], the periodic family's cell quadrature
+_GL_NODES, _GL_WEIGHTS = roots_legendre(8)
 
 
 def _as_fraction(v):
@@ -78,6 +83,7 @@ class SinusoidProfile:
         self.b = float(b)
         self.c = float(c)
         self.period = 2.0 * math.pi
+        self.cell = self.period / 16.0
         self.mean = self.c
         self.sup_abs = math.hypot(self.a, self.b) + abs(self.c)
 
@@ -144,6 +150,9 @@ class TabulatedProfile:
         else:
             self._breaks, self._coeffs = _pieces
             self.sup_abs = self._estimate_sup_abs()
+        # quadrature cells: about a sixteenth of the period, with every break on an edge
+        m = len(self._coeffs)
+        self.cell = self.period / (m * math.ceil(16 / m))
         self.values = values
         self.mean = self._piece_integral_total() / self.period
 
@@ -524,16 +533,11 @@ class _TailExpansion:
     """
 
     def __init__(self, g_profile, alpha, m, v0, tol=1e-13, max_stages=40):
-        self.alpha = float(alpha)
-        self.beta0 = (m + 1.0) / self.alpha
         self.v0 = float(v0)
-        self.g = g_profile
         stages = []
-        coeff = 1.0
-        E = 1.0 + self.beta0
+        coeff, E = 1.0, 1.0 + (m + 1.0) / float(alpha)  # E = 1 + beta0
         G = g_profile
         best_k, best_bound = 0, math.inf
-        means, coeffs, exps = [], [], []
         for k in range(max_stages):
             A = G.antiderivative_stage()
             stages.append((G.mean, A, coeff, E))
@@ -561,95 +565,86 @@ class _TailExpansion:
 class PeriodicOscillatoryDensity(Density):
     """f(x) = (1 + psi(1/x^alpha)) / 2 on (0, a], zero elsewhere.
 
-    Near the oscillation accumulation point the CDF is evaluated through the
-    tail expansion (exact up to a tracked bound); elsewhere by adaptive Simpson
-    anchored at period-aligned table nodes. The support endpoint a solves
-    integral_0^a f = 1 (smallest root).
+    Below x0 the CDF is the tail expansion (exact up to a tracked bound). Above
+    it one cumulative table, an 8-point Gauss-Legendre rule on each interval
+    between nodes that include every profile cell edge, serves normalisation,
+    the CDF, sampling and the first moment. a solves integral_0^a f = 1.
     """
 
     family = "periodic"
 
     _V0_CANDIDATES = (60.0, 100.0, 160.0, 260.0, 420.0, 700.0)
 
-    def __init__(self, alpha, psi="sin", tol=1e-10):
+    def __init__(self, alpha, psi="sin"):
         self.alpha = float(alpha)
         if self.alpha <= 0.0:
             raise DensityError(f"alpha must be positive, got {alpha}")
         self.psi = make_profile(psi)
         if self.psi.sup_abs > 1.0 + 1e-9:
             raise DensityError("profile must map into [-1, 1]")
-        self.tol = float(tol)
         self._g = self.psi.affine(0.5, 0.5)  # (1 + psi)/2, in [0, 1]
         if self._g.mean <= 1e-12:
             raise DensityError("profile mean is -1; the density has no mass")
-        self._exp0 = None
         for v0 in self._V0_CANDIDATES:
-            exp0 = _TailExpansion(self._g, self.alpha, 0, v0, tol=1e-13)
-            if exp0.bound_at_v0 <= 1e-12:
-                self._exp0 = exp0
-                break
-        if self._exp0 is None:
-            self._exp0 = exp0  # best effort; bound recorded
+            self._exp0 = _TailExpansion(self._g, self.alpha, 0, v0, tol=1e-13)
+            if self._exp0.bound_at_v0 <= 1e-12:
+                break  # else the last candidate is the best effort; bound recorded
         self.v0 = self._exp0.v0
         self.x0 = self.v0 ** (-1.0 / self.alpha)
-        self.a = self._normalize()
-        self._build_cdf_table()
+        self._build_table()
 
-    # -- mass ---------------------------------------------------------------
+    # -- the cumulative table -----------------------------------------------
 
-    def _mass_upto(self, x, tol=None):
-        """integral_0^x f, combining the expansion head with Simpson."""
-        tol = self.tol if tol is None else tol
-        if x <= 0.0:
-            return 0.0
-        if x <= self.x0:
-            return self._exp0.eval(x ** (-self.alpha)) / self.alpha
+    def _cell_integral(self, lo, hi, moment=0):
+        """Elementwise integral_lo^hi y^moment f(y) dy; exact to rounding in one cell."""
+        half = 0.5 * (np.asarray(hi, dtype=float) - lo)
+        y = (lo + half)[..., None] + half[..., None] * _GL_NODES
+        return half * ((y ** moment * self._g.eval(y ** (-self.alpha))) @ _GL_WEIGHTS)
+
+    def _nodes(self, hi):
+        """Nodes on [x0, hi]: every cell edge (in u = x^(-alpha)), a uniform grid
+        where f oscillates slowly, and past the last edge a geometric one, which
+        keeps each interval short next to its distance from the singularity at 0."""
+        step = self._g.cell
+        u_hi = hi ** (-self.alpha)
+        us = np.arange(math.floor(u_hi / step), math.ceil(self.v0 / step) + 1) * step
+        us = us[(us > u_hi) & (us < self.v0)]
+        x_cell = step ** (-1.0 / self.alpha)
+        n_geo = math.ceil(math.log(hi / x_cell, 1.25)) + 1 if hi > x_cell else 0
+        xs = np.unique(np.concatenate([us ** (-1.0 / self.alpha), np.linspace(self.x0, hi, 2049),
+                                       np.geomspace(x_cell, hi, n_geo)]))
+        return xs[(xs >= self.x0) & (xs <= hi)]
+
+    def _cumulative(self, xs):
+        """F at the nodes xs, xs[0] = x0: the expansion head plus the cell rules."""
         head = self._exp0.eval(self.v0) / self.alpha
-        body = adaptive_simpson(self._pdf_scalar, self.x0, x, tol=min(tol, 1e-12))
-        return head + body
+        return np.cumsum(np.concatenate([[head], self._cell_integral(xs[:-1], xs[1:])]))
 
-    def _pdf_scalar(self, x):
-        return 0.5 + 0.5 * float(self.psi.eval(x ** (-self.alpha)))
-
-    def _normalize(self):
+    def _build_table(self):
         hi = max(2.0 * self.x0, 1.0)
-        cap = 0
-        while self._mass_upto(hi) < 1.0:
+        for _ in range(61):
+            xs = self._nodes(hi)
+            Fs = self._cumulative(xs)
+            if Fs[-1] >= 1.0:
+                break
             hi *= 2.0
-            cap += 1
-            if cap > 60:
-                raise DensityError("normalization bracket search failed; profile mass too small")
-        a = bisect_nondecreasing(self._mass_upto, 0.0, hi, 1.0, xtol=1e-13)
-        return a
-
-    def _build_cdf_table(self):
-        # nodes: log grid below x0 (expansion is cheap and precise there),
-        # sixteenth-period-aligned u nodes in the oscillatory zone, and a
-        # uniform grid to cap the spacing where oscillation is slow
-        step = self._g.period / 16.0
-        u_a = self.a ** (-self.alpha)
-        ks = np.arange(math.floor(u_a / step), math.ceil(self.v0 / step) + 1)
-        u_nodes = ks * step
-        u_nodes = u_nodes[(u_nodes > u_a) & (u_nodes < self.v0)]
-        x_osc = u_nodes ** (-1.0 / self.alpha)
-        x_unif = np.linspace(self.x0, self.a, 2049)
-        # log spacing delta keeps the interpolation error near delta^2/16 at
-        # alpha = 1 uniformly in depth, so 4096 nodes put it around 1e-6
+        else:
+            raise DensityError("normalization bracket search failed; profile mass too small")
+        # a lies where the table crosses 1; its value at the right end holds the bracket
+        j = int(np.searchsorted(Fs, 1.0))
+        x_lo, F_lo = xs[j - 1], Fs[j - 1]
+        self.a = float(bisect_nondecreasing(
+            lambda x: Fs[j] if x >= xs[j] else F_lo + self._cell_integral(x_lo, x),
+            x_lo, xs[j], 1.0, xtol=1e-13))
+        # log grid below x0, where the expansion is cheap and precise: log spacing
+        # delta keeps the interpolation error near delta^2/16 at alpha = 1
+        # uniformly in depth, so 4096 nodes put it around 1e-6
         x_low = np.geomspace(max(self.a * 1e-9, 1e-300), self.x0, 4096)
-        xs = np.unique(np.concatenate([[0.0], x_low, x_osc, x_unif, [self.a]]))
-        xs = xs[(xs >= 0.0) & (xs <= self.a)]
-        Fs = np.empty_like(xs)
-        Fs[0] = 0.0
-        low = (xs > 0.0) & (xs <= self.x0)
-        if np.any(low):
-            Fs[low] = self._exp0.eval(xs[low] ** (-self.alpha)) / self.alpha
-        acc = self._exp0.eval(self.v0) / self.alpha
-        prev = self.x0
-        for i in np.nonzero(xs > self.x0)[0]:
-            acc += adaptive_simpson(self._pdf_scalar, prev, xs[i], tol=3e-14)
-            prev = xs[i]
-            Fs[i] = acc
-        self._xs = xs
+        x_low = x_low[x_low < self.x0]
+        x_osc = self._nodes(self.a)
+        self._xs = np.concatenate([[0.0], x_low, x_osc])
+        Fs = np.concatenate([[0.0], self._exp0.eval(x_low ** (-self.alpha)) / self.alpha,
+                             self._cumulative(x_osc)])
         self._Fs = np.maximum.accumulate(np.clip(Fs, 0.0, 1.0))
         self.total_mass = float(Fs[-1])
 
@@ -673,23 +668,23 @@ class PeriodicOscillatoryDensity(Density):
         return out if out.shape else float(out)
 
     def cdf(self, x):
-        """Precise CDF: expansion below x0, anchored Simpson above."""
+        """Precise CDF: expansion below x0; above it the table value at the
+        node below x plus the cell rule from that node to x."""
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
+        out = np.full_like(x, np.nan)
         out[x <= 0.0] = 0.0
         out[x >= self.a] = 1.0
         mid = (x > 0.0) & (x < self.a)
         lowm = mid & (x <= self.x0)
         if np.any(lowm):
             out[lowm] = self._exp0.eval(x[lowm] ** (-self.alpha)) / self.alpha
-        him = mid & (x > self.x0)
-        if np.any(him):
-            idx = np.searchsorted(self._xs, x[him], side="right") - 1
-            vals = np.empty(int(him.sum()))
-            for j, (i, xx) in enumerate(zip(idx, x[him])):
-                vals[j] = self._Fs[i] + adaptive_simpson(self._pdf_scalar, self._xs[i], xx, tol=3e-14)
-            out[him] = vals
+        # in blocks, which caps the rule's work arrays at 4096 x 8 points
+        him = np.nonzero(mid & (x > self.x0))[0]
+        for start in range(0, len(him), 4096):
+            b = him[start:start + 4096]
+            i = np.searchsorted(self._xs, x[b], side="right") - 1
+            out[b] = self._Fs[i] + self._cell_integral(self._xs[i], x[b])
         out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if scalar else out
 
@@ -701,23 +696,35 @@ class PeriodicOscillatoryDensity(Density):
     def sample(self, u):
         scalar = np.ndim(u) == 0
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        x = np.interp(u * self.total_mass, self._Fs, self._xs)
-        # Newton polish against the precise CDF where f is not tiny; elsewhere
-        # the table inversion already sits inside a near-flat stretch
+        target = np.clip(u, 0.0, 1.0) * self.total_mass
+        x = np.interp(target, self._Fs, self._xs)
+        # Newton polish against the precise CDF where f is not tiny
         for _ in range(2):
             f = np.asarray(self.pdf(x))
             good = f > 0.05
             if not np.any(good):
                 break
-            resid = np.asarray(self.cdf(x[good])) - u[good] * self.total_mass
+            resid = np.asarray(self.cdf(x[good])) - target[good]
             x[good] = np.clip(x[good] - resid / f[good], 0.0, self.a)
+        # where that left a residual (f tiny, or a start too far off for two
+        # steps), bisect on the precise CDF inside the table interval instead
+        rest = np.abs(np.asarray(self.cdf(x)) - target) > 1e-10
+        t = target[rest]
+        i = np.clip(np.searchsorted(self._Fs, t, side="right") - 1, 0, len(self._xs) - 2)
+        lo, hi = self._xs[i], self._xs[i + 1]
+        mid = 0.5 * (lo + hi)
+        while np.any((lo < mid) & (mid < hi)):
+            below = np.asarray(self.cdf(mid)) < t
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            mid = 0.5 * (lo + hi)
+        x[rest] = hi
         return float(x[0]) if scalar else x
 
     def first_moment(self):
         exp1 = _TailExpansion(self._g, self.alpha, 1, self.v0, tol=1e-14)
-        head = exp1.eval(self.v0) / self.alpha
-        body = adaptive_simpson(lambda y: y * self._pdf_scalar(y), self.x0, self.a, tol=1e-12)
-        return head + body
+        xs = self._xs[self._xs >= self.x0]
+        body = np.sum(self._cell_integral(xs[:-1], xs[1:], moment=1))
+        return exp1.eval(self.v0) / self.alpha + float(body)
 
     def sup_pdf(self, lo, hi):
         lo = max(float(lo), 0.0)
@@ -745,7 +752,7 @@ def normalize_periodic(alpha, psi):
     """Support endpoint a with integral_0^a (1 + psi(1/x^alpha))/2 dx = 1.
 
     Returns the smallest root; construction fails (DensityError) if the bracket
-    search exceeds its cap, which requires the profile mean to be -1.
+    search exceeds its cap, as when psi(0) = -1 and alpha > 1 keep all mass below 1.
     """
     return PeriodicOscillatoryDensity(alpha, psi).a
 
@@ -834,8 +841,11 @@ class TabulatedDensity(Density):
         lo, hi = float(lo), float(hi)
         best, arg = 0.0, None
         inside = (self.grid > lo) & (self.grid <= hi)
-        cands = list(self.grid[inside]) + [b for b in (lo, hi)
-                                           if self.grid[0] <= b <= self.grid[-1]]
+        cands = list(self.grid[inside])
+        if self.grid[0] <= lo < self.grid[-1]:
+            cands.append(lo)  # stands for the right limit at lo
+        if self.grid[0] <= hi <= self.grid[-1]:
+            cands.append(hi)
         for x in cands:
             v = float(np.interp(x, self.grid, self.values))
             if v > best:

@@ -12,7 +12,8 @@ for the production loop. ``picard_minimal_negb``, ``compute_Y_samples_negb``
 and ``simulate_drifted_sup_concat`` keep the three Brownian-path loops that
 drew -B (or B) chunk by chunk before the shared ``brownian_chunks`` generator,
 as its bit-identity referees. ``physical_jump_bruteforce`` decides the cascade
-size in exact rational arithmetic.
+size in exact rational arithmetic. ``tabulated_profile_mass`` integrates the
+periodic density of a tabulated profile between the profile's breaks.
 """
 import bisect
 import math
@@ -110,6 +111,55 @@ def riemann_psi_piecewise(density, lam, mu, n_panels=10**6):
     Error is bounded by (#band crossings) * (alpha2 - alpha1) / (2 n_panels)."""
     mids = mu + (np.arange(n_panels) + 0.5) / n_panels
     return float(np.mean(density.pdf(lam * mids)))
+
+
+def tabulated_profile_mass(alpha, period, values, xs, n_periods=20000):
+    """integral_0^x (1 + psi(y^-alpha))/2 dy at each x in xs (x of order 1 or
+    less), for psi linear between the uniform samples ``values`` over one period.
+
+    In u = y^-alpha this is mean * x + (1/alpha) * integral_{x^-alpha}^inf
+    g0(u) u^(-1-1/alpha) du, where mean is the level of (1 + psi)/2 and g0 its
+    zero-mean periodic rest. The integral runs piece by piece between the
+    profile's breaks, where g0 is linear, by composite Simpson (512 panels per
+    piece below u = 20, 2 above) up to u_c = n_periods * period. Past u_c the
+    second mean value theorem bounds it by u_c^(-1-1/alpha) times the largest
+    partial integral of g0, which is half its absolute integral over a period.
+    Returns (masses, bound).
+    """
+    values = np.asarray(values, dtype=float)
+    m = len(values)
+    step = period / m
+    knots = np.arange(m + 1) * step
+    closed = np.append(values, values[0])
+    mean_psi = float(np.mean(values))  # the mean of a periodic linear interpolant
+
+    def g0(u):
+        return 0.5 * (np.interp(np.mod(u, period), knots, closed) - mean_psi)
+
+    expo = 1.0 + 1.0 / alpha
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    us = xs ** -alpha
+    u_c = n_periods * period
+    if not us.max() < u_c:
+        raise ValueError("need x^-alpha < n_periods * period")
+    first = math.ceil(us.min() / step)
+    edges = np.union1d(np.arange(first, n_periods * m + 1) * step, us)
+    pieces = np.empty(len(edges) - 1)
+    for panels, sel in ((512, edges[1:] <= 20.0), (2, edges[1:] > 20.0)):
+        t = np.linspace(0.0, 1.0, panels + 1)
+        wts = np.ones(panels + 1)
+        wts[1:-1:2], wts[2:-1:2] = 4.0, 2.0
+        wts /= 3.0 * panels
+        for idx in np.array_split(np.nonzero(sel)[0], max(1, int(sel.sum()) * panels // 10**6)):
+            lo, width = edges[idx], edges[idx + 1] - edges[idx]
+            pts = lo[:, None] + width[:, None] * t
+            pieces[idx] = width * ((g0(pts) * pts ** -expo) @ wts)
+    from_edge = np.cumsum(pieces[::-1])[::-1]  # integral from each edge to u_c
+    osc = from_edge[np.searchsorted(edges, us)] / alpha
+    fine = np.linspace(0.0, period, 1000 * m + 1)
+    half_abs = 0.5 * np.trapezoid(np.abs(g0(fine)), fine) * 1.01
+    bound = half_abs * u_c ** -expo / alpha
+    return 0.5 * (1.0 + mean_psi) * xs + osc, bound
 
 
 def simpson_scalar(f, a, b, n_panels=4096):

@@ -153,6 +153,14 @@ def test_sweep_grid(workdir):
     assert fr.lam[-1] == c0["lambda_T"]
 
 
+def test_sweep_rejects_a_bad_cell_before_running(workdir, capsys):
+    code = main(["sweep", "--config", "cfg.json", "--density", "pw.json",
+                 "--param", "dt=0.005,-1", "--out-dir", "sw", "--threads", "1"])
+    assert code == 1
+    assert "bad config" in capsys.readouterr().err
+    assert not (workdir / "sw").exists()
+
+
 def test_seed_determinism_across_runs(workdir):
     for name in ("r1.csv", "r2.csv"):
         main(["simulate", "--config", "cfg.json", "--density", "pw.json",

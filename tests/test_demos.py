@@ -1,0 +1,13 @@
+"""The demos run end to end: each executes as a script and prints its report."""
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("name", ["01_density_families.py", "02_condition_checks.py"])
+def test_demo_runs(name, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert capsys.readouterr().out.strip()

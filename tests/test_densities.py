@@ -24,7 +24,7 @@ from stefanlab.densities import (
     TabulatedProfile,
 )
 
-from _oracles import simpson_scalar, sine_window_mass
+from _oracles import simpson_scalar, sine_window_mass, tabulated_profile_mass
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +221,67 @@ def test_periodic_rejects_bad_profiles():
         PeriodicOscillatoryDensity(-1.0, "sin")
 
 
+def test_periodic_tabulated_profile_mass_matches_break_aligned_oracle():
+    # 64 samples of a sine put 4 kinks in each sixteenth of a period: the
+    # quadrature cells must end on them, or the Gauss-Legendre rule loses mass
+    period = 2.0 * math.pi
+    values = np.sin(np.arange(64) * period / 64)
+    d = PeriodicOscillatoryDensity(1.0, {"period": period, "values": list(values)})
+    xs = np.array([0.005, 0.03, 0.2, 0.7, d.a])
+    mass, bound = tabulated_profile_mass(1.0, period, values, xs)
+    assert bound < 1e-10
+    assert abs(mass[-1] - 1.0) < 1e-10 + bound
+    assert abs(d.total_mass - 1.0) < 1e-12
+    assert np.max(np.abs(np.asarray(d.cdf(xs[:-1])) - mass[:-1])) < 1e-10 + bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.5, 2.0),
+       values=st.one_of(st.none(), st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=64)))
+def test_periodic_table_properties(alpha, values):
+    psi = "sin" if values is None else {"period": 2.0 * math.pi, "values": values}
+    try:
+        d = PeriodicOscillatoryDensity(alpha, psi)
+    except DensityError:
+        # no mass (profile mean -1), or psi(0) = -1: then f decays like x^-alpha
+        # at large x and the mass on (0, inf) can stay below 1
+        assert values is not None and ((1.0 + np.mean(values)) / 2.0 <= 1e-12
+                                       or values[0] == -1.0)
+        return
+    xs = np.sort(np.concatenate([np.linspace(0.0, d.a, 4001), np.geomspace(1e-9, d.a, 2001)]))
+    # below x0 the CDF is a truncated expansion, exact up to a tracked bound;
+    # where f vanishes on a stretch it can dip there by a few units in the last place
+    assert np.all(np.diff(np.asarray(d.cdf(xs))) >= -1e-14)
+    assert abs(d.total_mass - 1.0) < 1e-12
+    us = np.linspace(0.001, 0.999, 999)
+    assert np.max(np.abs(np.asarray(d.cdf(d.sample(us))) - us)) < 5e-6
+
+
+def test_periodic_sample_roundtrip_where_alpha_is_large():
+    # at alpha = 2 the table below x0 is off by ~3e-5; two Newton steps from
+    # there used to leave that error in sample()
+    d = PeriodicOscillatoryDensity(2.0, "sin")
+    us = np.linspace(0.001, 0.999, 999)
+    assert np.max(np.abs(np.asarray(d.cdf(d.sample(us))) - us)) < 1e-9
+
+
+def test_periodic_cdf_and_sample_edge_inputs(sine_density):
+    # NaN stays NaN (the precise CDF used to return uninitialised memory there),
+    # and u outside [0, 1] is clamped, as the table inversion always did
+    assert math.isnan(sine_density.cdf(math.nan))
+    assert np.all(np.isnan(sine_density.cdf(np.array([math.nan, math.nan]))))
+    assert list(sine_density.sample(np.array([-0.1, 1.1]))) == [0.0, sine_density.sample(1.0)]
+
+
+def test_periodic_slowly_decaying_profile_is_normalized():
+    # psi(0) near -1 puts a near 1e5, where the uniform grid is coarse next to x
+    d = PeriodicOscillatoryDensity(2.0, {"period": 2.0 * math.pi, "values": [-0.99999, 0.0]})
+    assert d.a > 1e4
+    assert abs(d.total_mass - 1.0) < 1e-12
+    xs = np.geomspace(1e-3, d.a, 3001)
+    assert np.all(np.diff(np.asarray(d.cdf(xs))) >= 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian path family
 # ---------------------------------------------------------------------------
@@ -358,6 +419,15 @@ def test_tabulated_validation():
         make_density({"family": "tabulated", "grid": [0.0, 1.0], "values": [-1.0, 1.0]})
     with pytest.raises(DensityError):
         make_density({"family": "tabulated", "grid": [1.0, 0.0], "values": [1.0, 1.0]})
+
+
+def test_tabulated_sup_pdf_window_past_the_grid_end():
+    # the sup runs over (lo, hi]: lo counts only while the pdf lives to its right
+    assert uniform_density(0.0, 0.5).sup_pdf(0.5, 1.0) == (0.0, None)
+    gp = build_gaussian_path(0.5, 0.2, seed=3, grid=np.linspace(0.0, 0.8, 200))
+    assert gp.sup_pdf(0.8, 1.0) == (0.0, None)
+    assert uniform_density(0.0, 0.5).sup_pdf(0.2, 1.0) == (2.0, 0.5)
+    assert uniform_density(0.1, 0.5).sup_pdf(0.1, 0.3) == (2.5, 0.1)
 
 
 # ---------------------------------------------------------------------------
