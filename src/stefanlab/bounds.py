@@ -21,7 +21,7 @@ from scipy.special import erfc
 from . import rng
 from .conditions import ROOT_TWO_OVER_PI, EnvelopeFunction, chi_bar
 from .densities import Density, PiecewiseGeometricDensity
-from .solver import FrontierPath, brownian_chunks, iter_y_chunks
+from .solver import _CHUNK, FrontierPath, brownian_chunks, iter_y_chunks
 
 __all__ = [
     "SlopeBound",
@@ -220,7 +220,7 @@ def simulate_drifted_sup(c3, n_paths=20000, n_steps=2000, seed=0):
     drift = c3 * np.sqrt(t)
     out = np.empty(n_paths)
     for (lo, hi), B in brownian_chunks(seed, rng.U_SUP, n_paths, np.sqrt(np.diff(t))):
-        out[lo:hi] = np.max(B + drift, axis=1)
+        out[lo:hi] = np.max(np.add(B, drift, out=B), axis=1)
     return np.sort(out)
 
 
@@ -283,30 +283,43 @@ def _lemma_interval(d: PiecewiseGeometricDensity, rho, t):
     return float(d.even_endpoint(n + 1)) / sq, rho * float(d.odd_endpoint(n + 1)) / sq
 
 
+def _default_t_indices(frontier: FrontierPath, n_t):
+    K = len(frontier.t) - 1
+    return np.unique(np.clip(np.geomspace(max(1, K // 100), K, n_t).astype(int), 1, K))
+
+
+def _y_columns(frontier: FrontierPath, n_paths, seed, t_indices):
+    """Running-max samples Y at the grid columns t_indices, one row per path
+    (n_paths x len(t_indices) numbers; the full paths are never kept)."""
+    out = np.empty((n_paths, len(t_indices)))
+    for (lo, hi), y in iter_y_chunks(frontier, n_paths, seed):
+        out[lo:hi] = y[:, t_indices]
+    return out
+
+
 def estimate_prob_in_G(frontier: FrontierPath, d: PiecewiseGeometricDensity,
                        consts: SqrtConstants, t_indices=None, n_paths=20000, seed=0,
                        u_samples=None, n_bands=30):
     """Per-t MC estimates of P(Y_t in G) against the reflection/drifted-sup
     lower bound P(|N| >= a) P(U <= b - a), plus the occupation threshold
     (alpha2 - 1)/(alpha2 - L) that the contraction argument needs."""
-    sb = compute_L(d)
-    rho = float(sb.rho)
-    K = len(frontier.t) - 1
     if t_indices is None:
-        t_indices = np.unique(np.clip(np.geomspace(max(1, K // 100), K, 10).astype(int), 1, K))
+        t_indices = _default_t_indices(frontier, 10)
     t_indices = np.asarray(t_indices, dtype=int)
-    edges = _good_set_edges(d, rho, n_bands=n_bands)
     if u_samples is None:
         u_samples = simulate_drifted_sup(consts.c3, n_paths=n_paths, seed=seed)
+    cols = _y_columns(frontier, n_paths, seed, t_indices)
+    return _prob_in_G(frontier, d, t_indices, cols, u_samples, n_bands)
 
-    counts = np.zeros(len(t_indices))
-    total = 0
-    for (lo, hi), y in iter_y_chunks(frontier, n_paths, seed):
-        cols = y[:, t_indices]
-        inside = np.searchsorted(edges, cols, side="right") % 2 == 1
-        counts += inside.sum(axis=0)
-        total += hi - lo
-    lhs = counts / total
+
+def _prob_in_G(frontier, d, t_indices, cols, u_samples, n_bands):
+    """``estimate_prob_in_G`` on the samples cols = Y[:, t_indices]."""
+    sb = compute_L(d)
+    rho = float(sb.rho)
+    edges = _good_set_edges(d, rho, n_bands=n_bands)
+    total = len(cols)
+    inside = np.searchsorted(edges, cols, side="right") % 2 == 1
+    lhs = inside.sum(axis=0) / total
     lhs_se = np.sqrt(np.clip(lhs * (1.0 - lhs), 0.0, None) / total)
 
     tv = frontier.t[t_indices]
@@ -365,10 +378,16 @@ def estimate_delta0(frontier: FrontierPath, d: Density, t_indices=None, h_grid=N
     """MC estimate of the double sup of E[(F(Y_t + h) - F(Y_t)) / h] on a
     (t, h) grid; the per-node means double as the expected-increment-ratio
     probe (increment h playing the role of the window size)."""
-    K = len(frontier.t) - 1
     if t_indices is None:
-        t_indices = np.unique(np.clip(np.geomspace(max(1, K // 100), K, 8).astype(int), 1, K))
+        t_indices = _default_t_indices(frontier, 8)
     t_indices = np.asarray(t_indices, dtype=int)
+    cols = _y_columns(frontier, n_paths, seed, t_indices)
+    return _delta0(frontier, d, t_indices, h_grid, cols)
+
+
+def _delta0(frontier, d, t_indices, h_grid, cols):
+    """``estimate_delta0`` on the samples cols = Y[:, t_indices]. The sums are
+    reduced per 8192-path chunk in row order, then across chunks."""
     upper = d.support_upper
     scale = float(upper) if math.isfinite(upper) else 2.0
     if h_grid is None:
@@ -377,15 +396,14 @@ def estimate_delta0(frontier: FrontierPath, d: Density, t_indices=None, h_grid=N
 
     sums = np.zeros((len(t_indices), len(h_grid)))
     sq_sums = np.zeros_like(sums)
-    total = 0
-    for (lo, hi), y in iter_y_chunks(frontier, n_paths, seed):
-        cols = y[:, t_indices]  # (m, n_t)
-        Fy = np.asarray(d.cdf_fast(cols))
+    total = len(cols)
+    for lo in range(0, total, _CHUNK):
+        chunk = cols[lo:lo + _CHUNK]  # (m, n_t)
+        Fy = np.asarray(d.cdf_fast(chunk))
         for hj, h in enumerate(h_grid):
-            ratio = (np.asarray(d.cdf_fast(cols + h)) - Fy) / h
+            ratio = (np.asarray(d.cdf_fast(chunk + h)) - Fy) / h
             sums[:, hj] += ratio.sum(axis=0)
             sq_sums[:, hj] += (ratio * ratio).sum(axis=0)
-        total += hi - lo
     means = sums / total
     var = np.clip(sq_sums / total - means ** 2, 0.0, None)
     ses = np.sqrt(var / total)
@@ -480,8 +498,15 @@ def assemble_bounds_report(d: PiecewiseGeometricDensity, frontier: FrontierPath,
     beta_slope, _ = estimate_beta_slope(d, frontier, seed=seed)
     consts = compute_sqrt_constants(d, beta_slope)
     margins = verify_frontier_envelopes(frontier, consts, n_mc=n_mc, g=g)
-    prob_g = estimate_prob_in_G(frontier, d, consts, n_paths=n_paths, seed=seed)
-    d0 = estimate_delta0(frontier, d, n_paths=n_paths, seed=seed)
+    # one pass of Y paths serves both estimators, on the union of their columns
+    ti_g = _default_t_indices(frontier, 10)
+    ti_d = _default_t_indices(frontier, 8)
+    union = np.union1d(ti_g, ti_d)
+    cols = _y_columns(frontier, n_paths, seed, union)
+    u_samples = simulate_drifted_sup(consts.c3, n_paths=n_paths, seed=seed)
+    prob_g = _prob_in_G(frontier, d, ti_g, cols[:, np.searchsorted(union, ti_g)],
+                        u_samples, n_bands=30)
+    d0 = _delta0(frontier, d, ti_d, None, cols[:, np.searchsorted(union, ti_d)])
     early = early_increment_check(frontier, d)
     return BoundsReport(
         beta1=float(d.beta1), beta2=float(d.beta2), admissible=bool(d.admissible),

@@ -201,7 +201,8 @@ def _cmd_bounds(args):
 
     g = None
     if args.fit_envelope:
-        rep = check_averaging_condition(density, lambda0_candidate=args.envelope_lambda0)
+        rep = check_averaging_condition(density, lambda0_candidate=args.envelope_lambda0,
+                                        threads=cfg.threads)
         if rep.holds_1_7:
             g = rep.g_envelope
     report = assemble_bounds_report(density, frontier, n_mc=n_mc, seed=cfg.seed,

@@ -88,7 +88,12 @@ class SinusoidProfile:
         self.sup_abs = math.hypot(self.a, self.b) + abs(self.c)
 
     def eval(self, u):
+        # a zero coefficient's term is skipped: adding it would not change a bit
         u = np.asarray(u, dtype=float)
+        if self.b == 0.0:
+            return self.a * np.sin(u) + self.c
+        if self.a == 0.0:
+            return self.b * np.cos(u) + self.c
         return self.a * np.sin(u) + self.b * np.cos(u) + self.c
 
     def antiderivative_stage(self):

@@ -10,7 +10,8 @@ Two routes to the frontier Lambda_t = P(absorption by t):
   (``_near_barrier_cascade``, shared with ``physical_jump_scan``).
 * ``picard_minimal``: fixed-point iteration Lambda <- mean F(running max of
   (-B + Lambda)) over a common set of Brownian paths, increasing pointwise to
-  the minimal solution. Assumes no time-0 jump (its value at 0 is F(0) = 0).
+  the minimal solution. Assumes no time-0 jump (its value at 0 is F(0) = 0)
+  and rejects a density whose stratified time-0 jump is positive.
 
 All randomness is drawn from counter-based streams (see rng), so results are
 bit-identical across runs and thread counts.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -45,6 +47,7 @@ __all__ = [
 ]
 
 _CHUNK = 8192  # fixed path-chunk size; independent of thread count by design
+_TILE = 1 << 17  # numbers per row tile of paths: working arrays stay cache-sized
 
 
 class SolverConfigError(ValueError):
@@ -368,29 +371,48 @@ def simulate_particles(density: Density, cfg: SolverConfig):
 # ---------------------------------------------------------------------------
 
 
+def _row_tiles(n_rows, width):
+    """(lo, hi) row tiles of about _TILE elements of the given row width; a
+    tile never crosses an 8192-row chunk."""
+    step = max(1, _TILE // width)
+    for c_lo in range(0, n_rows, _CHUNK):
+        c_hi = min(c_lo + _CHUNK, n_rows)
+        for lo in range(c_lo, c_hi, step):
+            yield lo, min(lo + step, c_hi)
+
+
+def _brownian_tile(seed, stream, lo, hi, sq_steps):
+    """Paths lo .. hi - 1 (inside one chunk), drawn from their lane offset in
+    the chunk's normal block."""
+    K = len(sq_steps)
+    chunk_id, row = divmod(lo, _CHUNK)
+    z = rng.normal_block(seed, stream, chunk_id, (hi - lo) * K, start=row * K)
+    z = z.reshape(hi - lo, K)
+    B = np.empty((hi - lo, K + 1))
+    B[:, 0] = 0.0
+    np.cumsum(np.multiply(z, sq_steps, out=z), axis=1, out=B[:, 1:])
+    return B
+
+
 def brownian_chunks(seed, stream, n_paths, sq_steps):
-    """Yield ((lo, hi), B) for n_paths Brownian paths in fixed chunks.
+    """Yield ((lo, hi), B) for n_paths Brownian paths in cache-sized row tiles.
 
     B has one row per path, B[:, 0] = 0 and B[:, 1:] = cumsum(z * sq_steps),
-    with z the normal block of the chunk's index on the stream. The chunk
-    layout does not depend on the thread count, so path j is the same for
-    every consumer.
+    with z the normal block of the path's 8192-path chunk on the stream. A
+    tile holds about _TILE numbers, never crosses a chunk, and is drawn from
+    its lane offset in the chunk's block, so path j is the same number for
+    number for every tiling, thread count and consumer.
     """
-    K = len(sq_steps)
-    for chunk_id, lo in enumerate(range(0, n_paths, _CHUNK)):
-        hi = min(lo + _CHUNK, n_paths)
-        z = rng.normal_block(seed, stream, chunk_id, (hi - lo) * K).reshape(hi - lo, K)
-        B = np.empty((hi - lo, K + 1))
-        B[:, 0] = 0.0
-        np.cumsum(z * sq_steps, axis=1, out=B[:, 1:])
-        yield (lo, hi), B
+    for lo, hi in _row_tiles(n_paths, len(sq_steps)):
+        yield (lo, hi), _brownian_tile(seed, stream, lo, hi, sq_steps)
 
 
 def iter_y_chunks(frontier: FrontierPath, n_paths, seed, stream=rng.Y_SAMPLES):
-    """Yield ((lo, hi), Y_chunk) running-max samples against the frontier.
+    """Yield ((lo, hi), Y_tile) running-max samples against the frontier.
 
-    Chunks have a fixed layout, so any consumer that reduces in chunk order is
-    deterministic regardless of how the chunks are processed.
+    Tiles come from ``brownian_chunks`` and have a fixed layout, so any
+    consumer that reduces in tile order is deterministic regardless of how
+    the tiles are processed.
     """
     sq_steps = np.sqrt(np.diff(frontier.t))
     for span, B in brownian_chunks(seed, stream, n_paths, sq_steps):
@@ -418,18 +440,50 @@ def picard_minimal(density: Density, cfg: SolverConfig, keep_iterates=False):
     which makes the iterates pointwise nondecreasing exactly: the running max
     is monotone in Lambda, F is evaluated through a monotone interpolation, and
     the per-chunk summation trees are fixed. Targets densities with no time-0
-    jump; the iteration pins Lambda_0 = F(0) = 0.
+    jump; the iteration pins Lambda_0 = F(0) = 0, so a density whose
+    stratified time-0 jump is positive raises ValueError.
+
+    One pool of cfg.threads workers fills the float32 path store tile by tile
+    and then runs every iteration, one 8192-path chunk per task. A chunk is
+    processed in row tiles in a per-thread buffer whose row 0 carries the
+    chunk's running sum, so each chunk is still summed row by row in order.
     """
     K = cfg.n_steps
     t = cfg.t_grid()
     M = cfg.picard.n_paths
 
-    chunks = []
+    jump0 = initial_jump_stratified(density.sample((np.arange(M) + 0.5) / M), M)
+    if jump0 > 0.0:
+        raise ValueError(f"picard needs a density with no time-0 jump; the stratified "
+                         f"jump at {M} paths is {jump0:g} (use the particle solver)")
+
+    sq_steps = np.full(K, math.sqrt(cfg.dt))
+    chunks = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
+    rows = max(1, _TILE // (K + 1))
     b32 = np.empty((M, K + 1), dtype=np.float32)
-    for (lo, hi), B in brownian_chunks(cfg.seed, rng.PICARD_PATHS, M,
-                                       np.full(K, math.sqrt(cfg.dt))):
-        chunks.append((lo, hi))
-        b32[lo:hi] = B
+    buffers = threading.local()
+
+    def fill_tile(span):
+        lo, hi = span
+        b32[lo:hi] = _brownian_tile(cfg.seed, rng.PICARD_PATHS, lo, hi, sq_steps)
+
+    def run_chunk(ci):
+        buf = getattr(buffers, "buf", None)
+        if buf is None:
+            buf = buffers.buf = np.empty((rows + 1, K + 1))
+        lo, hi = chunks[ci]
+        acc = partial[ci]
+        for r in range(lo, hi, rows):
+            m = min(rows, hi - r)
+            y = buf[1:m + 1]
+            np.subtract(lam, b32[r:r + m], out=y)
+            np.maximum.accumulate(y, axis=1, out=y)
+            y[...] = density.cdf_fast(y)
+            if r == lo:
+                np.add.reduce(y, axis=0, out=acc)
+            else:
+                buf[0] = acc
+                np.add.reduce(buf[:m + 1], axis=0, out=acc)
 
     lam = np.zeros(K + 1)
     history = []
@@ -438,28 +492,20 @@ def picard_minimal(density: Density, cfg: SolverConfig, keep_iterates=False):
     iterations = 0
     partial = np.empty((len(chunks), K + 1))
 
-    def run_chunk(ci):
-        lo, hi = chunks[ci]
-        y = np.maximum.accumulate(lam - b32[lo:hi], axis=1)
-        partial[ci] = np.asarray(density.cdf_fast(y)).sum(axis=0)
-
-    for it in range(cfg.picard.max_iters):
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                list(pool.map(run_chunk, range(len(chunks))))
-        else:
-            for ci in range(len(chunks)):
-                run_chunk(ci)
-        new_lam = partial.sum(axis=0) / M
-        sup_change = float(np.max(np.abs(new_lam - lam)))
-        history.append(sup_change)
-        lam = new_lam
-        if keep_iterates:
-            iterates.append(lam.copy())
-        iterations = it + 1
-        if sup_change < cfg.picard.tol:
-            converged = True
-            break
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        list(pool.map(fill_tile, _row_tiles(M, K)))
+        for it in range(cfg.picard.max_iters):
+            list(pool.map(run_chunk, range(len(chunks))))
+            new_lam = partial.sum(axis=0) / M
+            sup_change = float(np.max(np.abs(new_lam - lam)))
+            history.append(sup_change)
+            lam = new_lam
+            if keep_iterates:
+                iterates.append(lam.copy())
+            iterations = it + 1
+            if sup_change < cfg.picard.tol:
+                converged = True
+                break
 
     frontier = FrontierPath(t=t, lam=lam, jumps=[])
     return PicardResult(frontier=frontier, iterations=iterations,

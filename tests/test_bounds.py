@@ -6,6 +6,7 @@ import pytest
 
 from stefanlab import make_density, make_piecewise, uniform_density
 from stefanlab.bounds import (
+    assemble_bounds_report,
     bruteforce_sup_ratio,
     compute_L,
     compute_sqrt_constants,
@@ -263,3 +264,14 @@ def test_early_increment_margin(pw_std, pw_frontier):
     margin = early_increment_check(pw_frontier, pw_std)
     se = math.sqrt(0.25 / 20_000)
     assert margin >= -3.0 * se
+
+
+def test_bounds_report_one_y_pass_equals_the_standalone_estimators(pw_std, pw_frontier):
+    # 10_000 paths span two 8192-path chunks, so the per-chunk sums of delta0 matter
+    rep = assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000, seed=5, n_paths=10_000)
+    consts = compute_sqrt_constants(pw_std, rep.beta_slope)
+    pg = estimate_prob_in_G(pw_frontier, pw_std, consts, n_paths=10_000, seed=5)
+    d0 = estimate_delta0(pw_frontier, pw_std, n_paths=10_000, seed=5)
+    assert rep.prob_g.to_dict() == pg.to_dict()
+    assert np.array_equal(rep.prob_g.lhs_se, pg.lhs_se)
+    assert (rep.delta0_hat, rep.delta0_se) == (d0.delta0_hat, d0.se_at_max)

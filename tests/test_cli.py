@@ -182,3 +182,31 @@ def test_bounds_rejects_non_monotone_frontier(workdir, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "bad.csv" in err and "strictly increasing" in err
+
+
+def test_picard_rejects_a_time_zero_jump(workdir, capsys):
+    (workdir / "u.json").write_text(json.dumps({"family": "tabulated",
+                                                "grid": [0.0, 0.5], "values": [2.0, 2.0]}))
+    assert main(["picard", "--config", "cfg.json", "--density", "u.json",
+                 "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "time-0 jump" in err
+
+
+def test_bounds_fit_envelope_uses_the_thread_count(workdir, monkeypatch):
+    import types
+
+    import stefanlab.cli as cli
+
+    calls = []
+
+    def spy(density, **kwargs):
+        calls.append(kwargs)
+        return types.SimpleNamespace(holds_1_7=False)
+
+    monkeypatch.setattr(cli, "check_averaging_condition", spy)
+    main(["simulate", "--config", "cfg.json", "--density", "pw.json",
+          "--out", "f.csv", "--threads", "1"])
+    main(["bounds", "--config", "cfg.json", "--density", "pw.json", "--frontier", "f.csv",
+          "--n-paths", "2000", "--out", "b.json", "--fit-envelope", "--threads", "3"])
+    assert len(calls) == 1 and calls[0]["threads"] == 3

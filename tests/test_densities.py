@@ -453,6 +453,18 @@ def test_make_density_all_families(tmp_path):
     assert again.beta1 == pw.beta1
 
 
+@pytest.mark.parametrize("abc", [(1.0, 0.0, 0.0), (0.0, -1.0, 1.0), (0.5, 0.0, 0.5),
+                                 (-0.3, 0.0, 0.0), (0.0, 2.5, -1.0), (0.7, -0.2, 0.1)])
+def test_sinusoid_eval_skipping_zero_terms_is_bit_identical(abc):
+    a, b, c = abc
+    u = np.concatenate([np.linspace(-40.0, 40.0, 4001), np.arange(-8, 9) * math.pi,
+                        [0.0, -0.0, 1e300, np.inf, -np.inf, np.nan]])
+    with np.errstate(invalid="ignore"):
+        full = a * np.sin(u) + b * np.cos(u) + c
+        got = SinusoidProfile(a, b, c).eval(u)
+    assert got.tobytes() == full.tobytes()
+
+
 def test_make_density_errors():
     with pytest.raises(DensityError, match="family"):
         make_density({"alpha": 1.0})

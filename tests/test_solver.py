@@ -259,6 +259,18 @@ def test_picard_thread_count_bit_identical(pw_std):
     assert np.array_equal(res1.frontier.lam, res8.frontier.lam)
 
 
+def test_picard_rejects_a_time_zero_jump():
+    # F(x) = 2x on [0, 1/2] freezes the whole ensemble at t = 0 (the particle
+    # scheme's stratified jump is 1); Picard would pin Lambda_0 = 0 instead
+    d = uniform_density(0.0, 0.5)
+    cfg = SolverConfig(n_particles=100, dt=0.01, T=0.1, seed=1,
+                       picard=PicardConfig(n_paths=1000, max_iters=5))
+    frontier, _ = simulate_particles(d, cfg)
+    assert frontier.lam[0] == 1.0
+    with pytest.raises(ValueError, match="time-0 jump"):
+        picard_minimal(d, cfg)
+
+
 def test_picard_nonconvergence_flagged(pw_std):
     cfg = SolverConfig(n_particles=10, dt=0.001, T=0.1, seed=4,
                        picard=PicardConfig(n_paths=1000, max_iters=2, tol=1e-12))
