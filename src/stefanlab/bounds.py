@@ -11,8 +11,7 @@ the direction that certifies the inequality; nothing is averaged across checks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -70,15 +69,15 @@ def compute_L(d: PiecewiseGeometricDensity):
     return SlopeBound(rho=rho, L=L, lt_one=L < one)
 
 
-def bruteforce_sup_ratio(d: PiecewiseGeometricDensity, n_y=1000, n_h=1000, n_bands=12):
+def bruteforce_sup_ratio(d: PiecewiseGeometricDensity, n_y=1000, n_h=1000):
     """Brute-force sup of (F(y+h) - F(y)) / h over y in the good set, h > 0,
-    y + h <= a1. Grids cover the bands [a_{2n+2}, rho a_{2n+1}] (n <= n_bands)
+    y + h <= a1. Grids cover the bands [a_{2n+2}, rho a_{2n+1}] (n <= 12)
     and [a_2, a1]; the value approaches L from below as the grids refine."""
     sb = compute_L(d)
     rho = float(sb.rho)
     a1 = float(d.a1)
     pieces = [(float(d.even_endpoint(n + 1)), rho * float(d.odd_endpoint(n + 1)))
-              for n in range(1, n_bands + 1)]
+              for n in range(1, 13)]
     pieces.append((float(d.even_endpoint(1)), a1))
     lengths = np.asarray([hi - lo for lo, hi in pieces])
     counts = np.maximum((n_y * lengths / lengths.sum()).astype(int), 8)
@@ -118,24 +117,24 @@ def compute_sqrt_constants(d: PiecewiseGeometricDensity, beta_slope):
     return SqrtConstants(c1=c1, c2=c2, c3=c3, beta_slope=beta_slope)
 
 
-def estimate_beta_slope(d: Density, frontier: FrontierPath, n_normals=20000, seed=0,
-                        n_t=12, n_x=24):
+def estimate_beta_slope(d: Density, frontier: FrontierPath, seed=0):
     """Monte Carlo surrogate for the uniform slope constant: the max over a
-    (t, x) grid of E[F(Lambda_t - B_t + x) - F(Lambda_t - B_t)] / x.
+    12 x 24 (t, x) grid of E[F(Lambda_t - B_t + x) - F(Lambda_t - B_t)] / x,
+    each node averaged over 20000 normals.
 
     No closed form exists; this is the numeric stand-in used to build c3.
     Returns (beta_slope, table of per-node ratios).
     """
     K = len(frontier.t) - 1
-    t_idx = np.unique(np.clip(np.geomspace(max(1, K // 200), K, n_t).astype(int), 1, K))
+    t_idx = np.unique(np.clip(np.geomspace(max(1, K // 200), K, 12).astype(int), 1, K))
     upper = d.support_upper
     scale = float(upper) if math.isfinite(upper) else 2.0
-    xs = np.geomspace(1e-3 * scale, 2.0 * scale, n_x)
+    xs = np.geomspace(1e-3 * scale, 2.0 * scale, 24)
     table = np.zeros((len(t_idx), len(xs)))
     for bi, ti in enumerate(t_idx):
         t = float(frontier.t[ti])
         lamt = float(frontier.lam[ti])
-        xi = rng.normal_block(seed, rng.SLOPE_PROBE, int(ti), n_normals)
+        xi = rng.normal_block(seed, rng.SLOPE_PROBE, int(ti), 20000)
         w = lamt + math.sqrt(t) * xi  # -B_t has the same law as B_t
         Fw = np.asarray(d.cdf_fast(w))
         for xj, x in enumerate(xs):
@@ -299,15 +298,14 @@ def _y_columns(frontier: FrontierPath, n_paths, seed, t_indices):
 
 def estimate_prob_in_G(frontier: FrontierPath, d: PiecewiseGeometricDensity,
                        consts: SqrtConstants, t_indices=None, n_paths=20000, seed=0,
-                       u_samples=None, n_bands=30):
+                       n_bands=30):
     """Per-t MC estimates of P(Y_t in G) against the reflection/drifted-sup
     lower bound P(|N| >= a) P(U <= b - a), plus the occupation threshold
     (alpha2 - 1)/(alpha2 - L) that the contraction argument needs."""
     if t_indices is None:
         t_indices = _default_t_indices(frontier, 10)
     t_indices = np.asarray(t_indices, dtype=int)
-    if u_samples is None:
-        u_samples = simulate_drifted_sup(consts.c3, n_paths=n_paths, seed=seed)
+    u_samples = simulate_drifted_sup(consts.c3, n_paths=n_paths, seed=seed)
     cols = _y_columns(frontier, n_paths, seed, t_indices)
     return _prob_in_G(frontier, d, t_indices, cols, u_samples, n_bands)
 
@@ -373,26 +371,22 @@ class Delta0Report:
         }
 
 
-def estimate_delta0(frontier: FrontierPath, d: Density, t_indices=None, h_grid=None,
-                    n_paths=20000, seed=0):
+def estimate_delta0(frontier: FrontierPath, d: Density, n_paths=20000, seed=0):
     """MC estimate of the double sup of E[(F(Y_t + h) - F(Y_t)) / h] on a
-    (t, h) grid; the per-node means double as the expected-increment-ratio
-    probe (increment h playing the role of the window size)."""
-    if t_indices is None:
-        t_indices = _default_t_indices(frontier, 8)
-    t_indices = np.asarray(t_indices, dtype=int)
+    (t, h) grid of 8 times and 16 log-spaced increments; the per-node means
+    double as the expected-increment-ratio probe (increment h playing the
+    role of the window size)."""
+    t_indices = _default_t_indices(frontier, 8)
     cols = _y_columns(frontier, n_paths, seed, t_indices)
-    return _delta0(frontier, d, t_indices, h_grid, cols)
+    return _delta0(frontier, d, t_indices, cols)
 
 
-def _delta0(frontier, d, t_indices, h_grid, cols):
+def _delta0(frontier, d, t_indices, cols):
     """``estimate_delta0`` on the samples cols = Y[:, t_indices]. The sums are
     reduced per 8192-path chunk in row order, then across chunks."""
     upper = d.support_upper
     scale = float(upper) if math.isfinite(upper) else 2.0
-    if h_grid is None:
-        h_grid = np.geomspace(1e-4 * scale, scale, 16)
-    h_grid = np.asarray(h_grid, dtype=float)
+    h_grid = np.geomspace(1e-4 * scale, scale, 16)
 
     sums = np.zeros((len(t_indices), len(h_grid)))
     sq_sums = np.zeros_like(sums)
@@ -418,16 +412,16 @@ def _delta0(frontier, d, t_indices, h_grid, cols):
     )
 
 
-def early_increment_check(frontier: FrontierPath, d: Density, alpha2=None):
+def early_increment_check(frontier: FrontierPath, d: Density):
     """Margin of Lambda_h - F(Lambda_h) <= alpha2 sqrt(2/pi) sqrt(h) over the
-    grid (the t = 0 case of the increment inequality)."""
-    if alpha2 is None:
-        alpha2 = float(getattr(d, "alpha2", 1.0))
+    grid (the t = 0 case of the increment inequality; alpha2 = 1 for a
+    density without bands)."""
+    alpha2 = float(getattr(d, "alpha2", 1.0))
     t = frontier.t
     lam = frontier.lam
     pos = t > 0.0
     lhs = lam[pos] - np.asarray(d.cdf_fast(lam[pos]))
-    rhs = float(alpha2) * ROOT_TWO_OVER_PI * np.sqrt(t[pos])
+    rhs = alpha2 * ROOT_TWO_OVER_PI * np.sqrt(t[pos])
     return float(np.min(rhs - lhs))
 
 
@@ -506,7 +500,7 @@ def assemble_bounds_report(d: PiecewiseGeometricDensity, frontier: FrontierPath,
     u_samples = simulate_drifted_sup(consts.c3, n_paths=n_paths, seed=seed)
     prob_g = _prob_in_G(frontier, d, ti_g, cols[:, np.searchsorted(union, ti_g)],
                         u_samples, n_bands=30)
-    d0 = _delta0(frontier, d, ti_d, None, cols[:, np.searchsorted(union, ti_d)])
+    d0 = _delta0(frontier, d, ti_d, cols[:, np.searchsorted(union, ti_d)])
     early = early_increment_check(frontier, d)
     return BoundsReport(
         beta1=float(d.beta1), beta2=float(d.beta2), admissible=bool(d.admissible),

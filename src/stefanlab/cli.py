@@ -11,7 +11,6 @@ import argparse
 import itertools
 import json
 import os
-import re
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -22,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bounds import assemble_bounds_report
 from .conditions import check_averaging_condition
-from .densities import DensityError, make_density
+from .densities import DensityError, make_density, read_numeric_rows
 from .solver import (FrontierPath, SolverConfig, SolverConfigError,
                      physical_jump_scan, picard_minimal, simulate_particles)
 
@@ -72,18 +71,8 @@ def _load_json(path, what):
         raise CliError(f"malformed JSON in {path}: {exc.msg} (line {exc.lineno})")
 
 
-def _set_dotted(d, dotted, value):
-    keys = dotted.split(".")
-    cur = d
-    for k in keys[:-1]:
-        cur = cur.setdefault(k, {})
-        if not isinstance(cur, dict):
-            raise CliError(f"sweep parameter path {dotted!r} conflicts with a scalar field")
-    cur[keys[-1]] = value
-
-
 def _build_config(args, params=()):
-    """SolverConfig from the config file, then the (dotted name, value) params,
+    """SolverConfig from the config file, then the (field name, value) params,
     then the command-line overrides."""
     raw = {}
     if getattr(args, "config", None):
@@ -92,7 +81,7 @@ def _build_config(args, params=()):
             raise CliError(f"config {args.config} must be a JSON object")
     raw.pop("density", None)
     for name, value in params:
-        _set_dotted(raw, name, value)
+        raw[name] = value
     overrides = {
         "seed": getattr(args, "seed", None),
         "threads": getattr(args, "threads", None),
@@ -227,15 +216,7 @@ def _cmd_jump(args):
     p = Path(args.positions)
     if not p.exists():
         raise CliError(f"positions file not found: {args.positions}")
-    tokens = re.split(r"[,\s;]+", p.read_text(encoding="utf-8").strip())
-    values = []
-    for tok in tokens:
-        if not tok:
-            continue
-        try:
-            values.append(float(tok))
-        except ValueError:
-            continue  # header token
+    values = [v for _, nums in read_numeric_rows(p, r"[,\s;]+") for v in nums]
     if not values:
         raise CliError(f"no numeric positions found in {args.positions}")
     n = args.n if args.n is not None else len(values)
@@ -261,6 +242,9 @@ def _cmd_sweep(args):
         if "=" not in spec:
             raise CliError(f"bad --param {spec!r}; expected name=v1,v2,...")
         name, _, vals = spec.partition("=")
+        if name.split(".")[0] == "picard":
+            raise CliError(f"--param {name}: sweep runs only the particle solver, "
+                           "so picard settings cannot change its result")
         names.append(name)
         value_lists.append([_parse_sweep_value(v) for v in vals.split(",") if v])
     # every cell's config is checked before anything is simulated or written
@@ -354,7 +338,8 @@ def build_parser():
     swp = subs.add_parser("sweep", help="repeat simulate over a parameter grid")
     _add_common(swp)
     swp.add_argument("--param", action="append", default=[],
-                     help="name=v1,v2,... (dotted paths allowed, e.g. picard.n_paths)")
+                     help="name=v1,v2,... over a particle-solver config field, "
+                          "e.g. n_particles=1000,2000")
     swp.add_argument("--out-dir", required=True, dest="out_dir")
     swp.set_defaults(fn=_cmd_sweep)
     return parser

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .densities import Density, PiecewiseGeometricDensity
-from .numerics import bisect_nondecreasing, golden_section_max
+from .numerics import golden_section_max
 
 __all__ = [
     "EnvelopeFunction",
@@ -69,42 +69,36 @@ def psi(d: Density, lam, mu):
 
 
 def psi_grid(d: Density, lambdas, mus, threads=1):
-    """Matrix psi(lambda_i, mu_j); rows are computed in fixed lambda chunks so
+    """Matrix psi(lambda_i, mu_j). Each row depends only on its own lambda, so
     the result is bit-identical for any thread count."""
     lambdas = np.asarray(lambdas, dtype=float)
     mus = np.asarray(mus, dtype=float)
     out = np.empty((len(lambdas), len(mus)))
 
-    def run_rows(lo, hi):
-        for i in range(lo, hi):
-            lam = lambdas[i]
-            hi_cdf = np.asarray(d.cdf(lam * (mus + 1.0)), dtype=float)
-            lo_cdf = np.asarray(d.cdf(lam * mus), dtype=float)
-            out[i, :] = (hi_cdf - lo_cdf) / lam
+    def run_row(i):
+        lam = lambdas[i]
+        hi_cdf = np.asarray(d.cdf(lam * (mus + 1.0)), dtype=float)
+        lo_cdf = np.asarray(d.cdf(lam * mus), dtype=float)
+        out[i, :] = (hi_cdf - lo_cdf) / lam
 
-    chunks = [(lo, min(lo + 8, len(lambdas))) for lo in range(0, len(lambdas), 8)]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda c: run_rows(*c), chunks))
-    else:
-        for c in chunks:
-            run_rows(*c)
+    with ThreadPoolExecutor(max_workers=max(1, threads or 1)) as pool:
+        list(pool.map(run_row, range(len(lambdas))))
     return out
 
 
-def sup_psi(d: Density, lam, n_seed=256, xtol=1e-9):
+def sup_psi(d: Density, lam, xtol=1e-9):
     """(sup over mu in [0,1] of psi(lambda, .), argmax mu).
 
-    Seeded by an n_seed-point grid, refined by golden section around the best
+    Seeded by a 256-point grid, refined by golden section around the best
     seed. psi(lambda, .) is Lipschitz with constant 2 lambda max f, which
     bounds what the seeding can miss between neighbors.
     """
     lam = float(lam)
-    mus = np.linspace(0.0, 1.0, n_seed)
+    mus = np.linspace(0.0, 1.0, 256)
     vals = psi_grid(d, [lam], mus)[0]
     j = int(np.argmax(vals))
     lo = mus[max(j - 1, 0)]
-    hi = mus[min(j + 1, n_seed - 1)]
+    hi = mus[min(j + 1, len(mus) - 1)]
     mu_star, val = golden_section_max(lambda m: psi(d, lam, m), lo, hi, xtol=xtol)
     if vals[j] >= val:
         return float(vals[j]), float(mus[j])
@@ -123,30 +117,23 @@ class PointwiseReport:
     windows: list  # (lo, hi, margin) per dyadic window, outermost first
     h_values: np.ndarray = field(repr=False)  # fitted nondecreasing margins
 
-    def h_at(self, x):
-        """Fitted nondecreasing pointwise margin at x (0 outside the checked range)."""
-        for (lo, hi, _), h in zip(self.windows, self.h_values):
-            if lo < x <= hi:
-                return float(h)
-        return 0.0
 
+def check_pointwise_condition(d: Density):
+    """Check the pointwise condition on the dyadic windows (2^-k-1, 2^-k],
+    k = 1 .. 24.
 
-def check_pointwise_condition(d: Density, x_max=0.5, n_windows=24):
-    """Check the pointwise condition on dyadic windows (2^-k-1, 2^-k].
-
-    The condition is asymptotic at 0, so x_max picks the largest scale probed
-    (windows run from (x_max/2, x_max] inward). The margin of a window is
-    1 - sup f over it; the condition holds on the checked range when every
-    margin is positive. The maximal valid nondecreasing h assigns each window
-    the prefix minimum of the margins from the outermost window inward.
-    Returns a witness point with f >= 1 when the check fails.
+    The condition is asymptotic at 0, so the windows run from (1/4, 1/2]
+    inward. The margin of a window is 1 - sup f over it; the condition holds
+    on the checked range when every margin is positive. The maximal valid
+    nondecreasing h assigns each window the prefix minimum of the margins from
+    the outermost window inward. Returns a witness point with f >= 1 when the
+    check fails.
     """
-    k0 = max(0, math.ceil(-math.log2(float(x_max))))
     windows = []
     margins = []
     witness = None
-    for k in range(k0, k0 + n_windows):
-        hi = min(2.0 ** (-k), float(x_max))
+    for k in range(1, 25):
+        hi = 2.0 ** (-k)
         lo = 2.0 ** (-k - 1)
         sup, arg = d.sup_pdf(lo, hi)
         margin = 1.0 - float(sup)
@@ -227,7 +214,6 @@ class ConditionReport:
     lambda_grid: np.ndarray
     mu_grid: np.ndarray
     psi_values: np.ndarray
-    sup_psi_per_lambda: np.ndarray
     g_envelope: EnvelopeFunction | None
     holds_1_5: bool
     holds_1_6: bool
@@ -240,11 +226,12 @@ class ConditionReport:
     pointwise: PointwiseReport
     moment: MomentReport
 
-    def to_json_dict(self, n_envelope=64, n_worst=32):
+    def to_json_dict(self):
+        """JSON-ready summary: up to 64 envelope nodes and the 32 worst windows."""
         env = []
         if self.g_envelope is not None:
             take = np.linspace(0, len(self.g_envelope.s_grid) - 1,
-                               min(n_envelope, len(self.g_envelope.s_grid))).astype(int)
+                               min(64, len(self.g_envelope.s_grid))).astype(int)
             env = [[float(self.g_envelope.s_grid[i]), float(self.g_envelope.g_values[i])]
                    for i in np.unique(take)]
         return {
@@ -254,18 +241,19 @@ class ConditionReport:
             "lambda0": self.lambda0,
             "margins": {"1_5": self.margin_1_5, "1_6": self.margin_1_6, "1_7": self.margin_1_7},
             "g_envelope": env,
-            "worst_psi": [[float(a), float(b), float(c)] for a, b, c in self.worst_psi[:n_worst]],
+            "worst_psi": [[float(a), float(b), float(c)] for a, b, c in self.worst_psi[:32]],
             "first_moment": self.moment.first_moment,
             "max_pdf": self.moment.max_pdf,
         }
 
 
-def _fit_envelope(s_nodes, psi_nodes, n_bins):
+def _fit_envelope(s_nodes, psi_nodes):
     """Left-constant nondecreasing fit: bucket worst psi per log-spaced s-bin,
     d = 1 - worst, then run the minimum from the right so g is nondecreasing.
 
     Returns (envelope or None, raw margin = min of the fitted values before
     clipping at 0)."""
+    n_bins = 256
     s_nodes = np.asarray(s_nodes, dtype=float)
     psi_nodes = np.asarray(psi_nodes, dtype=float)
     keep = s_nodes > 0.0
@@ -293,7 +281,7 @@ def _fit_envelope(s_nodes, psi_nodes, n_bins):
 
 
 def check_averaging_condition(d: Density, lambda0_candidate=0.01, lambda_grid=None,
-                              mu_grid=None, n_bins=256, threads=1):
+                              mu_grid=None, threads=1):
     """Grid verification of the averaging condition up to lambda0_candidate.
 
     Defaults: 200 log-spaced lambdas in [1e-6, lambda0_candidate], 101 mus.
@@ -338,7 +326,7 @@ def check_averaging_condition(d: Density, lambda0_candidate=0.01, lambda_grid=No
 
     fit_mask = lam_nodes <= lambda0 if np.any(bad) else np.ones(len(lam_nodes), dtype=bool)
     env, raw_margin = _fit_envelope(lam_nodes[fit_mask] * (mu_nodes[fit_mask] + 1.0),
-                                    psi_nodes[fit_mask], n_bins)
+                                    psi_nodes[fit_mask])
     if np.any(bad):
         # the informative failure margin is taken over every evaluated node
         raw_margin = float(1.0 - np.max(psi_nodes))
@@ -353,7 +341,6 @@ def check_averaging_condition(d: Density, lambda0_candidate=0.01, lambda_grid=No
         lambda_grid=lambda_grid,
         mu_grid=mu_grid,
         psi_values=values,
-        sup_psi_per_lambda=values.max(axis=1),
         g_envelope=env,
         holds_1_5=pw.holds,
         holds_1_6=mo.f_le_1 and math.isfinite(mo.first_moment),
@@ -373,11 +360,13 @@ def check_averaging_condition(d: Density, lambda0_candidate=0.01, lambda_grid=No
 # ---------------------------------------------------------------------------
 
 
-def g_tilde_inverse(g: EnvelopeFunction, y, tol=1e-12):
-    """Solve s * g(s) = y by bisection; 0 maps to 0.
+def g_tilde_inverse(g: EnvelopeFunction, y):
+    """Smallest s with s * g(s) >= y; 0 maps to 0.
 
-    Raises ValueError when y exceeds the grid range of g_tilde (the envelope
-    certifies nothing beyond its last node).
+    g is constant on [s_i, s_{i+1}) (the first piece starts at 0), so the
+    answer is max(s_i, y / g_i) on the first piece whose right limit
+    s_{i+1} g_i exceeds y. Raises ValueError when y exceeds the grid range of
+    g_tilde (the envelope certifies nothing beyond its last node).
     """
     y = float(y)
     if y < 0.0:
@@ -387,13 +376,15 @@ def g_tilde_inverse(g: EnvelopeFunction, y, tol=1e-12):
     g_max = g.g_tilde_max
     if y > g_max:
         raise ValueError(f"y={y} beyond g_tilde range [0, {g_max}] on the grid")
-    s_hi = float(g.s_grid[-1])
-    return bisect_nondecreasing(lambda s: float(g.g_tilde(s)), 0.0, s_hi, y, xtol=tol)
+    s, gv = g.s_grid, g.g_values
+    right = np.append(s[1:] * gv[:-1], np.inf)
+    i = int(np.argmax(right > y))
+    return max(float(s[i]) if i else 0.0, y / float(gv[i]))
 
 
 def chi_bar(g: EnvelopeFunction, t):
     """Early-time frontier bound g_tilde^{-1}(E|N| sqrt(t)); 0 at t = 0 and
-    strictly increasing in t."""
+    nondecreasing in t (constant over the values g_tilde jumps past)."""
     t = float(t)
     if t < 0.0:
         raise ValueError("t must be nonnegative")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +45,7 @@ __all__ = [
     "make_density",
     "density_from_json",
     "tabulated_from_csv",
+    "read_numeric_rows",
 ]
 
 
@@ -892,21 +894,45 @@ def uniform_density(lo, hi):
     return _make_tabulated([lo, hi], [level, level])
 
 
-def tabulated_from_csv(path):
-    """Two-column CSV (x, f); a non-numeric first row is treated as a header."""
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def read_numeric_rows(path, sep):
+    """(line number, floats) for each non-blank line of a text file, its
+    fields split on the regex sep. The first non-blank line is skipped as a
+    header when none of its fields is a number; any other field that is not a
+    number raises DensityError naming path:line."""
     rows = []
+    first = True
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = [p.strip() for p in line.replace(";", ",").split(",") if p.strip()]
-            if len(parts) < 2:
+        for lineno, line in enumerate(fh, start=1):
+            fields = [f.strip() for f in re.split(sep, line) if f.strip()]
+            if not fields:
                 continue
             try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                continue
+                rows.append((lineno, [float(f) for f in fields]))
+            except ValueError as exc:
+                if not first or any(map(_is_number, fields)):
+                    raise DensityError(f"{path}:{lineno}: {exc}") from None
+            first = False
+    return rows
+
+
+def tabulated_from_csv(path):
+    """Two-column CSV (x, f), fields separated by ',' or ';', read by
+    ``read_numeric_rows`` (blank rows skipped, an optional header)."""
+    rows = read_numeric_rows(path, r"[,;]")
+    for lineno, nums in rows:
+        if len(nums) < 2:
+            raise DensityError(f"{path}:{lineno}: expected 2 fields, got {len(nums)}")
     if len(rows) < 2:
         raise DensityError(f"no tabulated data found in {path}")
-    arr = np.asarray(rows)
+    arr = np.asarray([nums[:2] for _, nums in rows])
     return _make_tabulated(arr[:, 0], arr[:, 1])
 
 

@@ -24,7 +24,6 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "initial_jump_stratified",
     "simulate_particles",
     "picard_minimal",
-    "compute_Y_samples",
     "iter_y_chunks",
     "brownian_chunks",
 ]
@@ -193,10 +191,6 @@ class ParticleEnsemble:
     alive: np.ndarray
     death_time: np.ndarray  # +inf while alive
     seed: int
-
-    @property
-    def dead_fraction(self):
-        return 1.0 - float(np.count_nonzero(self.alive)) / self.n
 
 
 @dataclass
@@ -407,7 +401,7 @@ def brownian_chunks(seed, stream, n_paths, sq_steps):
         yield (lo, hi), _brownian_tile(seed, stream, lo, hi, sq_steps)
 
 
-def iter_y_chunks(frontier: FrontierPath, n_paths, seed, stream=rng.Y_SAMPLES):
+def iter_y_chunks(frontier: FrontierPath, n_paths, seed):
     """Yield ((lo, hi), Y_tile) running-max samples against the frontier.
 
     Tiles come from ``brownian_chunks`` and have a fixed layout, so any
@@ -415,17 +409,8 @@ def iter_y_chunks(frontier: FrontierPath, n_paths, seed, stream=rng.Y_SAMPLES):
     the tiles are processed.
     """
     sq_steps = np.sqrt(np.diff(frontier.t))
-    for span, B in brownian_chunks(seed, stream, n_paths, sq_steps):
+    for span, B in brownian_chunks(seed, rng.Y_SAMPLES, n_paths, sq_steps):
         yield span, np.maximum.accumulate(np.subtract(frontier.lam, B, out=B), axis=1)
-
-
-def compute_Y_samples(frontier: FrontierPath, n_paths, seed, stream=rng.Y_SAMPLES):
-    """Materialized (n_paths, K+1) running-max samples; mind the memory for
-    large n_paths (the bounds estimators stream iter_y_chunks instead)."""
-    out = np.empty((n_paths, len(frontier.t)))
-    for (lo, hi), y in iter_y_chunks(frontier, n_paths, seed, stream=stream):
-        out[lo:hi] = y
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ drew -B (or B) chunk by chunk before the shared ``brownian_chunks`` generator,
 as its bit-identity referees. ``physical_jump_bruteforce`` decides the cascade
 size in exact rational arithmetic. ``tabulated_profile_mass`` integrates the
 periodic density of a tabulated profile between the profile's breaks.
+``g_tilde_inverse_bisect`` inverts s g(s) by bisection, as ``g_tilde_inverse``
+did before its closed form.
+
+``compute_Y_samples`` and ``pointwise_h_at`` are helpers only the tests use:
+the materialized running-max samples and the fitted pointwise margin at a point.
 """
 import bisect
 import math
@@ -23,8 +28,9 @@ from fractions import Fraction
 import numpy as np
 
 from stefanlab import rng
+from stefanlab.numerics import bisect_nondecreasing
 from stefanlab.solver import (FrontierPath, ParticleEnsemble, PicardResult, _scan_sorted,
-                              initial_jump_stratified)
+                              initial_jump_stratified, iter_y_chunks)
 
 
 def sine_osc_integral(alpha, u_lo, u_hi, n_panels=10**6, pts_per_period=64):
@@ -368,3 +374,28 @@ def simulate_drifted_sup_concat(c3, n_paths=20000, n_steps=2000, seed=0):
         lo = hi
         chunk_id += 1
     return np.sort(out)
+
+
+def compute_Y_samples(frontier, n_paths, seed):
+    """Materialized (n_paths, K+1) running-max samples from ``iter_y_chunks``."""
+    out = np.empty((n_paths, len(frontier.t)))
+    for (lo, hi), y in iter_y_chunks(frontier, n_paths, seed):
+        out[lo:hi] = y
+    return out
+
+
+def pointwise_h_at(report, x):
+    """Fitted nondecreasing pointwise margin of a ``PointwiseReport`` at x
+    (0 outside the checked range)."""
+    for (lo, hi, _), h in zip(report.windows, report.h_values):
+        if lo < x <= hi:
+            return float(h)
+    return 0.0
+
+
+def g_tilde_inverse_bisect(g, y):
+    """s with s g(s) = y by bisection to 1e-12 on [0, last node]; 0 maps to 0."""
+    if y == 0.0:
+        return 0.0
+    return bisect_nondecreasing(lambda s: float(g.g_tilde(s)), 0.0, float(g.s_grid[-1]), y,
+                                xtol=1e-12)

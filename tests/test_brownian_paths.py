@@ -8,10 +8,10 @@ for bit, over more than one chunk and a partial last chunk.
 import numpy as np
 import pytest
 
-from _oracles import compute_Y_samples_negb, picard_minimal_negb, simulate_drifted_sup_concat
+from _oracles import (compute_Y_samples, compute_Y_samples_negb, picard_minimal_negb,
+                      simulate_drifted_sup_concat)
 from stefanlab.bounds import simulate_drifted_sup
-from stefanlab.solver import (FrontierPath, PicardConfig, SolverConfig, compute_Y_samples,
-                              picard_minimal)
+from stefanlab.solver import FrontierPath, PicardConfig, SolverConfig, picard_minimal
 
 
 @pytest.mark.parametrize("threads", [1, 2])

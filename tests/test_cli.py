@@ -33,6 +33,20 @@ def test_jump_with_header_and_n(workdir, capsys):
     assert capsys.readouterr().out.strip() == "0.25"
 
 
+@pytest.mark.parametrize("text, line, token", [
+    ("0 0.5 O.9\n", 1, "O.9"),
+    ("x\n0\n0.5\nO.9\n", 4, "O.9"),
+    ("0, 0.5\n\nx, 0.9\n", 3, "x"),
+])
+def test_jump_rejects_a_bad_token_after_the_header(workdir, capsys, text, line, token):
+    (workdir / "pos.csv").write_text(text)
+    assert main(["jump", "--positions", "pos.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert len(err.splitlines()) == 1 and f"pos.csv:{line}" in err and repr(token) in err
+
+
 def test_jump_missing_file(workdir, capsys):
     assert main(["jump", "--positions", "nope.csv"]) == 1
     assert "nope.csv" in capsys.readouterr().err
@@ -158,6 +172,16 @@ def test_sweep_rejects_a_bad_cell_before_running(workdir, capsys):
                  "--param", "dt=0.005,-1", "--out-dir", "sw", "--threads", "1"])
     assert code == 1
     assert "bad config" in capsys.readouterr().err
+    assert not (workdir / "sw").exists()
+
+
+@pytest.mark.parametrize("param", ["picard.n_paths=10,20", "picard={}"])
+def test_sweep_rejects_picard_parameters(workdir, capsys, param):
+    code = main(["sweep", "--config", "cfg.json", "--density", "pw.json",
+                 "--param", param, "--out-dir", "sw", "--threads", "1"])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "particle solver" in err
     assert not (workdir / "sw").exists()
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stefanlab import make_piecewise, uniform_density, build_gaussian_path, make_density
 from stefanlab.conditions import (
@@ -17,7 +19,8 @@ from stefanlab.conditions import (
     sup_psi,
 )
 
-from _oracles import riemann_psi_piecewise, riemann_psi_sine
+from _oracles import (g_tilde_inverse_bisect, pointwise_h_at, riemann_psi_piecewise,
+                      riemann_psi_sine)
 
 
 def linear_density():
@@ -196,7 +199,7 @@ def test_pointwise_implies_averaging_envelope():
     pw = rep.pointwise
     env = rep.g_envelope
     for s in env.s_grid[::16]:
-        h_half = pw.h_at(s / 2.0)
+        h_half = pointwise_h_at(pw, s / 2.0)
         assert float(env(s)) >= h_half / 2.0 - 0.05
 
 
@@ -265,6 +268,48 @@ def test_g_tilde_inverse_range_error():
         g_tilde_inverse(g, 10.0)
     with pytest.raises(ValueError):
         g_tilde_inverse(g, -1.0)
+
+
+@st.composite
+def envelope_and_level(draw):
+    """A random nondecreasing envelope (g may start at 0) and a level y in
+    (0, g_tilde_max], sometimes placed exactly on a right limit s_{i+1} g_i."""
+    n = draw(st.integers(1, 10))
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    rises = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-3, 0.1, 0.5, 2.0]),
+                          min_size=n, max_size=n))
+    s = np.cumsum(steps)
+    g = np.cumsum(rises) + draw(st.sampled_from([0.0, 0.0, 0.05, 1.0]))
+    env = EnvelopeFunction(s, g)
+    if env.g_tilde_max == 0.0:
+        g[-1] = 0.5
+        env = EnvelopeFunction(s, g)
+    limits = [v for v in s[1:] * g[:-1] if 0.0 < v <= env.g_tilde_max]
+    if limits and draw(st.booleans()):
+        y = draw(st.sampled_from(limits))
+    else:
+        y = draw(st.floats(1e-9, 1.0)) * env.g_tilde_max
+    return env, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(envelope_and_level())
+def test_g_tilde_inverse_is_the_smallest_s_reaching_y(case):
+    g, y = case
+    x = g_tilde_inverse(g, y)
+    assert 0.0 < x <= g.s_grid[-1] * (1.0 + 1e-15)
+    assert float(g.g_tilde(x)) >= y * (1.0 - 1e-14)
+    below = np.append(np.linspace(0.0, x, 200, endpoint=False), x * (1.0 - 1e-9))
+    assert np.all(g.g_tilde(below) < y)
+
+
+def test_g_tilde_inverse_matches_bisection_on_the_sine_envelope(sine_density):
+    g = check_averaging_condition(sine_density, lambda0_candidate=2.0).g_envelope
+    ts = np.linspace(0.0, 0.25, 501)
+    ys = np.concatenate([np.sqrt(2.0 / math.pi) * np.sqrt(ts),
+                         np.linspace(0.0, g.g_tilde_max, 2001)])
+    for y in ys:
+        assert abs(g_tilde_inverse(g, y) - g_tilde_inverse_bisect(g, y)) <= 1e-12
 
 
 def test_chi_bar_values_and_monotonicity():

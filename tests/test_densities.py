@@ -414,6 +414,26 @@ def test_tabulated_from_csv(tmp_path):
         tabulated_from_csv(empty)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("x,f\n0,0.5\n0.7;l,1\n2,0.5\n", 3),
+    ("\nx,f\n\n0.0,0.5\n0.7\n2.0,0.5\n", 5),
+    ("0,0.5\nx,f\n2,0.5\n", 2),
+    ("0,O.5\n2,0.5\n", 1),
+])
+def test_tabulated_from_csv_rejects_a_bad_row(tmp_path, text, line):
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    with pytest.raises(DensityError, match=f"d.csv:{line}:"):
+        tabulated_from_csv(p)
+
+
+def test_tabulated_from_csv_skips_blank_rows_and_one_header(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("\n x ; f \n0.0,0.5\n\n2.0,0.5\n\n")
+    d = tabulated_from_csv(p)
+    assert d.cdf(1.0) == pytest.approx(0.5)
+
+
 def test_tabulated_validation():
     with pytest.raises(DensityError):
         make_density({"family": "tabulated", "grid": [0.0, 1.0], "values": [-1.0, 1.0]})

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import physical_jump_bruteforce
+from _oracles import compute_Y_samples, physical_jump_bruteforce
 from stefanlab import make_piecewise, uniform_density
 from stefanlab.solver import (
     FrontierPath,
     PicardConfig,
     SolverConfig,
     SolverConfigError,
-    compute_Y_samples,
     initial_jump_stratified,
     physical_jump_scan,
     picard_minimal,
