@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import erfc
@@ -62,11 +61,9 @@ class SlopeBound:
 def compute_L(d: PiecewiseGeometricDensity):
     """Good-set slope bound L = ((1-q) alpha2 + q (1-rho) alpha1) / (1 - q rho)
     with rho = (1+p)/2; exact in rational mode. Flags whether L < 1."""
-    one = Fraction(1) if d.exact else 1.0
-    two = Fraction(2) if d.exact else 2.0
-    rho = (one + d.p) / two
-    L = ((one - d.q) * d.alpha2 + d.q * (one - rho) * d.alpha1) / (one - d.q * rho)
-    return SlopeBound(rho=rho, L=L, lt_one=L < one)
+    rho = (1 + d.p) / 2
+    L = ((1 - d.q) * d.alpha2 + d.q * (1 - rho) * d.alpha1) / (1 - d.q * rho)
+    return SlopeBound(rho=rho, L=L, lt_one=L < 1)
 
 
 def bruteforce_sup_ratio(d: PiecewiseGeometricDensity, n_y=1000, n_h=1000):
@@ -76,9 +73,8 @@ def bruteforce_sup_ratio(d: PiecewiseGeometricDensity, n_y=1000, n_h=1000):
     sb = compute_L(d)
     rho = float(sb.rho)
     a1 = float(d.a1)
-    pieces = [(float(d.even_endpoint(n + 1)), rho * float(d.odd_endpoint(n + 1)))
-              for n in range(1, 13)]
-    pieces.append((float(d.even_endpoint(1)), a1))
+    bands, (tail_lo, _) = d.good_set_bands(rho, n_max=12)
+    pieces = bands + [(tail_lo, a1)]
     lengths = np.asarray([hi - lo for lo, hi in pieces])
     counts = np.maximum((n_y * lengths / lengths.sum()).astype(int), 8)
     ys = np.concatenate([np.linspace(lo, hi, c) for (lo, hi), c in zip(pieces, counts)])
@@ -215,6 +211,8 @@ def verify_frontier_envelopes(frontier: FrontierPath, consts: SqrtConstants,
 
 def simulate_drifted_sup(c3, n_paths=20000, n_steps=2000, seed=0):
     """Sorted samples of sup over [0, 1] of (B_s + c3 sqrt(s)), discretized."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     t = np.linspace(0.0, 1.0, n_steps + 1)
     drift = c3 * np.sqrt(t)
     out = np.empty(n_paths)
@@ -273,13 +271,10 @@ def _good_set_edges(d: PiecewiseGeometricDensity, rho, n_bands=30):
 def _lemma_interval(d: PiecewiseGeometricDensity, rho, t):
     """(a, b) with [a sqrt(t), b sqrt(t)] inside the good set, per band scale."""
     sq = math.sqrt(t)
-    a3 = float(d.odd_endpoint(2))
-    if sq >= a3:
+    n = d._band_of(sq, d._band_params_float)[3]  # a_{2n+1} <= sqrt(t) < a_{2n-1}
+    if n == 1:
         return float(d.even_endpoint(1)) / sq, math.inf
-    n = 1
-    while not float(d.odd_endpoint(n + 2)) <= sq:
-        n += 1
-    return float(d.even_endpoint(n + 1)) / sq, rho * float(d.odd_endpoint(n + 1)) / sq
+    return float(d.even_endpoint(n)) / sq, rho * float(d.odd_endpoint(n)) / sq
 
 
 def _default_t_indices(frontier: FrontierPath, n_t):
@@ -290,6 +285,8 @@ def _default_t_indices(frontier: FrontierPath, n_t):
 def _y_columns(frontier: FrontierPath, n_paths, seed, t_indices):
     """Running-max samples Y at the grid columns t_indices, one row per path
     (n_paths x len(t_indices) numbers; the full paths are never kept)."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     out = np.empty((n_paths, len(t_indices)))
     for (lo, hi), y in iter_y_chunks(frontier, n_paths, seed):
         out[lo:hi] = y[:, t_indices]
@@ -360,15 +357,6 @@ class Delta0Report:
     h_values: np.ndarray
     node_means: np.ndarray  # E[(F(Y_t + h) - F(Y_t)) / h] per (t, h)
     node_ses: np.ndarray
-
-    def to_dict(self):
-        return {
-            "delta0_hat": self.delta0_hat,
-            "se_at_max": self.se_at_max,
-            "t": [float(v) for v in self.t_values],
-            "h": [float(v) for v in self.h_values],
-            "ratio_table": [[float(v) for v in row] for row in self.node_means],
-        }
 
 
 def estimate_delta0(frontier: FrontierPath, d: Density, n_paths=20000, seed=0):

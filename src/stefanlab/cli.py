@@ -245,6 +245,9 @@ def _cmd_sweep(args):
         if name.split(".")[0] == "picard":
             raise CliError(f"--param {name}: sweep runs only the particle solver, "
                            "so picard settings cannot change its result")
+        if name == "threads":
+            raise CliError("--param threads: the thread count cannot change a result, "
+                           "so every cell would repeat one run")
         names.append(name)
         value_lists.append([_parse_sweep_value(v) for v in vals.split(",") if v])
     # every cell's config is checked before anything is simulated or written

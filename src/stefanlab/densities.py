@@ -131,7 +131,8 @@ class TabulatedProfile:
     """Periodic profile given by uniform samples over one period, linear in between.
 
     Antiderivative stages are exact piecewise polynomials (degree grows by one
-    per stage); suprema are bounded by dense sampling with a small safety factor.
+    per stage), whose sup norms are bounded by dense sampling with a small
+    safety factor; ``sup_on`` of the piecewise-linear profile is exact.
     """
 
     def __init__(self, period, values, _pieces=None):
@@ -210,14 +211,16 @@ class TabulatedProfile:
                                 _pieces=(self._breaks, coeffs))
 
     def sup_on(self, ulo, uhi):
+        """(sup, argmax) on [ulo, uhi] (uhi may be inf) of a piecewise-linear
+        profile, exact: the max over the window's ends and the breaks inside it."""
+        nodes = self._breaks[:-1]
         if not math.isfinite(uhi) or uhi - ulo >= self.period:
-            us = np.linspace(0.0, self.period, 32 * len(self._coeffs) + 1)
-            vals = self.eval(us)
-            i = int(np.argmax(vals))
-            u_star = us[i]
-            k = math.ceil((ulo - u_star) / self.period)
-            return float(vals[i]), u_star + k * self.period
-        us = np.linspace(ulo, uhi, max(17, int(32 * (uhi - ulo) / self.period) + 2))
+            i = int(np.argmax(self._coeffs[:, 0]))  # the node values
+            k = math.ceil((ulo - nodes[i]) / self.period)
+            return float(self._coeffs[i, 0]), float(nodes[i] + k * self.period)
+        shift = math.floor(ulo / self.period) * self.period
+        us = np.concatenate([[ulo, uhi], nodes + shift, nodes + shift + self.period])
+        us = us[(us >= ulo) & (us <= uhi)]
         vals = self.eval(us)
         i = int(np.argmax(vals))
         return float(vals[i]), float(us[i])
@@ -319,22 +322,24 @@ class PiecewiseGeometricDensity(Density):
             alpha1, alpha2, p, q = fr
         else:
             alpha1, alpha2, p, q = (float(alpha1), float(alpha2), float(p), float(q))
-        one = Fraction(1) if self.exact else 1.0
-        if not (0 < alpha1 < one):
+        if not (0 < alpha1 < 1):
             raise DensityError(f"alpha1 must lie in (0, 1), got {alpha1}")
-        if not (alpha2 > one):
+        if not (alpha2 > 1):
             raise DensityError(f"alpha2 must exceed 1, got {alpha2}")
-        if not (0 < p < one and 0 < q < one):
+        if not (0 < p < 1 and 0 < q < 1):
             raise DensityError(f"p, q must lie in (0, 1), got p={p}, q={q}")
         self.alpha1, self.alpha2, self.p, self.q = alpha1, alpha2, p, q
         self.r = p * q
-        self.beta1 = (alpha2 * p * (one - q) + alpha1 * (one - p)) / (one - p * q)
-        self.beta2 = (alpha2 * (one - q) + alpha1 * q * (one - p)) / (one - p * q)
-        self.a1 = one / self.beta1
-        self.admissible = self.beta2 < one
-        # the band walk runs on these, exact, or on their float copies
+        self.beta1 = (alpha2 * p * (1 - q) + alpha1 * (1 - p)) / (1 - p * q)
+        self.beta2 = (alpha2 * (1 - q) + alpha1 * q * (1 - p)) / (1 - p * q)
+        self.a1 = 1 / self.beta1
+        self.admissible = self.beta2 < 1
+        # the band walk runs on these, exact, or on their float copies; the CDF
+        # maps the bands onto the same geometry with a1 -> 1 and p -> beta2 p a1,
+        # as F(a_{2n-1}) = r^(n-1) and F(a_{2n}) = beta2 a_{2n}
         self._band_params = (alpha1, alpha2, p, self.r, self.a1)
         self._band_params_float = tuple(float(v) for v in self._band_params)
+        self._cdf_band_params = (alpha1, alpha2, self.beta2 * p * self.a1, self.r, 1)
         self._build_float_tables()
 
     # -- band bookkeeping ---------------------------------------------------
@@ -352,7 +357,8 @@ class PiecewiseGeometricDensity(Density):
         """(level, lower, upper, n) of the band containing x in (0, a1].
 
         params is (alpha1, alpha2, p, r, a1): ``_band_params`` for exact
-        arithmetic, ``_band_params_float`` for floats.
+        arithmetic, ``_band_params_float`` for floats, ``_cdf_band_params``
+        for the bands' image under the CDF.
         """
         alpha1, alpha2, p, r, a1 = params
         n = 1
@@ -366,42 +372,29 @@ class PiecewiseGeometricDensity(Density):
             return alpha1, a_even, a_odd_hi, n
         return alpha2, r ** n * a1, a_even, n  # a_{2n+1}
 
+    def _edge_slope(self, level):
+        """beta with F(lo) = beta lo at the lower edge lo of a band at this
+        level: beta2 at the even edges, where alpha1 bands start, else beta1."""
+        return self.beta2 if level == self.alpha1 else self.beta1
+
     def _build_float_tables(self):
         alpha1, alpha2, p, r, a1 = self._band_params_float
-        n_bands = max(2, int(math.ceil(math.log(1e-14) / math.log(r))) + 1)
-        # edges ascending: 0, a_{2N+1}, a_{2N}, a_{2N-1}, ..., a_2, a_1
-        edges = [0.0]
-        levels = [float(self.beta1)]  # sliver below a_{2N+1}
-        for n in range(n_bands, 0, -1):
-            a_odd_lo = r ** n * a1
-            a_even = p * r ** (n - 1) * a1
-            a_odd_hi = r ** (n - 1) * a1
-            edges.append(a_odd_lo)
-            levels.append(alpha2)
-            edges.append(a_even)
-            levels.append(alpha1)
-            if n == 1:
-                edges.append(a_odd_hi)
-        self._edges = np.asarray(edges)
-        self._levels = np.asarray(levels)
         b1, b2 = float(self.beta1), float(self.beta2)
-        F = [0.0]
-        for e in edges[1:]:
-            F.append(self._cdf_scalar_float(e, b1, b2))
-        self._F_edges = np.asarray(F)
+        n_bands = max(2, int(math.ceil(math.log(1e-14) / math.log(r))) + 1)
+        # edges ascending: 0, a_{2N+1}, a_{2N}, a_{2N-1}, ..., a_2, a_1, level beta1
+        # on the sliver below a_{2N+1}; F is beta1 a at odd edges, beta2 a at even
+        edges, levels, F = [0.0], [b1], [0.0]
+        for n in range(n_bands, 0, -1):
+            a_odd = r ** n * a1
+            a_even = p * r ** (n - 1) * a1
+            edges += [a_odd, a_even]
+            levels += [alpha2, alpha1]
+            F += [b1 * a_odd, b2 * a_even]
+        self._edges = np.asarray(edges + [a1])
+        self._levels = np.asarray(levels)
+        self._F_edges = np.asarray(F + [1.0])
         if not np.all(np.diff(self._edges) > 0) or not np.all(np.diff(self._F_edges) > 0):
             raise DensityError("degenerate band table; parameters too extreme for float64")
-
-    def _cdf_scalar_float(self, x, b1, b2):
-        alpha1, *_, a1 = self._band_params_float
-        if x >= a1:
-            return 1.0
-        if x <= 0.0:
-            return 0.0
-        level, lo, hi, n = self._band_of(x, self._band_params_float)
-        if level == alpha1:
-            return b2 * lo + level * (x - lo)
-        return b1 * lo + level * (x - lo)
 
     # -- interface ----------------------------------------------------------
 
@@ -429,10 +422,8 @@ class PiecewiseGeometricDensity(Density):
                 return Fraction(0)
             if x >= self.a1:
                 return Fraction(1)
-            level, lo, hi, n = self._band_of(x, self._band_params)
-            if level == self.alpha1:
-                return self.beta2 * lo + level * (x - lo)
-            return self.beta1 * lo + level * (x - lo)
+            level, lo, _, _ = self._band_of(x, self._band_params)
+            return self._edge_slope(level) * lo + level * (x - lo)
         x = np.asarray(x, dtype=float)
         out = np.interp(x, self._edges, self._F_edges)
         return out if out.shape else float(out)
@@ -444,24 +435,16 @@ class PiecewiseGeometricDensity(Density):
                 raise DensityError(f"u must lie in [0, 1], got {u}")
             if u == 0:
                 return Fraction(0)
-            if u == 1:
-                return self.a1
-            n = 1
-            while u < self.r ** n:
-                n += 1
-            # now F(a_{2n+1}) = r^n <= u < r^(n-1) = F(a_{2n-1})
-            F_even = self.beta2 * self.even_endpoint(n)
-            if u >= F_even:
-                return self.even_endpoint(n) + (u - F_even) / self.alpha1
-            return self.odd_endpoint(n + 1) + (u - self.r ** n) / self.alpha2
+            # u's band in the CDF's image; its lower edge lo is F(lo / beta)
+            level, lo, _, _ = self._band_of(u, self._cdf_band_params)
+            return lo / self._edge_slope(level) + (u - lo) / level
         u = np.asarray(u, dtype=float)
         out = np.interp(u, self._F_edges, self._edges)
         return out if out.shape else float(out)
 
     def first_moment(self):
-        one = Fraction(1) if self.exact else 1.0
-        num = self.alpha2 * self.p ** 2 * (one - self.q ** 2) + self.alpha1 * (one - self.p ** 2)
-        return self.a1 ** 2 * num / (2 * (one - self.r ** 2))
+        num = self.alpha2 * self.p ** 2 * (1 - self.q ** 2) + self.alpha1 * (1 - self.p ** 2)
+        return self.a1 ** 2 * num / (2 * (1 - self.r ** 2))
 
     def sup_pdf(self, lo, hi):
         a1 = float(self.a1)

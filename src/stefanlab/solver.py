@@ -149,10 +149,6 @@ class FrontierPath:
         if self.lam[0] < 0.0 or self.lam[-1] > 1.0 + 1e-12:
             raise ValueError("frontier values must lie in [0, 1]")
 
-    @property
-    def alive_fraction(self):
-        return 1.0 - self.lam
-
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,lambda,alive_fraction\n")
@@ -199,7 +195,7 @@ class PicardResult:
     iterations: int
     history: list  # sup-change per iteration
     converged: bool
-    iterates: list = field(default_factory=list)  # per-iteration frontiers, if kept
+    iterates: list = field(default_factory=list)  # per-iteration frontiers
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +414,7 @@ def iter_y_chunks(frontier: FrontierPath, n_paths, seed):
 # ---------------------------------------------------------------------------
 
 
-def picard_minimal(density: Density, cfg: SolverConfig, keep_iterates=False):
+def picard_minimal(density: Density, cfg: SolverConfig):
     """Iterate Lambda <- mean_j F(running max of (-B_j + Lambda)) from 0.
 
     The same Brownian paths (common random numbers) are reused every iteration,
@@ -485,8 +481,7 @@ def picard_minimal(density: Density, cfg: SolverConfig, keep_iterates=False):
             sup_change = float(np.max(np.abs(new_lam - lam)))
             history.append(sup_change)
             lam = new_lam
-            if keep_iterates:
-                iterates.append(lam.copy())
+            iterates.append(lam.copy())
             iterations = it + 1
             if sup_change < cfg.picard.tol:
                 converged = True

@@ -55,7 +55,7 @@ def picard_run(pw_std):
     cfg = SolverConfig(n_particles=10, dt=DT, T=T_HORIZON, seed=SEED,
                        picard=PicardConfig(n_paths=M_PATHS, max_iters=50, tol=1e-3))
     t0 = time.perf_counter()
-    res = picard_minimal(pw_std, cfg, keep_iterates=True)
+    res = picard_minimal(pw_std, cfg)
     return res, time.perf_counter() - t0
 
 

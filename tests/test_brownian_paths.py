@@ -18,7 +18,7 @@ from stefanlab.solver import FrontierPath, PicardConfig, SolverConfig, picard_mi
 def test_picard_iterates_bit_identical_to_negb_referee(pw_std, threads):
     cfg = SolverConfig(n_particles=10, dt=2.5e-3, T=0.25, seed=2026, threads=threads,
                        picard=PicardConfig(n_paths=20_000, max_iters=50, tol=1e-3))
-    res = picard_minimal(pw_std, cfg, keep_iterates=True)
+    res = picard_minimal(pw_std, cfg)
     ref = picard_minimal_negb(pw_std, cfg, keep_iterates=True)
     assert res.iterations == ref.iterations and res.iterations > 1
     assert res.history == ref.history

@@ -185,6 +185,26 @@ def test_sweep_rejects_picard_parameters(workdir, capsys, param):
     assert not (workdir / "sw").exists()
 
 
+def test_sweep_rejects_threads(workdir, capsys):
+    code = main(["sweep", "--config", "cfg.json", "--density", "pw.json",
+                 "--param", "threads=1,2", "--out-dir", "sw", "--threads", "1"])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "threads" in err
+    assert not (workdir / "sw").exists()
+
+
+@pytest.mark.parametrize("n_paths", ["0", "-5"])
+def test_bounds_rejects_n_paths_below_one(workdir, capsys, n_paths):
+    main(["simulate", "--config", "cfg.json", "--density", "pw.json",
+          "--out", "f.csv", "--threads", "1"])
+    capsys.readouterr()
+    assert main(["bounds", "--config", "cfg.json", "--density", "pw.json",
+                 "--frontier", "f.csv", "--n-paths", n_paths, "--threads", "1"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: n_paths must be >= 1, got {n_paths}"
+
+
 def test_seed_determinism_across_runs(workdir):
     for name in ("r1.csv", "r2.csv"):
         main(["simulate", "--config", "cfg.json", "--density", "pw.json",

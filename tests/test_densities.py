@@ -18,6 +18,7 @@ from stefanlab import (
     tabulated_from_csv,
     uniform_density,
 )
+from stefanlab.conditions import check_pointwise_condition
 from stefanlab.densities import (
     PeriodicOscillatoryDensity,
     SinusoidProfile,
@@ -96,6 +97,26 @@ def test_piecewise_sample_inversion(pw_std):
     xs = pw_std.sample(us)
     assert np.all(np.diff(xs) >= 0.0)
     assert np.max(np.abs(pw_std.cdf(xs) - us)) < 1e-12
+
+
+_RATIONAL = dict(max_denominator=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha1=st.fractions(0, 1, **_RATIONAL).filter(lambda v: 0 < v < 1),
+       alpha2=st.fractions(1, 4, **_RATIONAL).filter(lambda v: v > 1),
+       p=st.fractions(F(1, 20), F(19, 20), **_RATIONAL),
+       q=st.fractions(F(1, 20), F(19, 20), **_RATIONAL),
+       u=st.fractions(0, 1, max_denominator=10**6),
+       s=st.fractions(0, 1, max_denominator=10**6))
+def test_piecewise_exact_cdf_and_sample_are_inverse(alpha1, alpha2, p, q, u, s):
+    d = make_piecewise(alpha1, alpha2, p, q)
+    assert d.cdf(d.sample(u)) == u
+    x = s * d.a1
+    assert d.sample(d.cdf(x)) == x
+    for n in (1, 2, 5):  # band edges and their images r^(n-1), beta2 a_{2n}
+        for edge in (d.odd_endpoint(n), d.even_endpoint(n)):
+            assert d.sample(d.cdf(edge)) == edge
 
 
 def test_piecewise_first_moment_vs_quadrature(pw_std):
@@ -511,6 +532,25 @@ def test_profile_helpers():
     assert np.max(np.abs(tp.eval(us) - np.sin(us))) < 5e-4
     at = tp.antiderivative_stage()
     assert np.max(np.abs(at.eval(us) - (1.0 - np.cos(us)))) < 5e-3
+
+
+
+def test_tabulated_profile_sup_finds_a_break_inside_a_short_window():
+    # one peak node between samples of the old sampled sup: u in [2, 4] holds
+    # node 22 at u = 2 pi 22 / 64, where psi = 1 and so f = 1
+    values = np.full(64, -0.5)
+    values[22] = 1.0
+    d = PeriodicOscillatoryDensity(1.0, {"period": 2.0 * math.pi, "values": list(values)})
+    peak = 2.0 * math.pi * 22 / 64
+    assert d.psi.sup_on(2.0, 4.0) == (1.0, peak)
+    assert d.psi.sup_on(2.0 + 6 * math.pi, 2.2 + 6 * math.pi)[0] == pytest.approx(1.0, abs=1e-12)
+    sup, arg = d.sup_pdf(0.25, 0.5)
+    assert sup == 1.0 and arg == pytest.approx(1.0 / peak)
+    assert d.pdf(arg) == pytest.approx(1.0, abs=1e-12)
+    lo, hi, margin = check_pointwise_condition(d).windows[0]
+    assert (lo, hi) == (0.25, 0.5) and margin == 0.0
+    # with no break inside, the larger end value
+    assert d.psi.sup_on(2.2, 2.3) == (float(d.psi.eval(2.2)), 2.2)
 
 
 # ---------------------------------------------------------------------------

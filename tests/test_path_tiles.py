@@ -59,8 +59,8 @@ def test_picard_iterates_nondecreasing_and_thread_independent(alpha1, p, q, s, n
     d = _admissible_band(alpha1, p, q, s)
     base = dict(n_particles=10, dt=0.005, T=0.1, seed=seed,
                 picard=PicardConfig(n_paths=n_paths, max_iters=8, tol=1e-12))
-    res1 = picard_minimal(d, SolverConfig(threads=1, **base), keep_iterates=True)
-    res2 = picard_minimal(d, SolverConfig(threads=2, **base), keep_iterates=True)
+    res1 = picard_minimal(d, SolverConfig(threads=1, **base))
+    res2 = picard_minimal(d, SolverConfig(threads=2, **base))
     assert res1.history == res2.history
     prev = np.zeros(21)
     for got, other in zip(res1.iterates, res2.iterates):

@@ -242,7 +242,7 @@ def test_picard_pins_zero_at_origin(pw_std):
 def test_picard_monotone_iterates_exact(pw_std):
     cfg = SolverConfig(n_particles=10, dt=0.001, T=0.1, seed=4,
                        picard=PicardConfig(n_paths=4000, max_iters=12, tol=1e-9))
-    res = picard_minimal(pw_std, cfg, keep_iterates=True)
+    res = picard_minimal(pw_std, cfg)
     prev = np.zeros_like(res.frontier.lam)
     for it in res.iterates:
         assert np.all(it >= prev)
