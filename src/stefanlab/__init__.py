@@ -13,7 +13,6 @@ from .densities import (
     PiecewiseGeometricDensity,
     TabulatedDensity,
     build_gaussian_path,
-    density_from_json,
     make_density,
     make_piecewise,
     normalize_periodic,
@@ -31,7 +30,6 @@ __all__ = [
     "PiecewiseGeometricDensity",
     "TabulatedDensity",
     "build_gaussian_path",
-    "density_from_json",
     "make_density",
     "make_piecewise",
     "normalize_periodic",

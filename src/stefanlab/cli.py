@@ -8,12 +8,12 @@ a negative margin (a finding, not a crash).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
@@ -33,22 +33,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
-
-
-@dataclass
-class RunManifest:
-    config_hash: str
-    seed: int
-    tool_version: str
-    timings: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
-
-    def write(self, path):
-        payload = asdict(self)
-        payload.update(payload.pop("extra"))
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
 
 
 def _default_threads():
@@ -71,49 +55,37 @@ def _load_json(path, what):
         raise CliError(f"malformed JSON in {path}: {exc.msg} (line {exc.lineno})")
 
 
-def _build_config(args, params=()):
-    """SolverConfig from the config file, then the (field name, value) params,
-    then the command-line overrides."""
+def _read_inputs(args):
+    """(config fields, density), each input file read once: the config's
+    "density" field is popped from its fields, and --density overrides it."""
     raw = {}
     if getattr(args, "config", None):
         raw = _load_json(args.config, "config")
         if not isinstance(raw, dict):
             raise CliError(f"config {args.config} must be a JSON object")
-    raw.pop("density", None)
-    for name, value in params:
-        raw[name] = value
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "threads": getattr(args, "threads", None),
-        "n_particles": getattr(args, "n_particles", None),
-        "dt": getattr(args, "dt", None),
-        "T": getattr(args, "T", None),
-    }
-    if getattr(args, "bridge", None) is not None:
-        overrides["bridge_correction"] = args.bridge
-    for k, v in overrides.items():
-        if v is not None:
-            raw[k] = v
-    raw.setdefault("threads", _default_threads())
-    try:
-        return SolverConfig.from_dict(raw)
-    except (SolverConfigError, TypeError) as exc:
-        raise CliError(f"bad config: {exc}")
-
-
-def _build_density(args):
-    spec = None
-    if getattr(args, "density", None):
+    spec = raw.pop("density", None)
+    if args.density:
         spec = _load_json(args.density, "density")
-    elif getattr(args, "config", None):
-        cfg = _load_json(args.config, "config")
-        spec = cfg.get("density")
     if spec is None:
         raise CliError("no density given: pass --density FILE or a 'density' config field")
     try:
-        return make_density(spec)
+        return raw, make_density(spec)
     except DensityError as exc:
         raise CliError(f"bad density spec: {exc}")
+
+
+def _build_config(args, raw, params=()):
+    """SolverConfig from the config fields raw, then the (field name, value)
+    params, then the command-line flags named after config fields."""
+    raw = {**raw, **dict(params)}
+    for f in dataclasses.fields(SolverConfig):
+        if getattr(args, f.name, None) is not None:
+            raw[f.name] = getattr(args, f.name)
+    raw.setdefault("threads", _default_threads())
+    try:
+        return SolverConfig.from_dict(raw)
+    except SolverConfigError as exc:
+        raise CliError(f"bad config: {exc}")
 
 
 def _emit(payload, out_path):
@@ -147,37 +119,36 @@ def _solve(density, cfg, solver):
 
 
 def _cmd_solve(args):
-    cfg = _build_config(args)
-    density = _build_density(args)
+    raw, density = _read_inputs(args)
+    cfg = _build_config(args, raw)
     frontier, timings, extra = _solve(density, cfg, args.solver)
     out = args.out or "frontier.csv"
     frontier.write_csv(out)
-    RunManifest(
-        config_hash=cfg.config_hash(), seed=cfg.seed, tool_version=__version__,
-        timings=timings, outputs=[str(out)],
-        extra={**extra, "config": cfg.to_dict(), "density": density.spec_dict(),
-               "solver": args.solver},
-    ).write(args.manifest or (str(out) + ".manifest.json"))
+    _emit({**extra, "config_hash": cfg.config_hash(), "seed": cfg.seed,
+           "tool_version": __version__, "timings": timings, "outputs": [str(out)],
+           "config": cfg.to_dict(), "density": density.spec_dict(), "solver": args.solver},
+          args.manifest or f"{out}.manifest.json")
     return 0
 
 
 def _cmd_check(args):
-    density = _build_density(args)
-    if not args.lambda_min < args.lambda0:
-        raise CliError(f"--lambda-min {args.lambda_min} must lie below --lambda0 {args.lambda0}")
+    _, density = _read_inputs(args)
+    if not 0.0 < args.lambda_min < args.lambda0 < float("inf"):
+        raise CliError(f"need 0 < --lambda-min < --lambda0 < inf, got --lambda-min "
+                       f"{args.lambda_min} and --lambda0 {args.lambda0}")
     report = check_averaging_condition(
         density, lambda0_candidate=args.lambda0,
         lambda_grid=np.geomspace(args.lambda_min, args.lambda0, args.n_lambda),
         mu_grid=np.linspace(0.0, 1.0, args.n_mu),
-        threads=args.threads or _default_threads(),
+        threads=_default_threads() if args.threads is None else args.threads,
     )
     _emit(report.to_json_dict(), args.out)
     return 0 if report.margin_1_7 > 0.0 else 2
 
 
 def _cmd_bounds(args):
-    cfg = _build_config(args)
-    density = _build_density(args)
+    raw, density = _read_inputs(args)
+    cfg = _build_config(args, raw)
     if getattr(density, "family", "") != "piecewise":
         raise CliError("bounds requires a piecewise density (field 'family')")
     if args.frontier:
@@ -236,7 +207,7 @@ def _parse_sweep_value(tok):
 def _cmd_sweep(args):
     if not args.param:
         raise CliError("sweep needs at least one --param name=v1,v2,...")
-    density = _build_density(args)
+    raw, density = _read_inputs(args)
     names, value_lists = [], []
     for spec in args.param:
         if "=" not in spec:
@@ -252,7 +223,7 @@ def _cmd_sweep(args):
         value_lists.append([_parse_sweep_value(v) for v in vals.split(",") if v])
     # every cell's config is checked before anything is simulated or written
     combos = list(itertools.product(*value_lists))
-    cfgs = [_build_config(args, zip(names, combo)) for combo in combos]
+    cfgs = [_build_config(args, raw, zip(names, combo)) for combo in combos]
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     index = []
@@ -268,10 +239,8 @@ def _cmd_sweep(args):
             "seed": cfg.seed,
             "lambda_T": float(frontier.lam[-1]),
         })
-    (outdir / "index.json").write_text(
-        json.dumps({"tool_version": __version__, "density": density.spec_dict(),
-                    "cells": index}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    _emit({"tool_version": __version__, "density": density.spec_dict(), "cells": index},
+          outdir / "index.json")
     return 0
 
 
@@ -300,7 +269,7 @@ def build_parser():
     sim.add_argument("--dt", type=float)
     sim.add_argument("--T", type=float)
     sim.add_argument("--bridge", action=argparse.BooleanOptionalAction, default=None,
-                     help="within-step barrier-crossing correction")
+                     dest="bridge_correction", help="within-step barrier-crossing correction")
     sim.add_argument("--out", help="frontier CSV path (default frontier.csv)")
     sim.add_argument("--manifest", help="run manifest path")
     sim.set_defaults(fn=_cmd_solve, solver="particle")
@@ -353,10 +322,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (DensityError, SolverConfigError, ValueError) as exc:
+    except (CliError, DensityError, SolverConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

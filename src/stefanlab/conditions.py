@@ -81,7 +81,7 @@ def psi_grid(d: Density, lambdas, mus, threads=1):
         lo_cdf = np.asarray(d.cdf(lam * mus), dtype=float)
         out[i, :] = (hi_cdf - lo_cdf) / lam
 
-    with ThreadPoolExecutor(max_workers=max(1, threads or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(run_row, range(len(lambdas))))
     return out
 
@@ -291,14 +291,22 @@ def check_averaging_condition(d: Density, lambda0_candidate=0.01, lambda_grid=No
     lambda verified on every node below it (the candidate itself if all pass).
     """
     lam0 = float(lambda0_candidate)
-    if lam0 <= 0.0:
-        raise ValueError("lambda0 candidate must be positive")
+    if not 0.0 < lam0 < math.inf:
+        raise ValueError(f"lambda0 candidate must be positive and finite, got {lam0}")
     if lambda_grid is None:
         lambda_grid = np.geomspace(1e-6, lam0, 200)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if mu_grid is None:
         mu_grid = np.linspace(0.0, 1.0, 101)
     mu_grid = np.asarray(mu_grid, dtype=float)
+    if not (lambda_grid.size and mu_grid.size):
+        raise ValueError("the lambda and mu grids must not be empty")
+    if not (np.all(lambda_grid > 0.0) and np.all(np.isfinite(lambda_grid))):
+        raise ValueError("grid lambdas must be positive and finite")
+    if not np.all(np.isfinite(mu_grid)):
+        raise ValueError("grid mus must be finite")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
     values = psi_grid(d, lambda_grid, mu_grid, threads=threads)
     lam_nodes = np.repeat(lambda_grid, len(mu_grid))

@@ -15,12 +15,11 @@ Densities are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
-import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cholesky as _cholesky, LinAlgError as _LinAlgError
@@ -43,7 +42,6 @@ __all__ = [
     "build_gaussian_path",
     "uniform_density",
     "make_density",
-    "density_from_json",
     "tabulated_from_csv",
     "read_numeric_rows",
 ]
@@ -852,6 +850,8 @@ def _make_tabulated(grid, values):
     values = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 2:
         raise DensityError("tabulated density needs matching 1-d grid and values, length >= 2")
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+        raise DensityError("tabulated grid and values must be finite")
     if np.any(np.diff(grid) <= 0.0):
         raise DensityError("tabulated grid must be strictly increasing")
     if np.any(values < 0.0):
@@ -1012,13 +1012,17 @@ def build_gaussian_path(hurst, beta_lil, grid_size=513, seed=0, grid=None):
     closed form; otherwise scipy's dense factorization is used and a failure is
     reported with the offending grid spacing.
     """
-    hurst = float(hurst)
+    hurst, beta_lil = float(hurst), float(beta_lil)
     if not (0.0 < hurst < 1.0):
         raise DensityError(f"hurst must lie in (0, 1), got {hurst}")
+    if not math.isfinite(beta_lil):
+        raise DensityError(f"beta_lil must be finite, got {beta_lil}")
+    for name, value, lo, hi in (("seed", seed, 0, 2**64), ("grid_size", grid_size, 2, math.inf)):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or not lo <= value < hi):
+            raise DensityError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
     if grid is None:
-        if grid_size < 2:
-            raise DensityError("grid_size must be at least 2")
-        grid = np.linspace(0.0, 1.0, int(grid_size))
+        grid = np.linspace(0.0, 1.0, grid_size)
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0:
         grid = np.concatenate([[0.0], grid])
@@ -1039,7 +1043,7 @@ def build_gaussian_path(hurst, beta_lil, grid_size=513, seed=0, grid=None):
             ) from exc
         path = L @ z
     S = np.concatenate([[0.0], path])
-    kappa = _lil_envelope(grid, hurst, float(beta_lil))
+    kappa = _lil_envelope(grid, hurst, beta_lil)
     with np.errstate(invalid="ignore"):
         f_grid = np.clip(1.0 + S - kappa, 0.0, 1.0)
     f_grid = np.where(np.isnan(f_grid), 0.0, f_grid)
@@ -1050,7 +1054,7 @@ def build_gaussian_path(hurst, beta_lil, grid_size=513, seed=0, grid=None):
         mass01 = 1.0
     return GaussianPathDensity(grid=grid, values=f_grid, F_grid=_pwl_F(grid, f_grid),
                                normalized=rescaled, path=S, hurst=hurst,
-                               beta_lil=float(beta_lil), seed=int(seed),
+                               beta_lil=beta_lil, seed=int(seed),
                                mass01=mass01, tail_mass=1.0 - mass01)
 
 
@@ -1086,13 +1090,3 @@ def make_density(spec):
     except KeyError as exc:
         raise DensityError(f"density spec for family {fam!r} is missing field {exc.args[0]!r}")
     raise DensityError(f"unknown density family {fam!r}")
-
-
-def density_from_json(source):
-    """Density from a JSON string or a path to a JSON file."""
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = str(source)
-    return make_density(json.loads(text))
-

@@ -21,14 +21,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from fractions import Fraction
 
 import numpy as np
 
 from . import rng
-from .densities import Density
+from .densities import Density, read_numeric_rows
 
 __all__ = [
     "PicardConfig",
@@ -52,6 +54,25 @@ class SolverConfigError(ValueError):
     pass
 
 
+def _check_int(name, value, lo, hi=None):
+    """value must be a non-bool integer in [lo, hi)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SolverConfigError(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value >= hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise SolverConfigError(f"{name} must be {bound}, got {value}")
+
+
+def _check_real(name, value, positive=True):
+    """value must be a finite non-bool number, > 0 (positive) or else >= 0."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise SolverConfigError(f"{name} must be a finite number, got {value!r}")
+    if value < 0.0 or (positive and value == 0.0):
+        raise SolverConfigError(f"{name} must be {'positive' if positive else '>= 0'}, "
+                                f"got {value}")
+
+
 @dataclass(frozen=True)
 class PicardConfig:
     n_paths: int = 10_000
@@ -59,12 +80,9 @@ class PicardConfig:
     tol: float = 1e-3
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise SolverConfigError(f"picard.n_paths must be >= 1, got {self.n_paths}")
-        if self.max_iters < 1:
-            raise SolverConfigError(f"picard.max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol > 0.0:
-            raise SolverConfigError(f"picard.tol must be positive, got {self.tol}")
+        _check_int("picard.n_paths", self.n_paths, 1)
+        _check_int("picard.max_iters", self.max_iters, 1)
+        _check_real("picard.tol", self.tol)
 
 
 @dataclass(frozen=True)
@@ -79,12 +97,16 @@ class SolverConfig:
     picard: PicardConfig = field(default_factory=PicardConfig)
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise SolverConfigError(f"n_particles must be >= 1, got {self.n_particles}")
-        if not self.dt > 0.0:
-            raise SolverConfigError(f"dt must be positive, got {self.dt}")
-        if not self.T > 0.0:
-            raise SolverConfigError(f"T must be positive, got {self.T}")
+        _check_int("n_particles", self.n_particles, 1)
+        _check_real("dt", self.dt)
+        _check_real("T", self.T)
+        _check_int("seed", self.seed, 0, 2**64)
+        _check_int("threads", self.threads, 1)
+        if not isinstance(self.bridge_correction, bool):
+            raise SolverConfigError(
+                f"bridge_correction must be true or false, got {self.bridge_correction!r}")
+        if self.jump_threshold is not None:
+            _check_real("jump_threshold", self.jump_threshold, positive=False)
         k = round(self.T / self.dt)
         if k < 1 or abs(k * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
             raise SolverConfigError(f"dt={self.dt} does not divide T={self.T} evenly")
@@ -102,8 +124,7 @@ class SolverConfig:
         return max(5.0 / self.n_particles, 10.0 * math.sqrt(self.dt))
 
     def to_dict(self):
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -114,7 +135,7 @@ class SolverConfig:
         if extra:
             raise SolverConfigError(f"unknown config field {sorted(extra)[0]!r}")
         try:
-            picard = PicardConfig(**pic) if pic else PicardConfig()
+            picard = PicardConfig() if pic is None else PicardConfig(**pic)
         except TypeError as exc:
             raise SolverConfigError(f"bad picard config: {exc}")
         return cls(picard=picard, **d)
@@ -138,8 +159,8 @@ class FrontierPath:
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
         self.lam = np.asarray(self.lam, dtype=float)
-        if self.t.shape != self.lam.shape or self.t.ndim != 1:
-            raise ValueError("frontier t and lam must be matching 1-d arrays")
+        if self.t.shape != self.lam.shape or self.t.ndim != 1 or not self.t.size:
+            raise ValueError("frontier t and lam must be matching non-empty 1-d arrays")
         if not np.all(np.isfinite(self.t)) or np.any(np.diff(self.t) <= 0.0):
             raise ValueError("frontier t must be finite and strictly increasing")
         if not np.all(np.isfinite(self.lam)):
@@ -157,25 +178,19 @@ class FrontierPath:
 
     @staticmethod
     def read_csv(path):
-        ts, lams = [], []
+        """Frontier from a CSV with the header t,lambda,...; every field of
+        every other non-blank row must be a number (``read_numeric_rows``)."""
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            if header[:2] != ["t", "lambda"]:
+            if fh.readline().strip().split(",")[:2] != ["t", "lambda"]:
                 raise ValueError(f"{path}: expected header t,lambda,alive_fraction")
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                parts = line.strip().split(",")
-                if len(parts) < 2:
-                    raise ValueError(f"{path}:{lineno}: expected at least 2 fields, "
-                                     f"got {len(parts)}")
-                try:
-                    ts.append(float(parts[0]))
-                    lams.append(float(parts[1]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+        rows = read_numeric_rows(path, ",")
+        for lineno, nums in rows:
+            if len(nums) < 2:
+                raise ValueError(f"{path}:{lineno}: expected at least 2 fields, "
+                                 f"got {len(nums)}")
         try:
-            return FrontierPath(t=np.asarray(ts), lam=np.asarray(lams))
+            return FrontierPath(t=[nums[0] for _, nums in rows],
+                                lam=[nums[1] for _, nums in rows])
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -204,13 +219,18 @@ class PicardResult:
 
 
 def _scan_sorted(y_sorted, n):
-    """k* = min{k >= 0 : y_(k+1) > k/n} with y_(m+1) = +inf, for sorted y."""
-    m = len(y_sorted)
-    if m == 0:
-        return 0
-    ok = y_sorted > np.arange(m) / n
-    hits = np.nonzero(ok)[0]
-    return int(hits[0]) if len(hits) else m
+    """k* = min{k >= 0 : y_(k+1) > k/n} with y_(m+1) = +inf, for sorted y.
+
+    The float k/n is k/n rounded, so a y_(k+1) equal to it is compared with
+    k/n exactly: it lies above k/n when the rounding went up.
+    """
+    lines = np.arange(len(y_sorted)) / n
+    hits = np.nonzero(y_sorted > lines)[0]
+    kstar = int(hits[0]) if len(hits) else len(y_sorted)
+    for k in np.nonzero(y_sorted[:kstar] == lines[:kstar])[0]:
+        if Fraction(float(y_sorted[k])) * n > k:
+            return int(k)
+    return kstar
 
 
 def _near_barrier_cascade(y, n):

@@ -254,3 +254,117 @@ def test_bounds_fit_envelope_uses_the_thread_count(workdir, monkeypatch):
     main(["bounds", "--config", "cfg.json", "--density", "pw.json", "--frontier", "f.csv",
           "--n-paths", "2000", "--out", "b.json", "--fit-envelope", "--threads", "3"])
     assert len(calls) == 1 and calls[0]["threads"] == 3
+
+
+def _one_line_error(capsys):
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
+
+
+def test_sweep_rejects_a_config_that_is_not_an_object(workdir, capsys):
+    (workdir / "list.json").write_text("[1, 2]")
+    assert main(["sweep", "--config", "list.json", "--param", "seed=1",
+                 "--out-dir", "sw"]) == 1
+    assert "list.json must be a JSON object" in _one_line_error(capsys)
+    assert not (workdir / "sw").exists()
+
+
+def test_density_from_the_config_file(workdir):
+    # one read of the config serves its fields and its density; --density overrides it
+    (workdir / "cfgd.json").write_text(json.dumps({**CFG, "density": PW_SPEC}))
+    assert main(["simulate", "--config", "cfgd.json", "--out", "a.csv", "--threads", "1"]) == 0
+    assert main(["simulate", "--config", "cfg.json", "--density", "pw.json",
+                 "--out", "b.csv", "--threads", "1"]) == 0
+    assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
+    assert main(["sweep", "--config", "cfgd.json", "--param", "seed=1,2",
+                 "--out-dir", "sw", "--threads", "1"]) == 0
+    index = json.loads((workdir / "sw" / "index.json").read_text())
+    assert index["density"] == json.loads((workdir / "a.csv.manifest.json").read_text())["density"]
+
+
+def test_manifest_and_index_keys(workdir):
+    common = {"config", "config_hash", "density", "outputs", "seed", "solver", "timings",
+              "tool_version"}
+    main(["simulate", "--config", "cfg.json", "--density", "pw.json", "--out", "s.csv",
+          "--manifest", "s.json", "--threads", "1"])
+    man = json.loads((workdir / "s.json").read_text())
+    assert set(man) == common | {"jumps"}
+    assert set(man["timings"]) == {"simulate_s"} and man["solver"] == "particle"
+    main(["picard", "--config", "cfg.json", "--density", "pw.json", "--out", "p.csv",
+          "--threads", "1"])
+    man = json.loads((workdir / "p.csv.manifest.json").read_text())
+    assert set(man) == common | {"iterations", "converged", "sup_changes"}
+    assert set(man["timings"]) == {"picard_s"}
+    assert set(man["config"]) == {"n_particles", "dt", "T", "seed", "bridge_correction",
+                                  "jump_threshold", "threads", "picard"}
+    main(["sweep", "--config", "cfg.json", "--density", "pw.json", "--param", "seed=1",
+          "--out-dir", "sw", "--threads", "1"])
+    index = json.loads((workdir / "sw" / "index.json").read_text())
+    assert set(index) == {"tool_version", "density", "cells"}
+    assert set(index["cells"][0]) == {"cell", "params", "csv", "config_hash", "seed",
+                                      "lambda_T"}
+
+
+def test_bridge_flag_sets_the_config_field(workdir):
+    main(["simulate", "--config", "cfg.json", "--density", "pw.json", "--out", "b.csv",
+          "--bridge", "--threads", "1"])
+    assert json.loads((workdir / "b.csv.manifest.json").read_text())[
+        "config"]["bridge_correction"] is True
+
+
+def test_bounds_rejects_a_non_numeric_frontier_column(workdir, capsys):
+    (workdir / "z.csv").write_text("t,lambda,alive_fraction\n0.0,0.0,1.0\n0.1,0.2,zzz\n")
+    assert main(["bounds", "--config", "cfg.json", "--density", "pw.json",
+                 "--frontier", "z.csv", "--n-paths", "2000", "--threads", "1"]) == 1
+    assert "z.csv:3" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"bridge_correction": "false"}, "bridge_correction"),
+    ({"picard": {"tol": math.inf}}, "picard.tol"),
+    ({"T": math.inf}, "T"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"n_particles": 1.5}, "n_particles"),
+    ({"threads": 0}, "threads"),
+    ({"jump_threshold": -1}, "jump_threshold"),
+])
+@pytest.mark.parametrize("command", ["simulate", "picard"])
+def test_solve_rejects_a_bad_config_field(workdir, capsys, fields, name, command):
+    (workdir / "bad.json").write_text(json.dumps({**CFG, **fields}))
+    assert main([command, "--config", "bad.json", "--density", "pw.json"]) == 1
+    assert name in _one_line_error(capsys)
+    assert not (workdir / "frontier.csv").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "tabulated", "grid": [0.0, 1.0, 2.0], "values": [0.5, math.nan, 0.5]},
+    {"family": "tabulated", "grid": [0.0, 1.0, math.inf], "values": [0.5, 0.5, 0.5]},
+    {"family": "gaussian_path", "hurst": 0.5, "beta_lil": math.nan, "grid_size": 65},
+    {"family": "gaussian_path", "hurst": 0.5, "beta_lil": 1.4, "grid_size": 65, "seed": -1},
+])
+def test_check_rejects_a_non_finite_density_spec(workdir, capsys, spec):
+    (workdir / "d.json").write_text(json.dumps(spec))
+    assert main(["check", "--density", "d.json", "--n-lambda", "10", "--n-mu", "11"]) == 1
+    assert "bad density spec" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--density", "pw.json", "--lambda0", "inf"],
+    ["check", "--density", "pw.json", "--lambda0", "nan"],
+    ["check", "--density", "pw.json", "--lambda-min", "0"],
+    ["check", "--density", "pw.json", "--n-lambda", "0"],
+    ["check", "--density", "pw.json", "--n-mu", "0"],
+    ["check", "--density", "pw.json", "--threads", "0"],
+    ["bounds", "--config", "cfg.json", "--density", "pw.json", "--frontier", "f.csv",
+     "--fit-envelope", "--envelope-lambda0", "inf", "--n-paths", "2000", "--threads", "1"],
+])
+def test_averaging_inputs_rejected(workdir, capsys, argv):
+    main(["simulate", "--config", "cfg.json", "--density", "pw.json", "--out", "f.csv",
+          "--threads", "1"])
+    capsys.readouterr()
+    assert main(argv + ["--out", "rep.json"]) == 1
+    _one_line_error(capsys)
+    assert not (workdir / "rep.json").exists()

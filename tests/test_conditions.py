@@ -192,6 +192,24 @@ def test_averaging_linear_density_passes():
     assert rep.lambda0 == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"lambda0_candidate": math.inf}, "lambda0"),
+    ({"lambda0_candidate": math.nan}, "lambda0"),
+    ({"lambda0_candidate": 0.0}, "lambda0"),
+    ({"lambda_grid": [1e-3, math.nan]}, "lambdas"),
+    ({"lambda_grid": [0.0, 1e-3]}, "lambdas"),
+    ({"lambda_grid": [-1e-3, 1e-3]}, "lambdas"),
+    ({"mu_grid": [0.0, math.inf]}, "mus"),
+    ({"lambda_grid": []}, "empty"),
+    ({"mu_grid": []}, "empty"),
+    ({"threads": 0}, "threads"),
+])
+def test_averaging_rejects_bad_inputs(sine_density, kwargs, match):
+    kwargs = {"lambda0_candidate": 0.01, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        check_averaging_condition(sine_density, **kwargs)
+
+
 def test_pointwise_implies_averaging_envelope():
     # chain: a pointwise margin h gives the averaging envelope g(s) >= h(s/2)/2
     d = linear_density()

@@ -11,7 +11,6 @@ from scipy.stats import ks_2samp
 from stefanlab import (
     DensityError,
     build_gaussian_path,
-    density_from_json,
     make_density,
     make_piecewise,
     normalize_periodic,
@@ -490,7 +489,7 @@ def test_make_density_all_families(tmp_path):
 
     path = tmp_path / "d.json"
     path.write_text(json.dumps(pw.spec_dict()))
-    again = density_from_json(path)
+    again = make_density(json.loads(path.read_text()))
     assert again.beta1 == pw.beta1
 
 
@@ -513,6 +512,26 @@ def test_make_density_errors():
         make_density({"family": "nope"})
     with pytest.raises(DensityError, match="missing field"):
         make_density({"family": "piecewise", "alpha1": "1/2"})
+
+
+@pytest.mark.parametrize("spec, match", [
+    ({"family": "tabulated", "grid": [0.0, 1.0, 2.0], "values": [0.5, math.nan, 0.5]},
+     "finite"),
+    ({"family": "tabulated", "grid": [0.0, 1.0, math.inf], "values": [0.5, 0.5, 0.5]},
+     "finite"),
+    ({"family": "gaussian_path", "hurst": 0.5, "beta_lil": math.nan}, "beta_lil"),
+    ({"family": "gaussian_path", "hurst": 0.5, "beta_lil": math.inf}, "beta_lil"),
+    ({"family": "gaussian_path", "hurst": math.nan, "beta_lil": 1.4}, "hurst"),
+    ({"family": "gaussian_path", "hurst": 0.5, "beta_lil": 1.4, "seed": -1}, "seed"),
+    ({"family": "gaussian_path", "hurst": 0.5, "beta_lil": 1.4, "seed": 1.5}, "seed"),
+    ({"family": "gaussian_path", "hurst": 0.5, "beta_lil": 1.4, "seed": 2**64}, "seed"),
+    ({"family": "gaussian_path", "hurst": 0.5, "beta_lil": 1.4, "grid_size": 64.5},
+     "grid_size"),
+    ({"family": "gaussian_path", "hurst": 0.5, "beta_lil": 1.4, "grid_size": 1}, "grid_size"),
+])
+def test_make_density_rejects_non_finite_or_non_integer_fields(spec, match):
+    with pytest.raises(DensityError, match=match):
+        make_density(spec)
 
 
 def test_profile_helpers():

@@ -298,6 +298,37 @@ def test_config_validation():
     assert cfg.config_hash() == SolverConfig.from_dict(cfg.to_dict()).config_hash()
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"bridge_correction": "false"}, "bridge_correction"),
+    ({"bridge_correction": 1}, "bridge_correction"),
+    ({"picard": {"tol": math.inf}}, "picard.tol"),
+    ({"picard": {"tol": math.nan}}, "picard.tol"),
+    ({"picard": {"n_paths": 100.5}}, "picard.n_paths"),
+    ({"picard": {"max_iters": True}}, "picard.max_iters"),
+    ({"picard": []}, "picard"),
+    ({"T": math.inf}, "T"),
+    ({"dt": math.nan}, "dt"),
+    ({"dt": "0.001"}, "dt"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 2**64}, "seed"),
+    ({"n_particles": 1.5}, "n_particles"),
+    ({"n_particles": True}, "n_particles"),
+    ({"threads": 0}, "threads"),
+    ({"jump_threshold": -1}, "jump_threshold"),
+    ({"jump_threshold": math.inf}, "jump_threshold"),
+])
+def test_config_rejects_a_bad_field_type_or_value(fields, name):
+    with pytest.raises(SolverConfigError, match=name):
+        SolverConfig.from_dict({"n_particles": 10, "dt": 0.001, "T": 0.1, **fields})
+
+
+def test_config_accepts_integral_numbers_for_real_fields():
+    cfg = SolverConfig(n_particles=np.int64(10), dt=0.25, T=1, seed=2**64 - 1,
+                       jump_threshold=0, picard=PicardConfig(tol=1))
+    assert cfg.n_steps == 4 and cfg.effective_jump_threshold() == 0.0
+
+
 def test_effective_jump_threshold():
     cfg = SolverConfig(n_particles=100, dt=0.0001, T=0.01)
     assert cfg.effective_jump_threshold() == pytest.approx(max(0.05, 10 * 0.01))
@@ -373,3 +404,27 @@ def test_read_csv_rejects_truncated_row(tmp_path):
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(ValueError, match=f"{path.name}:6"):
         FrontierPath.read_csv(path)
+
+
+def test_read_csv_rejects_a_header_only_file(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("t,lambda,alive_fraction\n")
+    with pytest.raises(ValueError, match="non-empty"):
+        FrontierPath.read_csv(path)
+
+
+def test_read_csv_rejects_a_non_numeric_third_column(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("t,lambda,alive_fraction\n0.0,0.0,1.0\n0.1,0.2,zzz\n")
+    with pytest.raises(ValueError, match=f"{path.name}:3: .*'zzz'"):
+        FrontierPath.read_csv(path)
+
+
+def test_scan_settles_a_position_on_a_rounded_line_exactly():
+    # the float 0.1 lies above 1/10, so the particle there survives the
+    # first death; in floats 1/10 rounds onto it
+    assert physical_jump_scan([0.0, 0.1], 10) == 0.1
+    assert physical_jump_bruteforce([0.0, 0.1], 10) == 0.1
+    # the float 0.3 lies below 3/10: it dies with the three before it
+    assert physical_jump_scan([0.0, 0.0, 0.0, 0.3], 10) == 0.4
+    assert physical_jump_bruteforce([0.0, 0.0, 0.0, 0.3], 10) == 0.4
