@@ -10,7 +10,6 @@ import numpy as np
 from stefanlab import (
     build_gaussian_path,
     make_piecewise,
-    normalize_periodic,
     uniform_density,
 )
 from stefanlab.densities import PeriodicOscillatoryDensity
@@ -37,8 +36,8 @@ print("\nperiodic sine density:")
 print(f"  support (0, {sine.a:.6f}], normalization residual "
       f"{abs(float(sine.cdf(sine.a)) - 1.0):.2e}")
 print(f"  f(2/pi) = {float(sine.pdf(2.0 / math.pi)):.6f} (the profile peaks there)")
-print(f"  trivial profiles: psi=1 -> a = {normalize_periodic(1.0, 1.0):.6f}, "
-      f"psi=0 -> a = {normalize_periodic(1.0, 0.0):.6f}")
+print(f"  trivial profiles: psi=1 -> a = {PeriodicOscillatoryDensity(1.0, 1.0).a:.6f}, "
+      f"psi=0 -> a = {PeriodicOscillatoryDensity(1.0, 0.0).a:.6f}")
 
 # --- the Gaussian-path density ----------------------------------------------
 # A Brownian sample path minus the iterated-logarithm envelope, clipped to

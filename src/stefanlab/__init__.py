@@ -15,7 +15,6 @@ from .densities import (
     build_gaussian_path,
     make_density,
     make_piecewise,
-    normalize_periodic,
     tabulated_from_csv,
     uniform_density,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "build_gaussian_path",
     "make_density",
     "make_piecewise",
-    "normalize_periodic",
     "tabulated_from_csv",
     "uniform_density",
     "__version__",

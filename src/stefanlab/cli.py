@@ -39,9 +39,12 @@ def _default_threads():
     env = os.environ.get("STEFAN_THREADS")
     if env is not None:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
-            raise CliError(f"STEFAN_THREADS must be an integer, got {env!r}")
+            threads = 0
+        if threads < 1:
+            raise CliError(f"STEFAN_THREADS must be a positive integer, got {env!r}")
+        return threads
     return os.cpu_count() or 1
 
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .densities import Density, PiecewiseGeometricDensity
+from .densities import Density
 from .numerics import golden_section_max
 
 __all__ = [
@@ -54,18 +53,9 @@ def psi(d: Density, lam, mu):
     in rational arithmetic for the piecewise family when lambda and mu are
     Fractions. psi(0, mu) degenerates to f(0).
     """
-    exact = (isinstance(d, PiecewiseGeometricDensity) and d.exact
-             and isinstance(lam, (Fraction, int)) and isinstance(mu, (Fraction, int)))
-    if exact:
-        lam, mu = Fraction(lam), Fraction(mu)
-        if lam == 0:
-            return d.pdf(Fraction(0))
-        return (d.cdf(lam * (mu + 1)) - d.cdf(lam * mu)) / lam
-    lam = float(lam)
-    mu = float(mu)
-    if lam == 0.0:
-        return float(d.pdf(0.0))
-    return (float(d.cdf(lam * (mu + 1.0))) - float(d.cdf(lam * mu))) / lam
+    if lam == 0:
+        return d.pdf(lam)
+    return (d.cdf(lam * (mu + 1)) - d.cdf(lam * mu)) / lam
 
 
 def psi_grid(d: Density, lambdas, mus, threads=1):

@@ -38,7 +38,6 @@ __all__ = [
     "SinusoidProfile",
     "TabulatedProfile",
     "make_piecewise",
-    "normalize_periodic",
     "build_gaussian_path",
     "uniform_density",
     "make_density",
@@ -100,24 +99,14 @@ class SinusoidProfile:
         # integral from 0 of (a sin + b cos): -a cos(u) + b sin(u) + a
         return SinusoidProfile(self.b, -self.a, self.a)
 
-    def affine(self, scale, shift):
-        return SinusoidProfile(self.a * scale, self.b * scale, self.c * scale + shift)
-
     def sup_on(self, ulo, uhi):
         """(sup, argmax) of the profile on [ulo, uhi] (uhi may be inf)."""
         amp = math.hypot(self.a, self.b)
         if amp == 0.0:
             return self.c, ulo
-        # a sin u + b cos u = amp * sin(u + phi), phi = atan2(b, a)
-        phi = math.atan2(self.b, self.a)
-        if not math.isfinite(uhi) or uhi - ulo >= self.period:
-            u_star = (math.pi / 2.0 - phi) % self.period
-            k = math.ceil((ulo - u_star) / self.period)
-            return self.c + amp, u_star + k * self.period
-        # first peak at or after ulo
-        u_star = math.pi / 2.0 - phi
-        k = math.ceil((ulo - u_star) / self.period)
-        u_star += k * self.period
+        # the first peak of a sin u + b cos u = amp sin(u + atan2(b, a)) at or after ulo
+        u_star = math.pi / 2.0 - math.atan2(self.b, self.a)
+        u_star += math.ceil((ulo - u_star) / self.period) * self.period
         if u_star <= uhi:
             return self.c + amp, u_star
         lo_v = float(self.eval(ulo))
@@ -135,43 +124,29 @@ class TabulatedProfile:
 
     def __init__(self, period, values, _pieces=None):
         self.period = float(period)
-        values = np.asarray(values, dtype=float)
-        if self.period <= 0.0:
-            raise DensityError("profile period must be positive")
+        if not 0.0 < self.period < math.inf:
+            raise DensityError(f"profile period must be positive and finite, got {period!r}")
         if _pieces is None:
-            m = len(values)
-            if m < 2:
+            values = np.asarray(values, dtype=float)
+            if len(values) < 2:
                 raise DensityError("tabulated profile needs at least 2 samples")
-            h = self.period / m
-            breaks = np.arange(m + 1) * h
-            nxt = np.concatenate([values[1:], values[:1]])
+            h = self.period / len(values)
             # per piece: v_j + (v_{j+1} - v_j) * xi / h, xi local
-            coeffs = np.zeros((m, 2))
-            coeffs[:, 0] = values
-            coeffs[:, 1] = (nxt - values) / h
-            self._breaks = breaks
-            self._coeffs = coeffs
-            # piecewise-linear extremes sit at the nodes, so this sup is exact
-            self.sup_abs = float(np.max(np.abs(values)))
-        else:
-            self._breaks, self._coeffs = _pieces
-            self.sup_abs = self._estimate_sup_abs()
+            _pieces = (np.arange(len(values) + 1) * h,
+                       np.column_stack([values, (np.roll(values, -1) - values) / h]))
+        self._breaks, self._coeffs = _pieces
+        m, deg = self._coeffs.shape
+        k = np.arange(1, deg + 1)
+        #: integral of each piece over its own width
+        self._integrals = np.sum(self._coeffs * np.diff(self._breaks)[:, None] ** k / k, axis=1)
+        self.mean = float(np.sum(self._integrals)) / self.period
         # quadrature cells: about a sixteenth of the period, with every break on an edge
-        m = len(self._coeffs)
         self.cell = self.period / (m * math.ceil(16 / m))
-        self.values = values
-        self.mean = self._piece_integral_total() / self.period
-
-    def _piece_integral_total(self):
-        widths = np.diff(self._breaks)
-        total = 0.0
-        for j in range(len(widths)):
-            total += _poly_integral(self._coeffs[j], widths[j])
-        return total
-
-    def _estimate_sup_abs(self):
-        us = np.linspace(0.0, self.period, 64 * len(self._coeffs) + 1)
-        return float(np.max(np.abs(self.eval(us)))) * 1.02
+        if deg == 2:  # piecewise-linear extremes sit at the nodes, so this sup is exact
+            self.sup_abs = float(np.max(np.abs(self._coeffs[:, 0])))
+        else:
+            us = np.linspace(0.0, self.period, 64 * m + 1)
+            self.sup_abs = float(np.max(np.abs(self.eval(us)))) * 1.02
 
     def eval(self, u):
         u = np.asarray(u, dtype=float)
@@ -185,28 +160,15 @@ class TabulatedProfile:
         return out if out.shape else float(out)
 
     def antiderivative_stage(self):
-        m, deg = self._coeffs.shape
-        widths = np.diff(self._breaks)
-        new = np.zeros((m, deg + 1))
-        # antiderivative of each piece, then continuity constants, then -mean*u
-        for k in range(deg):
-            new[:, k + 1] = self._coeffs[:, k] / (k + 1)
-        cum = 0.0
-        for j in range(m):
-            new[j, 0] = cum
-            cum = _poly_eval(new[j], widths[j])
-        # subtract mean * u = mean * (break_j + xi)
+        # antiderivative of each piece, its continuity constant (the integrals of
+        # the pieces before it), minus mean * u = mean * (break_j + xi)
+        deg = self._coeffs.shape[1]
+        new = np.zeros((len(self._coeffs), deg + 1))
+        new[:, 1:] = self._coeffs / np.arange(1, deg + 1)
+        new[1:, 0] = np.cumsum(self._integrals[:-1])
         new[:, 0] -= self.mean * self._breaks[:-1]
         new[:, 1] -= self.mean
-        prof = TabulatedProfile(self.period, self.values, _pieces=(self._breaks, new))
-        return prof
-
-    def affine(self, scale, shift):
-        coeffs = self._coeffs * scale
-        coeffs = coeffs.copy()
-        coeffs[:, 0] += shift
-        return TabulatedProfile(self.period, self.values * scale + shift,
-                                _pieces=(self._breaks, coeffs))
+        return TabulatedProfile(self.period, None, _pieces=(self._breaks, new))
 
     def sup_on(self, ulo, uhi):
         """(sup, argmax) on [ulo, uhi] (uhi may be inf) of a piecewise-linear
@@ -224,32 +186,20 @@ class TabulatedProfile:
         return float(vals[i]), float(us[i])
 
 
-def _poly_eval(coeffs, x):
-    out = 0.0
-    for c in coeffs[::-1]:
-        out = out * x + c
-    return out
-
-
-def _poly_integral(coeffs, width):
-    out = 0.0
-    for k, c in enumerate(coeffs):
-        out += c * width ** (k + 1) / (k + 1)
-    return out
-
-
 def make_profile(spec):
-    """Profile from a JSON-style spec: "sin", a number (constant), or
-    {"period": P, "values": [...]} sampled uniformly over one period."""
-    if isinstance(spec, SinusoidProfile) or isinstance(spec, TabulatedProfile):
-        return spec
+    """The density profile g = (1 + psi)/2 for a JSON-style spec of psi: "sin",
+    a number (constant), or {"period": P, "values": [...]} sampled uniformly
+    over one period; psi must map into [-1, 1]."""
     if spec == "sin":
-        return SinusoidProfile(1.0, 0.0, 0.0)
-    if isinstance(spec, (int, float)):
-        return SinusoidProfile(0.0, 0.0, float(spec))
+        return SinusoidProfile(0.5, 0.0, 0.5)
+    if not isinstance(spec, (dict, int, float)):
+        raise DensityError(f"unrecognized profile spec: {spec!r}")
+    values = np.asarray(spec["values"] if isinstance(spec, dict) else spec, dtype=float)
+    if not np.all(np.abs(values) <= 1.0 + 1e-9):
+        raise DensityError("profile must map into [-1, 1]")
     if isinstance(spec, dict):
-        return TabulatedProfile(spec["period"], spec["values"])
-    raise DensityError(f"unrecognized profile spec: {spec!r}")
+        return TabulatedProfile(spec["period"], 0.5 * values + 0.5)
+    return SinusoidProfile(0.0, 0.0, 0.5 * float(spec) + 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +501,7 @@ class _TailExpansion:
 
 
 class PeriodicOscillatoryDensity(Density):
-    """f(x) = (1 + psi(1/x^alpha)) / 2 on (0, a], zero elsewhere.
+    """f(x) = g(1/x^alpha), g = (1 + psi) / 2, on (0, a], zero elsewhere.
 
     Below x0 the CDF is the tail expansion (exact up to a tracked bound). Above
     it one cumulative table, an 8-point Gauss-Legendre rule on each interval
@@ -564,17 +514,16 @@ class PeriodicOscillatoryDensity(Density):
     _V0_CANDIDATES = (60.0, 100.0, 160.0, 260.0, 420.0, 700.0)
 
     def __init__(self, alpha, psi="sin"):
+        if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
+                or not 0.0 < alpha < math.inf):
+            raise DensityError(f"alpha must be a finite positive number, got {alpha!r}")
         self.alpha = float(alpha)
-        if self.alpha <= 0.0:
-            raise DensityError(f"alpha must be positive, got {alpha}")
-        self.psi = make_profile(psi)
-        if self.psi.sup_abs > 1.0 + 1e-9:
-            raise DensityError("profile must map into [-1, 1]")
-        self._g = self.psi.affine(0.5, 0.5)  # (1 + psi)/2, in [0, 1]
-        if self._g.mean <= 1e-12:
+        self.psi_spec = psi
+        self.g = make_profile(psi)  # in [0, 1]
+        if self.g.mean <= 1e-12:
             raise DensityError("profile mean is -1; the density has no mass")
         for v0 in self._V0_CANDIDATES:
-            self._exp0 = _TailExpansion(self._g, self.alpha, 0, v0, tol=1e-13)
+            self._exp0 = _TailExpansion(self.g, self.alpha, 0, v0, tol=1e-13)
             if self._exp0.bound_at_v0 <= 1e-12:
                 break  # else the last candidate is the best effort; bound recorded
         self.v0 = self._exp0.v0
@@ -583,18 +532,32 @@ class PeriodicOscillatoryDensity(Density):
 
     # -- the cumulative table -----------------------------------------------
 
+    def _u(self, x):
+        """u = x^(-alpha) for an array or numpy scalar x; +inf where that
+        overflows, x = 0 included."""
+        with np.errstate(divide="ignore", over="ignore"):
+            return x ** (-self.alpha)
+
+    def _head(self, x):
+        """F(x) for 0 < x <= x0 from the tail expansion; where u overflows,
+        its exact leading term g.mean x."""
+        u = self._u(x)
+        finite = np.isfinite(u)
+        return np.where(finite, self._exp0.eval(np.where(finite, u, self.v0)) / self.alpha,
+                        self.g.mean * x)
+
     def _cell_integral(self, lo, hi, moment=0):
         """Elementwise integral_lo^hi y^moment f(y) dy; exact to rounding in one cell."""
         half = 0.5 * (np.asarray(hi, dtype=float) - lo)
         y = (lo + half)[..., None] + half[..., None] * _GL_NODES
-        return half * ((y ** moment * self._g.eval(y ** (-self.alpha))) @ _GL_WEIGHTS)
+        return half * ((y ** moment * self.g.eval(self._u(y))) @ _GL_WEIGHTS)
 
     def _nodes(self, hi):
         """Nodes on [x0, hi]: every cell edge (in u = x^(-alpha)), a uniform grid
         where f oscillates slowly, and past the last edge a geometric one, which
         keeps each interval short next to its distance from the singularity at 0."""
-        step = self._g.cell
-        u_hi = hi ** (-self.alpha)
+        step = self.g.cell
+        u_hi = self._u(np.float64(hi))
         us = np.arange(math.floor(u_hi / step), math.ceil(self.v0 / step) + 1) * step
         us = us[(us > u_hi) & (us < self.v0)]
         x_cell = step ** (-1.0 / self.alpha)
@@ -631,8 +594,7 @@ class PeriodicOscillatoryDensity(Density):
         x_low = x_low[x_low < self.x0]
         x_osc = self._nodes(self.a)
         self._xs = np.concatenate([[0.0], x_low, x_osc])
-        Fs = np.concatenate([[0.0], self._exp0.eval(x_low ** (-self.alpha)) / self.alpha,
-                             self._cumulative(x_osc)])
+        Fs = np.concatenate([[0.0], self._head(x_low), self._cumulative(x_osc)])
         self._Fs = np.maximum.accumulate(np.clip(Fs, 0.0, 1.0))
         self.total_mass = float(Fs[-1])
 
@@ -647,12 +609,11 @@ class PeriodicOscillatoryDensity(Density):
         out = np.zeros_like(x)
         inside = (x > 0.0) & (x <= self.a)
         if np.any(inside):
-            with np.errstate(divide="ignore", over="ignore"):
-                u = x[inside] ** (-self.alpha)
-            vals = 0.5 + 0.5 * np.asarray(self.psi.eval(np.where(np.isfinite(u), u, 0.0)))
+            u = self._u(x[inside])
+            finite = np.isfinite(u)
             # where 1/x^alpha overflows the density has no pointwise limit;
             # report the profile mean level there (any bounded choice works a.e.)
-            out[inside] = np.where(np.isfinite(u), vals, 0.5 + 0.5 * self.psi.mean)
+            out[inside] = np.where(finite, self.g.eval(np.where(finite, u, 0.0)), self.g.mean)
         return out if out.shape else float(out)
 
     def cdf(self, x):
@@ -666,7 +627,7 @@ class PeriodicOscillatoryDensity(Density):
         mid = (x > 0.0) & (x < self.a)
         lowm = mid & (x <= self.x0)
         if np.any(lowm):
-            out[lowm] = self._exp0.eval(x[lowm] ** (-self.alpha)) / self.alpha
+            out[lowm] = self._head(x[lowm])
         # in blocks, which caps the rule's work arrays at 4096 x 8 points
         him = np.nonzero(mid & (x > self.x0))[0]
         for start in range(0, len(him), 4096):
@@ -709,7 +670,7 @@ class PeriodicOscillatoryDensity(Density):
         return float(x[0]) if scalar else x
 
     def first_moment(self):
-        exp1 = _TailExpansion(self._g, self.alpha, 1, self.v0, tol=1e-14)
+        exp1 = _TailExpansion(self.g, self.alpha, 1, self.v0, tol=1e-14)
         xs = self._xs[self._xs >= self.x0]
         body = np.sum(self._cell_integral(xs[:-1], xs[1:], moment=1))
         return exp1.eval(self.v0) / self.alpha + float(body)
@@ -719,30 +680,15 @@ class PeriodicOscillatoryDensity(Density):
         hi = min(float(hi), self.a)
         if hi <= lo:
             return 0.0, None
-        u_lo = hi ** (-self.alpha)
-        u_hi = math.inf if lo == 0.0 else lo ** (-self.alpha)
-        s, u_star = self.psi.sup_on(u_lo, u_hi)
-        x_star = u_star ** (-1.0 / self.alpha) if u_star and u_star > 0 else hi
-        return 0.5 * (1.0 + s), x_star
+        u_lo, u_hi = (float(self._u(np.float64(x))) for x in (hi, lo))
+        if u_lo == math.inf:  # the window lies where u overflows: every level of g
+            return self.g.sup_on(0.0, math.inf)[0], hi
+        s, u_star = self.g.sup_on(u_lo, u_hi)
+        x_star = u_star ** (-1.0 / self.alpha) if u_star > 0 else hi
+        return s, x_star
 
     def spec_dict(self):
-        if isinstance(self.psi, SinusoidProfile) and (self.psi.a, self.psi.b) == (1.0, 0.0) \
-                and self.psi.c == 0.0:
-            psi_spec = "sin"
-        elif isinstance(self.psi, SinusoidProfile) and self.psi.a == self.psi.b == 0.0:
-            psi_spec = self.psi.c
-        else:
-            psi_spec = {"period": self.psi.period, "values": list(map(float, self.psi.values))}
-        return {"family": "periodic", "alpha": self.alpha, "psi": psi_spec}
-
-
-def normalize_periodic(alpha, psi):
-    """Support endpoint a with integral_0^a (1 + psi(1/x^alpha))/2 dx = 1.
-
-    Returns the smallest root; construction fails (DensityError) if the bracket
-    search exceeds its cap, as when psi(0) = -1 and alpha > 1 keep all mass below 1.
-    """
-    return PeriodicOscillatoryDensity(alpha, psi).a
+        return {"family": "periodic", "alpha": self.alpha, "psi": self.psi_spec}
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1010,8 @@ def build_gaussian_path(hurst, beta_lil, grid_size=513, seed=0, grid=None):
 
 
 def make_density(spec):
-    """Density from a JSON-style dict with a "family" tag.
+    """Density from a JSON-style dict with a "family" tag and only the fields
+    that family reads:
 
     piecewise: alpha1, alpha2, p, q (numbers or "num/den" strings for exact mode)
     periodic: alpha, psi ("sin", a constant, or {"period":..., "values":[...]})
@@ -1074,6 +1021,14 @@ def make_density(spec):
     if not isinstance(spec, dict) or "family" not in spec:
         raise DensityError('density spec must be an object with a "family" field')
     fam = spec["family"]
+    reads = {"piecewise": ("alpha1", "alpha2", "p", "q"), "periodic": ("alpha", "psi"),
+             "gaussian_path": ("hurst", "beta_lil", "grid_size", "seed"),
+             "tabulated": ("csv",) if "csv" in spec else ("grid", "values")}
+    if not isinstance(fam, str) or fam not in reads:
+        raise DensityError(f"unknown density family {fam!r}")
+    extra = sorted(set(spec) - {"family", *reads[fam]})
+    if extra:
+        raise DensityError(f"density spec for family {fam!r} has unknown field {extra[0]!r}")
     try:
         if fam == "piecewise":
             return make_piecewise(spec["alpha1"], spec["alpha2"], spec["p"], spec["q"])
@@ -1083,10 +1038,8 @@ def make_density(spec):
             return build_gaussian_path(spec["hurst"], spec["beta_lil"],
                                        grid_size=spec.get("grid_size", 513),
                                        seed=spec.get("seed", 0))
-        if fam == "tabulated":
-            if "csv" in spec:
-                return tabulated_from_csv(spec["csv"])
-            return _make_tabulated(spec["grid"], spec["values"])
+        if "csv" in spec:
+            return tabulated_from_csv(spec["csv"])
+        return _make_tabulated(spec["grid"], spec["values"])
     except KeyError as exc:
         raise DensityError(f"density spec for family {fam!r} is missing field {exc.args[0]!r}")
-    raise DensityError(f"unknown density family {fam!r}")

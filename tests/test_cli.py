@@ -218,6 +218,24 @@ def test_env_threads_parsing(workdir, monkeypatch, capsys):
     assert "STEFAN_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_env_threads_must_be_positive(workdir, monkeypatch, capsys, value):
+    monkeypatch.setenv("STEFAN_THREADS", value)
+    assert main(["simulate", "--config", "cfg.json", "--density", "pw.json"]) == 1
+    assert "STEFAN_THREADS" in _one_line_error(capsys)
+    assert not (workdir / "frontier.csv").exists()
+
+
+def test_check_reports_where_u_overflows(workdir):
+    # at alpha = 100, x^(-alpha) overflows below x ~ 1e-3.08: a report, not a traceback
+    (workdir / "a100.json").write_text(json.dumps({"family": "periodic", "alpha": 100}))
+    code = main(["check", "--density", "a100.json", "--n-lambda", "20", "--n-mu", "21",
+                 "--out", "rep.json"])
+    assert code in (0, 2)
+    rep = json.loads((workdir / "rep.json").read_text())
+    assert rep["max_pdf"] == 1.0 and math.isfinite(rep["first_moment"])
+
+
 def test_bounds_rejects_non_monotone_frontier(workdir, capsys):
     (workdir / "bad.csv").write_text("t,lambda,alive_fraction\n"
                                      "0.0,0.0,1.0\n0.05,0.1,0.9\n0.02,0.2,0.8\n")
@@ -344,6 +362,8 @@ def test_solve_rejects_a_bad_config_field(workdir, capsys, fields, name, command
     {"family": "tabulated", "grid": [0.0, 1.0, math.inf], "values": [0.5, 0.5, 0.5]},
     {"family": "gaussian_path", "hurst": 0.5, "beta_lil": math.nan, "grid_size": 65},
     {"family": "gaussian_path", "hurst": 0.5, "beta_lil": 1.4, "grid_size": 65, "seed": -1},
+    {"family": "periodic", "alpha": math.nan},
+    {"family": "periodic", "alpha": math.inf},
 ])
 def test_check_rejects_a_non_finite_density_spec(workdir, capsys, spec):
     (workdir / "d.json").write_text(json.dumps(spec))

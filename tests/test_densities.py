@@ -13,7 +13,6 @@ from stefanlab import (
     build_gaussian_path,
     make_density,
     make_piecewise,
-    normalize_periodic,
     tabulated_from_csv,
     uniform_density,
 )
@@ -149,9 +148,9 @@ def test_piecewise_float_mode():
 
 
 def test_normalize_periodic_trivial_profiles():
-    assert normalize_periodic(1.0, 1.0) == pytest.approx(1.0, abs=1e-10)
-    assert normalize_periodic(1.0, 0.0) == pytest.approx(2.0, abs=1e-10)
-    assert normalize_periodic(0.5, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert PeriodicOscillatoryDensity(1.0, 1.0).a == pytest.approx(1.0, abs=1e-10)
+    assert PeriodicOscillatoryDensity(1.0, 0.0).a == pytest.approx(2.0, abs=1e-10)
+    assert PeriodicOscillatoryDensity(0.5, 1.0).a == pytest.approx(1.0, abs=1e-10)
 
 
 def test_normalize_periodic_sine_residual(sine_density):
@@ -291,6 +290,31 @@ def test_periodic_cdf_and_sample_edge_inputs(sine_density):
     assert math.isnan(sine_density.cdf(math.nan))
     assert np.all(np.isnan(sine_density.cdf(np.array([math.nan, math.nan]))))
     assert list(sine_density.sample(np.array([-0.1, 1.1]))) == [0.0, sine_density.sample(1.0)]
+
+
+def test_periodic_head_where_u_overflows():
+    # where x^(-alpha) overflows, F(x) is its leading term g.mean x, x/2 for the sine
+    assert PeriodicOscillatoryDensity(1.0, "sin").cdf(1e-310) == pytest.approx(5e-311, rel=1e-12)
+    d = PeriodicOscillatoryDensity(2.0, "sin")
+    for x in (1e-200, 1e-160):
+        assert d.cdf(x) == pytest.approx(0.5 * x, rel=1e-12)
+        assert d.sample(x) == pytest.approx(2.0 * x * d.total_mass, rel=1e-9)
+    d = PeriodicOscillatoryDensity(100.0, "sin")
+    assert not np.any(np.isnan(d._Fs))
+    assert abs(d.cdf(d.sample(0.5)) - 0.5 * d.total_mass) < 1e-9
+    assert d.sup_pdf(1e-5, 1e-4) == (1.0, 1e-4)  # the whole window overflows
+    assert d.sup_pdf(0.5, 0.9)[0] == 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.floats(0.25, 100.0), psi=st.sampled_from(["sin", 0.3]),
+       x=st.one_of(st.floats(5e-324, 1e-300), st.floats(0.0, 1.0)),
+       u=st.one_of(st.floats(5e-324, 1e-300), st.floats(0.0, 1.0)))
+def test_periodic_is_finite_down_to_the_smallest_float(alpha, psi, x, u):
+    d = PeriodicOscillatoryDensity(alpha, psi)
+    assert not np.any(np.isnan(d._Fs))
+    values = [d.pdf(x), d.cdf(x), d.cdf_fast(x), d.sample(u), d.sup_pdf(0.5 * x, x)[0]]
+    assert all(math.isfinite(v) for v in values)
 
 
 def test_periodic_slowly_decaying_profile_is_normalized():
@@ -528,10 +552,48 @@ def test_make_density_errors():
     ({"family": "gaussian_path", "hurst": 0.5, "beta_lil": 1.4, "grid_size": 64.5},
      "grid_size"),
     ({"family": "gaussian_path", "hurst": 0.5, "beta_lil": 1.4, "grid_size": 1}, "grid_size"),
+    ({"family": "periodic", "alpha": math.nan}, "alpha"),
+    ({"family": "periodic", "alpha": math.inf}, "alpha"),
+    ({"family": "periodic", "alpha": True}, "alpha"),
+    ({"family": "periodic", "alpha": "1"}, "alpha"),
+    ({"family": "periodic", "alpha": 1.0, "psi": math.nan}, "into"),
+    ({"family": "periodic", "alpha": 1.0, "psi": {"period": 1.0, "values": [0.0, math.nan]}},
+     "into"),
+    ({"family": "periodic", "alpha": 1.0, "psi": {"period": math.inf, "values": [0.0, 0.5]}},
+     "period"),
 ])
 def test_make_density_rejects_non_finite_or_non_integer_fields(spec, match):
     with pytest.raises(DensityError, match=match):
         make_density(spec)
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"family": "periodic", "alpha": 1, "pis": {"period": 1.0, "values": [0.0, 1.0]}}, "pis"),
+    ({"family": "piecewise", "alpha1": "1/2", "alpha2": "21/20", "p": "1/2", "q": "1/2",
+      "r": "1/4"}, "r"),
+    ({"family": "gaussian_path", "hurst": 0.5, "beta_lil": 1.4, "grid": 65}, "grid"),
+    ({"family": "tabulated", "grid": [0.0, 2.0], "values": [0.5, 0.5], "csv": "d.csv"}, "grid"),
+])
+def test_make_density_rejects_an_unknown_field(spec, field):
+    with pytest.raises(DensityError, match=f"unknown field '{field}'"):
+        make_density(spec)
+
+
+@pytest.mark.parametrize("density", [
+    make_piecewise("1/2", "21/20", "1/2", "1/2"),
+    make_piecewise(0.5, 1.05, 0.5, 0.5),
+    PeriodicOscillatoryDensity(1.0, "sin"),
+    PeriodicOscillatoryDensity(2.0, 0.3),
+    PeriodicOscillatoryDensity(1.5, {"period": 3.0, "values": [0.0, -1.0, -1.0, 0.5]}),
+    build_gaussian_path(0.5, 1.41, grid_size=65, seed=1),
+    make_density({"family": "tabulated", "grid": [0.0, 0.3, 0.7, 1.5],
+                  "values": [0.2, 1.4, 0.0, 0.9]}),
+], ids=lambda d: d.family)
+def test_spec_dict_round_trips_through_json(density):
+    again = make_density(json.loads(json.dumps(density.spec_dict())))
+    xs = np.concatenate([np.geomspace(1e-9, 3.0, 401), np.linspace(0.0, 3.0, 301)])
+    assert np.array_equal(again.pdf(xs), density.pdf(xs))
+    assert np.array_equal(again.cdf(xs), density.cdf(xs))
 
 
 def test_profile_helpers():
@@ -554,6 +616,22 @@ def test_profile_helpers():
 
 
 
+def test_tabulated_profile_stages_match_a_trapezoid_reference():
+    values = np.random.default_rng(3).uniform(-1.0, 1.0, 37)
+    nodes = np.arange(38) * 2.0 / 37
+    closed = np.append(values, values[0])
+    # the first stage at the nodes is the integral of the zero-mean part, and
+    # the trapezoid rule is exact on linear pieces
+    ref = np.concatenate([[0.0], np.cumsum(0.5 * (closed[1:] + closed[:-1]) * np.diff(nodes))])
+    stage = TabulatedProfile(2.0, values).antiderivative_stage()
+    assert np.max(np.abs(stage.eval(nodes[:-1]) - (ref - np.mean(values) * nodes)[:-1])) < 1e-14
+    # every stage is continuous across the period's end, where it returns to 0
+    for _ in range(4):
+        assert abs(stage.eval(np.nextafter(2.0, 0.0))) < 1e-14
+        assert stage.eval(0.0) == 0.0
+        stage = stage.antiderivative_stage()
+
+
 def test_tabulated_profile_sup_finds_a_break_inside_a_short_window():
     # one peak node between samples of the old sampled sup: u in [2, 4] holds
     # node 22 at u = 2 pi 22 / 64, where psi = 1 and so f = 1
@@ -561,15 +639,15 @@ def test_tabulated_profile_sup_finds_a_break_inside_a_short_window():
     values[22] = 1.0
     d = PeriodicOscillatoryDensity(1.0, {"period": 2.0 * math.pi, "values": list(values)})
     peak = 2.0 * math.pi * 22 / 64
-    assert d.psi.sup_on(2.0, 4.0) == (1.0, peak)
-    assert d.psi.sup_on(2.0 + 6 * math.pi, 2.2 + 6 * math.pi)[0] == pytest.approx(1.0, abs=1e-12)
+    assert d.g.sup_on(2.0, 4.0) == (1.0, peak)
+    assert d.g.sup_on(2.0 + 6 * math.pi, 2.2 + 6 * math.pi)[0] == pytest.approx(1.0, abs=1e-12)
     sup, arg = d.sup_pdf(0.25, 0.5)
     assert sup == 1.0 and arg == pytest.approx(1.0 / peak)
     assert d.pdf(arg) == pytest.approx(1.0, abs=1e-12)
     lo, hi, margin = check_pointwise_condition(d).windows[0]
     assert (lo, hi) == (0.25, 0.5) and margin == 0.0
     # with no break inside, the larger end value
-    assert d.psi.sup_on(2.2, 2.3) == (float(d.psi.eval(2.2)), 2.2)
+    assert d.g.sup_on(2.2, 2.3) == (float(d.g.eval(2.2)), 2.2)
 
 
 # ---------------------------------------------------------------------------
