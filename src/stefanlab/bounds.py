@@ -18,7 +18,7 @@ from scipy.special import erfc
 
 from . import rng
 from .conditions import ROOT_TWO_OVER_PI, EnvelopeFunction, chi_bar
-from .densities import Density, PiecewiseGeometricDensity
+from .densities import Density, PiecewiseGeometricDensity, _check_int
 from .solver import _CHUNK, FrontierPath, brownian_chunks, iter_y_chunks
 
 __all__ = [
@@ -211,8 +211,7 @@ def verify_frontier_envelopes(frontier: FrontierPath, consts: SqrtConstants,
 
 def simulate_drifted_sup(c3, n_paths=20000, n_steps=2000, seed=0):
     """Sorted samples of sup over [0, 1] of (B_s + c3 sqrt(s)), discretized."""
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    _check_int(ValueError, "n_paths", n_paths, 1)
     t = np.linspace(0.0, 1.0, n_steps + 1)
     drift = c3 * np.sqrt(t)
     out = np.empty(n_paths)
@@ -285,8 +284,7 @@ def _default_t_indices(frontier: FrontierPath, n_t):
 def _y_columns(frontier: FrontierPath, n_paths, seed, t_indices):
     """Running-max samples Y at the grid columns t_indices, one row per path
     (n_paths x len(t_indices) numbers; the full paths are never kept)."""
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    _check_int(ValueError, "n_paths", n_paths, 1)
     out = np.empty((n_paths, len(t_indices)))
     for (lo, hi), y in iter_y_chunks(frontier, n_paths, seed):
         out[lo:hi] = y[:, t_indices]

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bounds import assemble_bounds_report
 from .conditions import check_averaging_condition
-from .densities import DensityError, make_density, read_numeric_rows
+from .densities import DensityError, _check_int, make_density, read_numeric_rows
 from .solver import (FrontierPath, SolverConfig, SolverConfigError,
                      physical_jump_scan, picard_minimal, simulate_particles)
 
@@ -41,9 +41,8 @@ def _default_threads():
         try:
             threads = int(env)
         except ValueError:
-            threads = 0
-        if threads < 1:
-            raise CliError(f"STEFAN_THREADS must be a positive integer, got {env!r}")
+            threads = env
+        _check_int(CliError, "STEFAN_THREADS", threads, 1)
         return threads
     return os.cpu_count() or 1
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import Density
+from .densities import Density, _check_int, _check_real
 from .numerics import golden_section_max
 
 __all__ = [
@@ -66,10 +66,7 @@ def psi_grid(d: Density, lambdas, mus, threads=1):
     out = np.empty((len(lambdas), len(mus)))
 
     def run_row(i):
-        lam = lambdas[i]
-        hi_cdf = np.asarray(d.cdf(lam * (mus + 1.0)), dtype=float)
-        lo_cdf = np.asarray(d.cdf(lam * mus), dtype=float)
-        out[i, :] = (hi_cdf - lo_cdf) / lam
+        out[i, :] = psi(d, lambdas[i], mus)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(run_row, range(len(lambdas))))
@@ -85,7 +82,7 @@ def sup_psi(d: Density, lam, xtol=1e-9):
     """
     lam = float(lam)
     mus = np.linspace(0.0, 1.0, 256)
-    vals = psi_grid(d, [lam], mus)[0]
+    vals = psi(d, lam, mus)
     j = int(np.argmax(vals))
     lo = mus[max(j - 1, 0)]
     hi = mus[min(j + 1, len(mus) - 1)]
@@ -280,9 +277,9 @@ def check_averaging_condition(d: Density, lambda0_candidate=0.01, lambda_grid=No
     are caught between grid points. The report's lambda0 is the largest grid
     lambda verified on every node below it (the candidate itself if all pass).
     """
+    _check_real(ValueError, "lambda0 candidate", lambda0_candidate)
+    _check_int(ValueError, "threads", threads, 1)
     lam0 = float(lambda0_candidate)
-    if not 0.0 < lam0 < math.inf:
-        raise ValueError(f"lambda0 candidate must be positive and finite, got {lam0}")
     if lambda_grid is None:
         lambda_grid = np.geomspace(1e-6, lam0, 200)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
@@ -295,8 +292,6 @@ def check_averaging_condition(d: Density, lambda0_candidate=0.01, lambda_grid=No
         raise ValueError("grid lambdas must be positive and finite")
     if not np.all(np.isfinite(mu_grid)):
         raise ValueError("grid mus must be finite")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
 
     values = psi_grid(d, lambda_grid, mu_grid, threads=threads)
     lam_nodes = np.repeat(lambda_grid, len(mu_grid))

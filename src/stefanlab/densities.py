@@ -54,15 +54,19 @@ class DensityError(ValueError):
 _GL_NODES, _GL_WEIGHTS = roots_legendre(8)
 
 
-def _as_fraction(v):
-    """Exact value for int/Fraction/str inputs, None for anything else."""
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
+def _as_fraction(name, v):
+    """Exact value of the field name for int/Fraction/"num/den"-string inputs,
+    v itself for other finite numbers; anything else raises DensityError."""
     if isinstance(v, str):
-        return Fraction(v)
-    return None
+        try:
+            exact = Fraction(v)
+            float(exact)  # the float band tables need it in range
+            return exact
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise DensityError(f"{name} must be a number or a 'num/den' string in "
+                               f"float range, got {v!r}") from None
+    _check_real(DensityError, name, v, positive=None)
+    return Fraction(v) if isinstance(v, (Fraction, int)) else v
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +127,8 @@ class TabulatedProfile:
     """
 
     def __init__(self, period, values, _pieces=None):
+        _check_real(DensityError, "profile period", period)
         self.period = float(period)
-        if not 0.0 < self.period < math.inf:
-            raise DensityError(f"profile period must be positive and finite, got {period!r}")
         if _pieces is None:
             values = np.asarray(values, dtype=float)
             if len(values) < 2:
@@ -192,9 +195,14 @@ def make_profile(spec):
     over one period; psi must map into [-1, 1]."""
     if spec == "sin":
         return SinusoidProfile(0.5, 0.0, 0.5)
-    if not isinstance(spec, (dict, int, float)):
-        raise DensityError(f"unrecognized profile spec: {spec!r}")
-    values = np.asarray(spec["values"] if isinstance(spec, dict) else spec, dtype=float)
+    try:
+        if isinstance(spec, dict):
+            values = _real_array("psi values", spec["values"])
+        else:
+            _check_real(DensityError, "psi", spec, positive=None)
+            values = np.asarray(spec, dtype=float)
+    except DensityError as exc:
+        raise DensityError(f"profile must map into [-1, 1]: {exc}") from None
     if not np.all(np.abs(values) <= 1.0 + 1e-9):
         raise DensityError("profile must map into [-1, 1]")
     if isinstance(spec, dict):
@@ -208,40 +216,19 @@ def make_profile(spec):
 
 
 class Density:
-    """Common interface; subclasses fill in the family-specific pieces."""
+    """Common interface of the families: pdf, cdf, sample, first_moment,
+    sup_pdf, support_upper and spec_dict.
+
+    ``sup_pdf(lo, hi)`` is (sup of the pdf on (lo, hi], argmax), exact where
+    the family allows. ``cdf_fast`` is a vectorized, monotone CDF for Monte
+    Carlo inner loops: cdf() here, a cached interpolation table in families
+    whose exact CDF is expensive.
+    """
 
     family = "abstract"
 
-    def pdf(self, x):
-        raise NotImplementedError
-
-    def cdf(self, x):
-        raise NotImplementedError
-
     def cdf_fast(self, x):
-        """Vectorized, monotone CDF for Monte Carlo inner loops.
-
-        Defaults to cdf(); families with an expensive exact CDF override this
-        with a cached interpolation table.
-        """
         return self.cdf(x)
-
-    def sample(self, u):
-        raise NotImplementedError
-
-    def first_moment(self):
-        raise NotImplementedError
-
-    def sup_pdf(self, lo, hi):
-        """(sup of pdf on (lo, hi], argmax). Exact where the family allows."""
-        raise NotImplementedError
-
-    @property
-    def support_upper(self):
-        raise NotImplementedError
-
-    def spec_dict(self):
-        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +242,9 @@ class PiecewiseGeometricDensity(Density):
     a_{2n} = p r^{n-1} a1, r = p q, accumulating at 0.
 
     The outer endpoint is fixed to a1 = 1/beta1 so the total mass is exactly 1.
-    With rational parameters all band arithmetic is exact. The float path uses
+    With int/Fraction/"num/den"-string parameters all band arithmetic is exact.
+    ``admissible`` (beta2 < 1) is set either way: the simulator accepts
+    inadmissible parameters, the bound machinery does not. The float path uses
     a band table truncated where a_{2n+1} < 1e-14 * a1, with the residual mass
     carried by a uniform sliver at level beta1 (whose mass beta1 * a_{2N+1}
     equals the exact CDF there, so normalization is preserved).
@@ -264,12 +253,10 @@ class PiecewiseGeometricDensity(Density):
     family = "piecewise"
 
     def __init__(self, alpha1, alpha2, p, q):
-        fr = [_as_fraction(v) for v in (alpha1, alpha2, p, q)]
-        self.exact = all(v is not None for v in fr)
-        if self.exact:
-            alpha1, alpha2, p, q = fr
-        else:
-            alpha1, alpha2, p, q = (float(alpha1), float(alpha2), float(p), float(q))
+        vs = [_as_fraction(name, v) for name, v in
+              (("alpha1", alpha1), ("alpha2", alpha2), ("p", p), ("q", q))]
+        self.exact = all(isinstance(v, Fraction) for v in vs)
+        alpha1, alpha2, p, q = vs if self.exact else (float(v) for v in vs)
         if not (0 < alpha1 < 1):
             raise DensityError(f"alpha1 must lie in (0, 1), got {alpha1}")
         if not (alpha2 > 1):
@@ -328,6 +315,8 @@ class PiecewiseGeometricDensity(Density):
     def _build_float_tables(self):
         alpha1, alpha2, p, r, a1 = self._band_params_float
         b1, b2 = float(self.beta1), float(self.beta2)
+        if r == 0.0:
+            raise DensityError("p q underflows; parameters too extreme for float64")
         n_bands = max(2, int(math.ceil(math.log(1e-14) / math.log(r))) + 1)
         # edges ascending: 0, a_{2N+1}, a_{2N}, a_{2N-1}, ..., a_2, a_1, level beta1
         # on the sliver below a_{2N+1}; F is beta1 a at odd edges, beta2 a at even
@@ -444,12 +433,7 @@ class PiecewiseGeometricDensity(Density):
                 "p": enc(self.p), "q": enc(self.q)}
 
 
-def make_piecewise(alpha1, alpha2, p, q):
-    """Construct the band density; int/Fraction/"num/den"-string parameters give
-    exact rational arithmetic. The admissibility flag (beta2 < 1) is set either
-    way: the simulator accepts inadmissible parameters, the bound machinery
-    does not."""
-    return PiecewiseGeometricDensity(alpha1, alpha2, p, q)
+make_piecewise = PiecewiseGeometricDensity
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +498,7 @@ class PeriodicOscillatoryDensity(Density):
     _V0_CANDIDATES = (60.0, 100.0, 160.0, 260.0, 420.0, 700.0)
 
     def __init__(self, alpha, psi="sin"):
-        if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
-                or not 0.0 < alpha < math.inf):
-            raise DensityError(f"alpha must be a finite positive number, got {alpha!r}")
+        _check_real(DensityError, "alpha", alpha)
         self.alpha = float(alpha)
         self.psi_spec = psi
         self.g = make_profile(psi)  # in [0, 1]
@@ -527,8 +509,17 @@ class PeriodicOscillatoryDensity(Density):
             if self._exp0.bound_at_v0 <= 1e-12:
                 break  # else the last candidate is the best effort; bound recorded
         self.v0 = self._exp0.v0
-        self.x0 = self.v0 ** (-1.0 / self.alpha)
+        self.x0 = float(self._x(np.float64(self.v0)))
+        if self.x0 == 0.0:
+            raise DensityError(f"alpha = {alpha} is too small: x0 = v0^(-1/alpha) underflows")
+        # the head divides by (1 + 1/alpha) - 1, which keeps 1/alpha only to a
+        # relative error near 1e-16 alpha, and the head is off by that much
+        if not abs((1.0 + 1.0 / self.alpha - 1.0) * self.alpha - 1.0) <= 1e-9:
+            raise DensityError(f"alpha = {alpha} is too large: 1 + 1/alpha - 1 loses 1/alpha")
         self._build_table()
+        if not abs(self.total_mass - 1.0) <= 1e-9:
+            raise DensityError(f"alpha = {alpha} is out of reach: the table's mass is "
+                               f"off by {self.total_mass - 1.0:.2g}")
 
     # -- the cumulative table -----------------------------------------------
 
@@ -537,6 +528,12 @@ class PeriodicOscillatoryDensity(Density):
         overflows, x = 0 included."""
         with np.errstate(divide="ignore", over="ignore"):
             return x ** (-self.alpha)
+
+    def _x(self, u):
+        """x = u^(-1/alpha), the inverse of _u, for an array or numpy scalar u;
+        +inf where that overflows, 0 where it underflows."""
+        with np.errstate(divide="ignore", over="ignore"):
+            return u ** (-1.0 / self.alpha)
 
     def _head(self, x):
         """F(x) for 0 < x <= x0 from the tail expansion; where u overflows,
@@ -560,9 +557,9 @@ class PeriodicOscillatoryDensity(Density):
         u_hi = self._u(np.float64(hi))
         us = np.arange(math.floor(u_hi / step), math.ceil(self.v0 / step) + 1) * step
         us = us[(us > u_hi) & (us < self.v0)]
-        x_cell = step ** (-1.0 / self.alpha)
+        x_cell = float(self._x(np.float64(step)))
         n_geo = math.ceil(math.log(hi / x_cell, 1.25)) + 1 if hi > x_cell else 0
-        xs = np.unique(np.concatenate([us ** (-1.0 / self.alpha), np.linspace(self.x0, hi, 2049),
+        xs = np.unique(np.concatenate([self._x(us), np.linspace(self.x0, hi, 2049),
                                        np.geomspace(x_cell, hi, n_geo)]))
         return xs[(xs >= self.x0) & (xs <= hi)]
 
@@ -684,7 +681,7 @@ class PeriodicOscillatoryDensity(Density):
         if u_lo == math.inf:  # the window lies where u overflows: every level of g
             return self.g.sup_on(0.0, math.inf)[0], hi
         s, u_star = self.g.sup_on(u_lo, u_hi)
-        x_star = u_star ** (-1.0 / self.alpha) if u_star > 0 else hi
+        x_star = float(self._x(np.float64(u_star))) if u_star > 0 else hi
         return s, x_star
 
     def spec_dict(self):
@@ -792,21 +789,19 @@ class TabulatedDensity(Density):
 
 
 def _make_tabulated(grid, values):
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 2:
+    grid, values = _real_array("grid", grid), _real_array("values", values)
+    if grid.shape != values.shape or len(grid) < 2:
         raise DensityError("tabulated density needs matching 1-d grid and values, length >= 2")
-    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
-        raise DensityError("tabulated grid and values must be finite")
+    if grid[0] < 0.0:  # first, so that np.diff cannot overflow
+        raise DensityError("tabulated grid must be nonnegative")
     if np.any(np.diff(grid) <= 0.0):
         raise DensityError("tabulated grid must be strictly increasing")
     if np.any(values < 0.0):
         raise DensityError("tabulated values must be nonnegative")
-    if grid[0] < 0.0:
-        raise DensityError("tabulated grid must be nonnegative")
-    mass = float(np.trapezoid(values, grid))
-    if mass <= 0.0:
-        raise DensityError("tabulated density has zero mass")
+    with np.errstate(over="ignore"):
+        mass = float(np.trapezoid(values, grid))
+    if not 0.0 < mass < math.inf:
+        raise DensityError(f"tabulated density has mass {mass}")
     normalized = abs(mass - 1.0) > 1e-12
     if normalized:
         values = values / mass
@@ -821,6 +816,34 @@ def uniform_density(lo, hi):
         raise DensityError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
     level = 1.0 / (hi - lo)
     return _make_tabulated([lo, hi], [level, level])
+
+
+def _check_int(error, name, value, lo, hi=None):
+    """value must be a non-bool integer in [lo, hi); raises error otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value >= hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise error(f"{name} must be {bound}, got {value}")
+
+
+def _check_real(error, name, value, positive=True):
+    """value must be a finite non-bool number: > 0 when positive, >= 0 when
+    positive is False, of either sign when it is None; raises error otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    if positive is not None and (value < 0.0 or (positive and value == 0.0)):
+        raise error(f"{name} must be {'positive' if positive else '>= 0'}, got {value}")
+
+
+def _real_array(name, values):
+    """A list, tuple or 1-d array of finite numbers as a float array."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise DensityError(f"{name} must be a list of numbers, got {values!r}")
+    for i, v in enumerate(values):
+        _check_real(DensityError, f"{name}[{i}]", v, positive=None)
+    return np.asarray(values, dtype=float)
 
 
 def _is_number(text):
@@ -873,7 +896,7 @@ def tabulated_from_csv(path):
 def _lil_envelope(x, hurst, beta):
     """beta * sqrt(x^(2H) |log|log x||), with the 0 and 1 endpoints by limit."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inner = np.abs(np.log(np.abs(np.log(x))))
         kappa = beta * np.sqrt(x ** (2.0 * hurst) * inner)
     kappa = np.where(x == 0.0, 0.0, kappa)
@@ -958,18 +981,14 @@ def build_gaussian_path(hurst, beta_lil, grid_size=513, seed=0, grid=None):
     closed form; otherwise scipy's dense factorization is used and a failure is
     reported with the offending grid spacing.
     """
-    hurst, beta_lil = float(hurst), float(beta_lil)
-    if not (0.0 < hurst < 1.0):
+    _check_real(DensityError, "hurst", hurst, positive=None)
+    if not 0.0 < hurst < 1.0:
         raise DensityError(f"hurst must lie in (0, 1), got {hurst}")
-    if not math.isfinite(beta_lil):
-        raise DensityError(f"beta_lil must be finite, got {beta_lil}")
-    for name, value, lo, hi in (("seed", seed, 0, 2**64), ("grid_size", grid_size, 2, math.inf)):
-        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                or not lo <= value < hi):
-            raise DensityError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, grid_size)
-    grid = np.asarray(grid, dtype=float)
+    _check_real(DensityError, "beta_lil", beta_lil, positive=None)
+    _check_int(DensityError, "seed", seed, 0, 2**64)
+    _check_int(DensityError, "grid_size", grid_size, 2)
+    hurst, beta_lil = float(hurst), float(beta_lil)
+    grid = np.linspace(0.0, 1.0, grid_size) if grid is None else _real_array("grid", grid)
     if grid[0] != 0.0:
         grid = np.concatenate([[0.0], grid])
     if np.any(np.diff(grid) <= 0.0) or grid[-1] > 1.0 or grid[0] < 0.0:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -30,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .densities import Density, read_numeric_rows
+from .densities import Density, _check_int, _check_real, read_numeric_rows
 
 __all__ = [
     "PicardConfig",
@@ -54,25 +53,6 @@ class SolverConfigError(ValueError):
     pass
 
 
-def _check_int(name, value, lo, hi=None):
-    """value must be a non-bool integer in [lo, hi)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise SolverConfigError(f"{name} must be an integer, got {value!r}")
-    if value < lo or (hi is not None and value >= hi):
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
-        raise SolverConfigError(f"{name} must be {bound}, got {value}")
-
-
-def _check_real(name, value, positive=True):
-    """value must be a finite non-bool number, > 0 (positive) or else >= 0."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise SolverConfigError(f"{name} must be a finite number, got {value!r}")
-    if value < 0.0 or (positive and value == 0.0):
-        raise SolverConfigError(f"{name} must be {'positive' if positive else '>= 0'}, "
-                                f"got {value}")
-
-
 @dataclass(frozen=True)
 class PicardConfig:
     n_paths: int = 10_000
@@ -80,9 +60,9 @@ class PicardConfig:
     tol: float = 1e-3
 
     def __post_init__(self):
-        _check_int("picard.n_paths", self.n_paths, 1)
-        _check_int("picard.max_iters", self.max_iters, 1)
-        _check_real("picard.tol", self.tol)
+        _check_int(SolverConfigError, "picard.n_paths", self.n_paths, 1)
+        _check_int(SolverConfigError, "picard.max_iters", self.max_iters, 1)
+        _check_real(SolverConfigError, "picard.tol", self.tol)
 
 
 @dataclass(frozen=True)
@@ -97,16 +77,16 @@ class SolverConfig:
     picard: PicardConfig = field(default_factory=PicardConfig)
 
     def __post_init__(self):
-        _check_int("n_particles", self.n_particles, 1)
-        _check_real("dt", self.dt)
-        _check_real("T", self.T)
-        _check_int("seed", self.seed, 0, 2**64)
-        _check_int("threads", self.threads, 1)
-        if not isinstance(self.bridge_correction, bool):
+        _check_int(SolverConfigError, "n_particles", self.n_particles, 1)
+        _check_real(SolverConfigError, "dt", self.dt)
+        _check_real(SolverConfigError, "T", self.T)
+        _check_int(SolverConfigError, "seed", self.seed, 0, 2**64)
+        _check_int(SolverConfigError, "threads", self.threads, 1)
+        if self.bridge_correction is not True and self.bridge_correction is not False:
             raise SolverConfigError(
                 f"bridge_correction must be true or false, got {self.bridge_correction!r}")
         if self.jump_threshold is not None:
-            _check_real("jump_threshold", self.jump_threshold, positive=False)
+            _check_real(SolverConfigError, "jump_threshold", self.jump_threshold, positive=False)
         k = round(self.T / self.dt)
         if k < 1 or abs(k * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
             raise SolverConfigError(f"dt={self.dt} does not divide T={self.T} evenly")

@@ -196,6 +196,14 @@ def test_drifted_sup_degenerate_interval_rhs_zero():
     assert np.all(np.diff(u) >= 0.0)
 
 
+@pytest.mark.parametrize("n_paths", [0, 1.5, True])
+def test_estimators_reject_a_bad_n_paths(pw_std, pw_frontier, n_paths):
+    with pytest.raises(ValueError, match="n_paths"):
+        simulate_drifted_sup(3.0, n_paths=n_paths, n_steps=10)
+    with pytest.raises(ValueError, match="n_paths"):
+        estimate_delta0(pw_frontier, pw_std, n_paths=n_paths)
+
+
 def test_prob_in_G_reflection_identity(pw_std):
     # with a zero frontier, P(Y_t >= a2) = P(|N| >= a2 / sqrt(t)); pick t so the
     # ratio is 1 and compare to the two-sided normal tail 0.3173

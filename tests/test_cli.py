@@ -218,7 +218,7 @@ def test_env_threads_parsing(workdir, monkeypatch, capsys):
     assert "STEFAN_THREADS" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("value", ["0", "-2", "1.5"])
 def test_env_threads_must_be_positive(workdir, monkeypatch, capsys, value):
     monkeypatch.setenv("STEFAN_THREADS", value)
     assert main(["simulate", "--config", "cfg.json", "--density", "pw.json"]) == 1
@@ -341,6 +341,7 @@ def test_bounds_rejects_a_non_numeric_frontier_column(workdir, capsys):
 
 @pytest.mark.parametrize("fields, name", [
     ({"bridge_correction": "false"}, "bridge_correction"),
+    ({"bridge_correction": 1}, "bridge_correction"),
     ({"picard": {"tol": math.inf}}, "picard.tol"),
     ({"T": math.inf}, "T"),
     ({"seed": 1.5}, "seed"),
@@ -364,6 +365,19 @@ def test_solve_rejects_a_bad_config_field(workdir, capsys, fields, name, command
     {"family": "gaussian_path", "hurst": 0.5, "beta_lil": 1.4, "grid_size": 65, "seed": -1},
     {"family": "periodic", "alpha": math.nan},
     {"family": "periodic", "alpha": math.inf},
+    {"family": "periodic", "alpha": 1.0, "psi": True},
+    {"family": "periodic", "alpha": 1.0, "psi": {"period": "6", "values": [0.0, 0.5]}},
+    {"family": "periodic", "alpha": 0.001},
+    {"family": "periodic", "alpha": 0.005},
+    {"family": "periodic", "alpha": 0.01},
+    {"family": "periodic", "alpha": 1e5},
+    {"family": "piecewise", "alpha1": "1/2", "alpha2": "21/20", "p": "1/2", "q": [1]},
+    {"family": "piecewise", "alpha1": "1/2", "alpha2": "21/20", "p": "1/2", "q": "x"},
+    {"family": "piecewise", "alpha1": "1/2", "alpha2": "21/20", "p": "1/2", "q": "1/0"},
+    {"family": "gaussian_path", "hurst": "0.5", "beta_lil": 1.4, "grid_size": 65},
+    {"family": "gaussian_path", "hurst": 0.5, "beta_lil": True, "grid_size": 65},
+    {"family": "tabulated", "grid": ["0", "1"], "values": [1.0, 1.0]},
+    {"family": "tabulated", "grid": [0.0, 1.0], "values": [True, True]},
 ])
 def test_check_rejects_a_non_finite_density_spec(workdir, capsys, spec):
     (workdir / "d.json").write_text(json.dumps(spec))

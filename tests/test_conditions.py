@@ -203,6 +203,8 @@ def test_averaging_linear_density_passes():
     ({"lambda_grid": []}, "empty"),
     ({"mu_grid": []}, "empty"),
     ({"threads": 0}, "threads"),
+    ({"threads": 1.5}, "threads"),
+    ({"lambda0_candidate": True}, "lambda0"),
 ])
 def test_averaging_rejects_bad_inputs(sine_density, kwargs, match):
     kwargs = {"lambda0_candidate": 0.01, **kwargs}

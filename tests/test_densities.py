@@ -140,6 +140,9 @@ def test_piecewise_float_mode():
     assert not d.exact
     assert float(d.beta1) == pytest.approx(41.0 / 60.0)
     assert d.cdf(0.3) == pytest.approx(float(make_piecewise("1/2", "21/20", "1/2", "1/2").cdf(F(3, 10))))
+    # one float parameter puts the "num/den" strings on the float path too
+    mixed = make_piecewise(0.5, "21/20", "1/2", "1/2")
+    assert not mixed.exact and mixed.cdf(0.3) == d.cdf(0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +564,65 @@ def test_make_density_errors():
      "into"),
     ({"family": "periodic", "alpha": 1.0, "psi": {"period": math.inf, "values": [0.0, 0.5]}},
      "period"),
+    ({"family": "periodic", "alpha": 1.0, "psi": {"period": "6", "values": [0.0, 0.5]}},
+     "period"),
+    ({"family": "periodic", "alpha": 1.0, "psi": True}, "psi"),
+    ({"family": "periodic", "alpha": 1.0, "psi": {"period": 1.0, "values": [0.0, False]}},
+     "psi values"),
+    ({"family": "periodic", "alpha": 0.001}, "alpha"),
+    ({"family": "periodic", "alpha": 0.005}, "alpha"),
+    ({"family": "periodic", "alpha": 0.01}, "alpha"),
+    ({"family": "periodic", "alpha": 1e5}, "alpha"),
+    ({"family": "periodic", "alpha": 1e16}, "alpha"),
+    ({"family": "piecewise", "alpha1": "1/2", "alpha2": "21/20", "p": "1/2", "q": [1]}, "q"),
+    ({"family": "piecewise", "alpha1": "1/2", "alpha2": "21/20", "p": "1/2", "q": "x"}, "q"),
+    ({"family": "piecewise", "alpha1": "1/2", "alpha2": "21/20", "p": "1/2", "q": "1/0"}, "q"),
+    ({"family": "piecewise", "alpha1": "1/2", "alpha2": "1e400", "p": "1/2", "q": "1/2"},
+     "alpha2"),
+    ({"family": "piecewise", "alpha1": True, "alpha2": "21/20", "p": "1/2", "q": "1/2"},
+     "alpha1"),
+    ({"family": "piecewise", "alpha1": 0.5, "alpha2": 1.05, "p": 5e-324, "q": 0.5}, "p q"),
+    ({"family": "gaussian_path", "hurst": "0.5", "beta_lil": 1.4}, "hurst"),
+    ({"family": "gaussian_path", "hurst": 0.5, "beta_lil": True}, "beta_lil"),
+    ({"family": "gaussian_path", "hurst": 0.5, "beta_lil": 1.4, "seed": True}, "seed"),
+    ({"family": "tabulated", "grid": ["0", "1"], "values": [1.0, 1.0]}, "grid"),
+    ({"family": "tabulated", "grid": 2.0, "values": [1.0, 1.0]}, "grid"),
+    ({"family": "tabulated", "grid": [0.0, 1.0], "values": [True, True]}, "values"),
+    ({"family": "tabulated", "grid": [0.0, 1.0, 2.0], "values": [1e308, 1e308, 1e308]}, "mass"),
 ])
 def test_make_density_rejects_non_finite_or_non_integer_fields(spec, match):
     with pytest.raises(DensityError, match=match):
         make_density(spec)
+
+
+#: one valid spec per family variant, each cheap to build
+VALID_SPECS = [
+    {"family": "piecewise", "alpha1": "1/2", "alpha2": "21/20", "p": "1/2", "q": "1/2"},
+    {"family": "piecewise", "alpha1": 0.5, "alpha2": 1.05, "p": 0.5, "q": 0.5},
+    {"family": "periodic", "alpha": 1.0, "psi": "sin"},
+    {"family": "periodic", "alpha": 2, "psi": {"period": 6.0, "values": [0.0, -1.0, -1.0, 0.5]}},
+    {"family": "gaussian_path", "hurst": 0.5, "beta_lil": 1.4, "grid_size": 65, "seed": 3},
+    {"family": "gaussian_path", "hurst": 0.7, "beta_lil": 1.4, "grid_size": 33, "seed": 3},
+    {"family": "tabulated", "grid": [0.0, 1.0, 2.0], "values": [0.5, 0.5, 0.5]},
+]
+#: any JSON value; integers stay <= 65, so a grid_size allocates little
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(max_value=65) | st.floats() | st.text(max_size=6)
+    | st.sampled_from([5e-324, 1e-308, 1e-300, 1e300, 1e308, 1.7976931348623157e308, -1e308]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(VALID_SPECS).flatmap(
+    lambda spec: st.tuples(st.just(spec), st.sampled_from(sorted(spec)), _JSON_VALUES)))
+def test_any_one_field_replaced_gives_a_density_or_a_density_error(case):
+    spec, name, value = case
+    try:
+        make_density({**spec, name: value})
+    except DensityError:
+        pass
 
 
 @pytest.mark.parametrize("spec, field", [

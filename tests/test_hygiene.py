@@ -1,6 +1,7 @@
 """Static hygiene of the package source, read with ``ast`` only: every import
-is used, every ``__all__`` entry names something the module defines, and every
-def and class is referenced somewhere in the repository's code."""
+is used, every ``__all__`` entry names something the module defines, every
+def and class is referenced somewhere in the repository's code, and numbers
+from outside are type-checked only by the two checkers in ``densities``."""
 import ast
 from pathlib import Path
 
@@ -13,6 +14,8 @@ MODULES = sorted(SRC.glob("*.py"))
 CODE_DIRS = ("src", "tests", "demos", "benchmarks")
 #: definitions only called from outside the repository: argparse calls ``error``
 CALLED_FROM_OUTSIDE = {"_Parser.error"}
+#: the only functions that may test a value against ``numbers`` types or bool
+NUMBER_CHECKERS = {"_check_int", "_check_real"}
 
 
 def _tree(path):
@@ -105,3 +108,34 @@ def test_every_definition_is_referenced():
               if not (name.startswith("__") and name.endswith("__"))
               and qual not in CALLED_FROM_OUTSIDE and name not in used]
     assert not unused, f"definitions nothing references: {unused}"
+
+
+def _is_number_type_test(node):
+    """A use of the ``numbers`` module or an ``isinstance(..., bool)`` call."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id == "numbers"
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "numbers"
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        types = node.args[1]
+        types = types.elts if isinstance(types, ast.Tuple) else [types]
+        return any(isinstance(t, ast.Name) and t.id == "bool" for t in types)
+    return False
+
+
+def _number_type_tests(node, in_checker=False):
+    """Line of every number type test under node outside NUMBER_CHECKERS."""
+    for child in ast.iter_child_nodes(node):
+        inside = in_checker or (isinstance(child, ast.FunctionDef)
+                                and child.name in NUMBER_CHECKERS)
+        if not inside and _is_number_type_test(child):
+            yield child.lineno
+        yield from _number_type_tests(child, inside)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_numbers_are_type_checked_only_by_the_checkers(path):
+    lines = sorted(set(_number_type_tests(_tree(path))))
+    assert not lines, (f"{path.name}: number type tests outside {sorted(NUMBER_CHECKERS)} "
+                       f"at lines {lines}; call the checkers instead")
