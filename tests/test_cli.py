@@ -341,7 +341,6 @@ def test_bounds_rejects_a_non_numeric_frontier_column(workdir, capsys):
 
 @pytest.mark.parametrize("fields, name", [
     ({"bridge_correction": "false"}, "bridge_correction"),
-    ({"bridge_correction": 1}, "bridge_correction"),
     ({"picard": {"tol": math.inf}}, "picard.tol"),
     ({"T": math.inf}, "T"),
     ({"seed": 1.5}, "seed"),
@@ -349,6 +348,7 @@ def test_bounds_rejects_a_non_numeric_frontier_column(workdir, capsys):
     ({"n_particles": 1.5}, "n_particles"),
     ({"threads": 0}, "threads"),
     ({"jump_threshold": -1}, "jump_threshold"),
+    ({"bridge_correction": 1}, "bridge_correction"),
 ])
 @pytest.mark.parametrize("command", ["simulate", "picard"])
 def test_solve_rejects_a_bad_config_field(workdir, capsys, fields, name, command):
