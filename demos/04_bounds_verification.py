@@ -3,28 +3,21 @@ frontier inequality against simulation.
 
 Run: python demos/04_bounds_verification.py
 """
-from fractions import Fraction as F
-
 from stefanlab import make_piecewise
-from stefanlab.bounds import (
-    assemble_bounds_report,
-    bruteforce_sup_ratio,
-    compute_L,
-)
+from stefanlab.bounds import assemble_bounds_report, compute_L
 from stefanlab.solver import PicardConfig, SolverConfig, picard_minimal
 
 pw = make_piecewise("1/2", "21/20", "1/2", "1/2")
 
-# --- the good-set slope bound, exactly and by brute force ---------------------
+# --- the good-set slope bound and the pair that attains it --------------------
 sb = compute_L(pw)
 print(f"good-set slope bound: rho = {sb.rho}, L = {sb.L} "
       f"(= {float(sb.L)}), contraction: {sb.lt_one}")
-v = bruteforce_sup_ratio(pw, n_y=1000, n_h=1000)
-print(f"brute-force sup of difference quotients over the good set: {v:.6f}")
 witness_y = sb.rho * pw.odd_endpoint(2)
 witness_h = pw.even_endpoint(1) - witness_y
 q = (pw.cdf(witness_y + witness_h) - pw.cdf(witness_y)) / witness_h
-print(f"the witness pair attains it exactly: quotient = {q} == L: {q == sb.L}")
+print(f"the witness pair y = {witness_y}, h = {witness_h} attains it exactly: "
+      f"quotient = {q} == L: {q == sb.L}")
 
 # --- a minimal-solution frontier to verify against -----------------------------
 cfg = SolverConfig(n_particles=10, dt=0.0005, T=0.25, seed=11,

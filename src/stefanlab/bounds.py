@@ -11,7 +11,7 @@ the direction that certifies the inequality; nothing is averaged across checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import erfc
@@ -29,7 +29,6 @@ __all__ = [
     "Delta0Report",
     "BoundsReport",
     "compute_L",
-    "bruteforce_sup_ratio",
     "compute_sqrt_constants",
     "estimate_beta_slope",
     "verify_frontier_envelopes",
@@ -39,11 +38,6 @@ __all__ = [
     "estimate_delta0",
     "early_increment_check",
 ]
-
-
-def _normal_tail_two_sided(a):
-    """P(|N| >= a) for a standard normal."""
-    return float(erfc(a / math.sqrt(2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -64,32 +58,6 @@ def compute_L(d: PiecewiseGeometricDensity):
     rho = (1 + d.p) / 2
     L = ((1 - d.q) * d.alpha2 + d.q * (1 - rho) * d.alpha1) / (1 - d.q * rho)
     return SlopeBound(rho=rho, L=L, lt_one=L < 1)
-
-
-def bruteforce_sup_ratio(d: PiecewiseGeometricDensity, n_y=1000, n_h=1000):
-    """Brute-force sup of (F(y+h) - F(y)) / h over y in the good set, h > 0,
-    y + h <= a1. Grids cover the bands [a_{2n+2}, rho a_{2n+1}] (n <= 12)
-    and [a_2, a1]; the value approaches L from below as the grids refine."""
-    sb = compute_L(d)
-    rho = float(sb.rho)
-    a1 = float(d.a1)
-    bands, (tail_lo, _) = d.good_set_bands(rho, n_max=12)
-    pieces = bands + [(tail_lo, a1)]
-    lengths = np.asarray([hi - lo for lo, hi in pieces])
-    counts = np.maximum((n_y * lengths / lengths.sum()).astype(int), 8)
-    ys = np.concatenate([np.linspace(lo, hi, c) for (lo, hi), c in zip(pieces, counts)])
-    hs = np.geomspace(1e-4 * a1, a1, n_h)
-    Fy = np.asarray(d.cdf(ys))
-    best = 0.0
-    for h in hs:
-        ok = ys + h <= a1
-        if not np.any(ok):
-            continue
-        q = (np.asarray(d.cdf(ys[ok] + h)) - Fy[ok]) / h
-        m = float(np.max(q))
-        if m > best:
-            best = m
-    return best
 
 
 @dataclass(frozen=True)
@@ -157,15 +125,7 @@ class EnvelopeMargins:
         return min(self.sqrt_lower_margin, self.sqrt_upper_margin)
 
     def to_dict(self):
-        return {
-            "sqrt_lower_margin": self.sqrt_lower_margin,
-            "sqrt_upper_margin": self.sqrt_upper_margin,
-            "sqrt_margin": self.sqrt_margin,
-            "holder_margin": self.holder_margin,
-            "chi_bar_margin": self.chi_bar_margin,
-            "chi_bar_coverage": self.chi_bar_coverage,
-            "max_se": self.max_se,
-        }
+        return {**asdict(self), "sqrt_margin": self.sqrt_margin}
 
 
 def verify_frontier_envelopes(frontier: FrontierPath, consts: SqrtConstants,
@@ -181,10 +141,9 @@ def verify_frontier_envelopes(frontier: FrontierPath, consts: SqrtConstants,
     sqrt_lower = float(np.min(lam[pos] - consts.c1 * sq))
     sqrt_upper = float(np.min(consts.c2 * sq - lam[pos]))
 
-    dl = lam[None, :] - lam[:, None]
-    dtm = t[None, :] - t[:, None]
-    iu = np.triu_indices(len(t), k=1)
-    holder = float(np.min(consts.c3 * np.sqrt(dtm[iu]) - dl[iu]))
+    # every pair t_i < t_{i+k}, one lag k at a time
+    holder = float(np.min([np.min(consts.c3 * np.sqrt(t[k:] - t[:-k]) - (lam[k:] - lam[:-k]))
+                           for k in range(1, len(t))]))
 
     chi_margin = None
     coverage = 0.0
@@ -319,7 +278,7 @@ def _prob_in_G(frontier, d, t_indices, cols, u_samples, n_bands):
     a_vals, b_vals, rhs, rhs_se = [], [], [], []
     for t in tv:
         a, b = _lemma_interval(d, rho, float(t))
-        pn = _normal_tail_two_sided(a)
+        pn = float(erfc(a / math.sqrt(2.0)))  # P(|N| >= a)
         pu = 1.0 if math.isinf(b) else prob_drifted_sup_below(u_samples, b - a)
         rhs.append(pn * pu)
         pu_se = 0.0 if math.isinf(b) else math.sqrt(max(pu * (1.0 - pu), 0.0) / len(u_samples))
@@ -436,26 +395,13 @@ class BoundsReport:
     n_mc: int
 
     def to_json_dict(self):
-        out = {
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "admissible_4_4": self.admissible,
-            "rho": self.rho,
-            "L": self.L,
-            "L_lt_one": self.L_lt_one,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "beta_slope": self.beta_slope,
-            "delta0_hat": self.delta0_hat,
-            "delta0_se": self.delta0_se,
-            "early_increment_margin": self.early_increment_margin,
-            "probG_margin": self.prob_g.probG_margin,
-            "n_mc": self.n_mc,
-            "prob_in_G": self.prob_g.to_dict(),
-        }
-        out.update(self.margins.to_dict())
-        return out
+        """The scalar fields (admissible as admissible_4_4), the occupation
+        report, and the envelope margins flattened in."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("admissible", "margins", "prob_g")}
+        return {**out, "admissible_4_4": self.admissible,
+                "probG_margin": self.prob_g.probG_margin,
+                "prob_in_G": self.prob_g.to_dict(), **self.margins.to_dict()}
 
     @property
     def worst_margin(self):

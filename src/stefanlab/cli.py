@@ -47,12 +47,9 @@ def _default_threads():
     return os.cpu_count() or 1
 
 
-def _load_json(path, what):
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"{what} file not found: {path}")
+def _load_json(path):
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc.msg} (line {exc.lineno})")
 
@@ -62,12 +59,12 @@ def _read_inputs(args):
     "density" field is popped from its fields, and --density overrides it."""
     raw = {}
     if getattr(args, "config", None):
-        raw = _load_json(args.config, "config")
+        raw = _load_json(args.config)
         if not isinstance(raw, dict):
             raise CliError(f"config {args.config} must be a JSON object")
     spec = raw.pop("density", None)
     if args.density:
-        spec = _load_json(args.density, "density")
+        spec = _load_json(args.density)
     if spec is None:
         raise CliError("no density given: pass --density FILE or a 'density' config field")
     try:
@@ -154,8 +151,6 @@ def _cmd_bounds(args):
     if getattr(density, "family", "") != "piecewise":
         raise CliError("bounds requires a piecewise density (field 'family')")
     if args.frontier:
-        if not Path(args.frontier).exists():
-            raise CliError(f"frontier file not found: {args.frontier}")
         frontier = FrontierPath.read_csv(args.frontier)
     else:
         frontier = _solve(density, cfg, args.solver)[0]
@@ -186,10 +181,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_jump(args):
-    p = Path(args.positions)
-    if not p.exists():
-        raise CliError(f"positions file not found: {args.positions}")
-    values = [v for _, nums in read_numeric_rows(p, r"[,\s;]+") for v in nums]
+    values = [v for _, nums in read_numeric_rows(args.positions, r"[,\s;]+") for v in nums]
     if not values:
         raise CliError(f"no numeric positions found in {args.positions}")
     n = args.n if args.n is not None else len(values)
@@ -326,6 +318,9 @@ def main(argv=None):
         return args.fn(args)
     except (CliError, DensityError, SolverConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except OSError as exc:  # a path that cannot be read or written
+        sys.stderr.write(f"error: {exc.filename}: {exc.strerror}\n")
         return 1
 
 

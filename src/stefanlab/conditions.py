@@ -237,16 +237,14 @@ class ConditionReport:
 def _fit_envelope(s_nodes, psi_nodes):
     """Left-constant nondecreasing fit: bucket worst psi per log-spaced s-bin,
     d = 1 - worst, then run the minimum from the right so g is nondecreasing.
-
-    Returns (envelope or None, raw margin = min of the fitted values before
-    clipping at 0)."""
+    Nodes with s <= 0 are dropped; None when no node is left."""
     n_bins = 256
     s_nodes = np.asarray(s_nodes, dtype=float)
     psi_nodes = np.asarray(psi_nodes, dtype=float)
     keep = s_nodes > 0.0
     s_nodes, psi_nodes = s_nodes[keep], psi_nodes[keep]
     if len(s_nodes) == 0:
-        return None, -math.inf
+        return None
     lo, hi = float(np.min(s_nodes)), float(np.max(s_nodes))
     if hi <= lo:
         hi = lo * (1.0 + 1e-9) + 1e-300
@@ -260,11 +258,9 @@ def _fit_envelope(s_nodes, psi_nodes):
     fitted = np.minimum.accumulate(dvals[::-1])[::-1]
     filled = np.isfinite(fitted)
     if not np.any(filled):
-        return None, -math.inf
-    raw_margin = float(np.min(fitted[filled]))
-    g = np.clip(np.where(filled, fitted, np.max(fitted[filled])), 0.0, None)
-    env = EnvelopeFunction(s_grid=edges[:-1][filled], g_values=g[filled])
-    return env, raw_margin
+        return None
+    return EnvelopeFunction(s_grid=edges[:-1][filled],
+                            g_values=np.clip(fitted[filled], 0.0, None))
 
 
 def check_averaging_condition(d: Density, lambda0_candidate=0.01, lambda_grid=None,
@@ -294,36 +290,23 @@ def check_averaging_condition(d: Density, lambda0_candidate=0.01, lambda_grid=No
         raise ValueError("grid mus must be finite")
 
     values = psi_grid(d, lambda_grid, mu_grid, threads=threads)
-    lam_nodes = np.repeat(lambda_grid, len(mu_grid))
-    mu_nodes = np.tile(mu_grid, len(lambda_grid))
-    psi_nodes = values.ravel()
-
-    probes = getattr(d, "hard_window_probes", None)
-    if probes is not None:
-        extra = [(lam, mu) for lam, mu in probes() if 0.0 < lam <= lam0]
-        if extra:
-            ex_l = np.asarray([e[0] for e in extra])
-            ex_m = np.asarray([e[1] for e in extra])
-            ex_p = np.asarray([psi(d, l, m) for l, m in extra], dtype=float)
-            lam_nodes = np.concatenate([lam_nodes, ex_l])
-            mu_nodes = np.concatenate([mu_nodes, ex_m])
-            psi_nodes = np.concatenate([psi_nodes, ex_p])
+    probes = getattr(d, "hard_window_probes", list)()
+    extra = [(lam, mu) for lam, mu in probes if 0.0 < lam <= lam0]
+    lam_nodes = np.concatenate([np.repeat(lambda_grid, len(mu_grid)), [e[0] for e in extra]])
+    mu_nodes = np.concatenate([np.tile(mu_grid, len(lambda_grid)), [e[1] for e in extra]])
+    psi_nodes = np.concatenate([values.ravel(), [psi(d, lam, mu) for lam, mu in extra]])
 
     bad = psi_nodes > 1.0 - _VIOLATION_SLACK
-    if np.any(bad):
-        lam_bad_min = float(np.min(lam_nodes[bad]))
-        below = lambda_grid[lambda_grid < lam_bad_min]
+    violated = bool(np.any(bad))
+    if violated:
+        below = lambda_grid[lambda_grid < np.min(lam_nodes[bad])]
         lambda0 = float(below[-1]) if len(below) else 0.0
+        fit = lam_nodes <= lambda0
     else:
-        lambda0 = lam0
-
-    fit_mask = lam_nodes <= lambda0 if np.any(bad) else np.ones(len(lam_nodes), dtype=bool)
-    env, raw_margin = _fit_envelope(lam_nodes[fit_mask] * (mu_nodes[fit_mask] + 1.0),
-                                    psi_nodes[fit_mask])
-    if np.any(bad):
-        # the informative failure margin is taken over every evaluated node
-        raw_margin = float(1.0 - np.max(psi_nodes))
-    holds_1_7 = (not np.any(bad)) and raw_margin > 0.0
+        lambda0, fit = lam0, slice(None)
+    env = _fit_envelope(lam_nodes[fit] * (mu_nodes[fit] + 1.0), psi_nodes[fit])
+    # 1 - max psi over every node; -inf when no node has s = lambda (mu+1) > 0
+    margin_1_7 = float(1.0 - np.max(psi_nodes)) if violated or env is not None else -math.inf
 
     order = np.argsort(psi_nodes)[::-1][:64]
     worst = [(float(lam_nodes[i]), float(mu_nodes[i]), float(psi_nodes[i])) for i in order]
@@ -337,10 +320,10 @@ def check_averaging_condition(d: Density, lambda0_candidate=0.01, lambda_grid=No
         g_envelope=env,
         holds_1_5=pw.holds,
         holds_1_6=mo.f_le_1 and math.isfinite(mo.first_moment),
-        holds_1_7=bool(holds_1_7),
+        holds_1_7=not violated and env is not None,
         margin_1_5=float(min(m for _, _, m in pw.windows)),
         margin_1_6=float(1.0 - mo.max_pdf),
-        margin_1_7=float(raw_margin),
+        margin_1_7=margin_1_7,
         lambda0=lambda0,
         worst_psi=worst,
         pointwise=pw,

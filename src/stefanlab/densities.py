@@ -616,8 +616,9 @@ class PeriodicOscillatoryDensity(Density):
     def cdf(self, x):
         """Precise CDF: expansion below x0; above it the table value at the
         node below x plus the cell rule from that node to x."""
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        shape = x.shape
+        x = x.ravel()
         out = np.full_like(x, np.nan)
         out[x <= 0.0] = 0.0
         out[x >= self.a] = 1.0
@@ -631,8 +632,8 @@ class PeriodicOscillatoryDensity(Density):
             b = him[start:start + 4096]
             i = np.searchsorted(self._xs, x[b], side="right") - 1
             out[b] = self._Fs[i] + self._cell_integral(self._xs[i], x[b])
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if scalar else out
+        out = np.clip(out, 0.0, 1.0).reshape(shape)
+        return out if shape else float(out)
 
     def cdf_fast(self, x):
         x = np.asarray(x, dtype=float)
@@ -950,7 +951,8 @@ class GaussianPathDensity(TabulatedDensity):
         u = np.asarray(u, dtype=float)
         if self.tail_mass > 0.0:
             def tail(ut):
-                return 1.0 - np.log1p(-np.minimum((ut - self.mass01) / self.tail_mass, 1.0))
+                with np.errstate(divide="ignore"):  # u = 1 is the tail's quantile +inf
+                    return 1.0 - np.log1p(-np.minimum((ut - self.mass01) / self.tail_mass, 1.0))
         else:
             def tail(ut):
                 return 1.0
@@ -1058,6 +1060,8 @@ def make_density(spec):
                                        grid_size=spec.get("grid_size", 513),
                                        seed=spec.get("seed", 0))
         if "csv" in spec:
+            if not isinstance(spec["csv"], str):
+                raise DensityError(f"csv must be a path string, got {spec['csv']!r}")
             return tabulated_from_csv(spec["csv"])
         return _make_tabulated(spec["grid"], spec["values"])
     except KeyError as exc:

@@ -12,8 +12,11 @@ for the production loop. ``picard_minimal_negb``, ``compute_Y_samples_negb``
 and ``simulate_drifted_sup_concat`` keep the three Brownian-path loops that
 drew -B (or B) chunk by chunk before the shared ``brownian_chunks`` generator,
 as its bit-identity referees. ``physical_jump_bruteforce`` decides the cascade
-size in exact rational arithmetic. ``tabulated_profile_mass`` integrates the
-periodic density of a tabulated profile between the profile's breaks.
+size in exact rational arithmetic. ``bruteforce_sup_ratio`` grids the
+difference quotients of the band density's CDF over its good set, which
+approach the closed-form slope bound L from below. ``tabulated_profile_mass``
+integrates the periodic density of a tabulated profile between the profile's
+breaks.
 ``g_tilde_inverse_bisect`` inverts s g(s) by bisection, as ``g_tilde_inverse``
 did before its closed form.
 
@@ -28,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from stefanlab import rng
+from stefanlab.bounds import compute_L
 from stefanlab.numerics import bisect_nondecreasing
 from stefanlab.solver import (FrontierPath, ParticleEnsemble, PicardResult, _scan_sorted,
                               initial_jump_stratified, iter_y_chunks)
@@ -279,6 +283,27 @@ def physical_jump_bruteforce(values, n):
 
 
 _CHUNK = 8192
+
+
+def bruteforce_sup_ratio(d, n_y=1000, n_h=1000):
+    """Brute-force sup of (F(y+h) - F(y)) / h over y in the good set, h > 0,
+    y + h <= a1. Grids cover the bands [a_{2n+2}, rho a_{2n+1}] (n <= 12)
+    and [a_2, a1]; the value approaches L from below as the grids refine."""
+    rho = float(compute_L(d).rho)
+    a1 = float(d.a1)
+    bands, (tail_lo, _) = d.good_set_bands(rho, n_max=12)
+    pieces = bands + [(tail_lo, a1)]
+    lengths = np.asarray([hi - lo for lo, hi in pieces])
+    counts = np.maximum((n_y * lengths / lengths.sum()).astype(int), 8)
+    ys = np.concatenate([np.linspace(lo, hi, c) for (lo, hi), c in zip(pieces, counts)])
+    hs = np.geomspace(1e-4 * a1, a1, n_h)
+    Fy = np.asarray(d.cdf(ys))
+    best = 0.0
+    for h in hs:
+        ok = ys + h <= a1
+        if np.any(ok):
+            best = max(best, float(np.max((np.asarray(d.cdf(ys[ok] + h)) - Fy[ok]) / h)))
+    return best
 
 
 def picard_minimal_negb(density, cfg, keep_iterates=False):

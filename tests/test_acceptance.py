@@ -11,10 +11,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from _oracles import physical_jump_bruteforce
+from _oracles import bruteforce_sup_ratio, physical_jump_bruteforce
 from stefanlab import make_piecewise, uniform_density
 from stefanlab.bounds import (
-    bruteforce_sup_ratio,
     compute_L,
     compute_sqrt_constants,
     estimate_delta0,

@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from _oracles import bruteforce_sup_ratio
 from stefanlab import make_density, make_piecewise, uniform_density
 from stefanlab.bounds import (
     assemble_bounds_report,
-    bruteforce_sup_ratio,
     compute_L,
     compute_sqrt_constants,
     early_increment_check,
@@ -154,6 +155,28 @@ def test_envelopes_on_minimal_frontier(pw_std, pw_frontier):
     assert m.sqrt_upper_margin >= -3.0 * m.max_se
     assert m.holder_margin >= -3.0 * m.max_se
     assert m.chi_bar_margin is None
+
+
+def test_holder_margin_is_the_min_over_all_pairs(pw_std, pw_frontier):
+    consts = compute_sqrt_constants(pw_std, 0.5)
+    t, lam = pw_frontier.t, pw_frontier.lam
+    i, j = np.triu_indices(len(t), k=1)
+    pairs = float(np.min(consts.c3 * np.sqrt(t[j] - t[i]) - (lam[j] - lam[i])))
+    assert verify_frontier_envelopes(pw_frontier, consts, n_mc=20_000).holder_margin == pairs
+
+
+def test_envelope_margins_run_in_linear_memory(pw_std):
+    # all (K+1)^2 pairs held at once would peak near 512 MB at K = 4000
+    t = np.linspace(0.0, 1.0, 4001)
+    fr = FrontierPath(t=t, lam=0.5 * np.sqrt(t))
+    consts = compute_sqrt_constants(pw_std, 0.5)
+    tracemalloc.start()
+    try:
+        verify_frontier_envelopes(fr, consts, n_mc=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 def test_envelopes_flag_flat_frontier(pw_std):

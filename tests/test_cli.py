@@ -134,6 +134,13 @@ def test_bounds_roundtrip_bit_identical(workdir):
     rep = json.loads((workdir / "b1.json").read_text())
     assert rep["L"] == pytest.approx(0.94)
     assert rep["admissible_4_4"] is True
+    assert set(rep) == {"beta1", "beta2", "admissible_4_4", "rho", "L", "L_lt_one", "c1", "c2",
+                        "c3", "beta_slope", "delta0_hat", "delta0_se", "early_increment_margin",
+                        "probG_margin", "n_mc", "prob_in_G", "sqrt_lower_margin",
+                        "sqrt_upper_margin", "sqrt_margin", "holder_margin", "chi_bar_margin",
+                        "chi_bar_coverage", "max_se"}
+    assert set(rep["prob_in_G"]) == {"t", "lhs", "lhs_se", "rhs", "a", "b", "threshold",
+                                     "probG_margin", "threshold_margin", "threshold_pass"}
 
 
 def test_bounds_emit_csv(workdir):
@@ -378,6 +385,7 @@ def test_solve_rejects_a_bad_config_field(workdir, capsys, fields, name, command
     {"family": "gaussian_path", "hurst": 0.5, "beta_lil": True, "grid_size": 65},
     {"family": "tabulated", "grid": ["0", "1"], "values": [1.0, 1.0]},
     {"family": "tabulated", "grid": [0.0, 1.0], "values": [True, True]},
+    {"family": "tabulated", "csv": 0},
 ])
 def test_check_rejects_a_non_finite_density_spec(workdir, capsys, spec):
     (workdir / "d.json").write_text(json.dumps(spec))
@@ -402,3 +410,22 @@ def test_averaging_inputs_rejected(workdir, capsys, argv):
     assert main(argv + ["--out", "rep.json"]) == 1
     _one_line_error(capsys)
     assert not (workdir / "rep.json").exists()
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["simulate", "--config", "cfg.json", "--density", "pw.json", "--out", "nodir/f.csv"],
+     "nodir/f.csv"),
+    (["check", "--density", "pw.json", "--n-lambda", "10", "--n-mu", "11",
+      "--out", "nodir/rep.json"], "nodir/rep.json"),
+    (["sweep", "--config", "cfg.json", "--density", "pw.json", "--param", "seed=1",
+      "--out-dir", "pw.json/sw"], "pw.json/sw"),
+    (["simulate", "--config", "adir", "--density", "pw.json"], "adir"),
+    (["bounds", "--config", "cfg.json", "--density", "pw.json", "--frontier", "adir",
+      "--n-paths", "2000"], "adir"),
+    (["check", "--density", "csv.json", "--n-lambda", "10", "--n-mu", "11"], "missing.csv"),
+])
+def test_an_unusable_path_exits_1_naming_it(workdir, capsys, argv, path):
+    (workdir / "adir").mkdir()
+    (workdir / "csv.json").write_text(json.dumps({"family": "tabulated", "csv": "missing.csv"}))
+    assert main(argv + ["--threads", "1"]) == 1
+    assert path in _one_line_error(capsys)

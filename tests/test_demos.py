@@ -7,7 +7,8 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize("name", ["01_density_families.py", "02_condition_checks.py"])
+@pytest.mark.parametrize("name", ["01_density_families.py", "02_condition_checks.py",
+                                  "04_bounds_verification.py"])
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out.strip()

@@ -734,3 +734,22 @@ def test_cdf_fast_nondecreasing(cdf_families, family, xs):
     d = cdf_families[family]
     F = np.asarray(d.cdf_fast(np.sort(np.asarray(xs))))
     assert np.all(np.diff(F) >= 0.0)
+
+
+@pytest.mark.parametrize("family", ["band_exact", "band_float", "periodic_sine",
+                                    "gaussian_path", "tabulated"])
+@settings(max_examples=40, deadline=None)
+@given(xs=st.lists(st.one_of(st.floats(-1.0, 4.0), st.floats(0.0, 1e-6)),
+                   min_size=6, max_size=6),
+       us=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+def test_methods_keep_the_input_shape_and_act_pointwise(cdf_families, family, xs, us):
+    d = cdf_families[family]
+    for method, values in (("pdf", xs), ("cdf", xs), ("cdf_fast", xs), ("sample", us)):
+        f = getattr(d, method)
+        flat = np.asarray(values)
+        pointwise = [f(np.asarray(v)) for v in flat]  # 0-d input
+        assert all(np.shape(v) == () for v in pointwise), method
+        for shape in ((6,), (2, 3)):
+            got = f(flat.reshape(shape))
+            assert np.shape(got) == shape, method
+            assert np.array_equal(got, np.reshape(pointwise, shape)), method
