@@ -87,6 +87,16 @@ def _build_config(args, raw, params=()):
         raise CliError(f"bad config: {exc}")
 
 
+def _check_outputs(*paths):
+    """Exit 1 before any work when an output file could not be written at the
+    end: its directory must exist and the path must not be a directory."""
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir():
+            raise CliError(f"{path}: Is a directory")
+        if not path.parent.is_dir():
+            raise CliError(f"{path}: No such directory: {path.parent}")
+
+
 def _emit(payload, out_path):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out_path:
@@ -118,19 +128,22 @@ def _solve(density, cfg, solver):
 
 
 def _cmd_solve(args):
+    out = args.out or "frontier.csv"
+    manifest = args.manifest or f"{out}.manifest.json"
+    _check_outputs(out, manifest)
     raw, density = _read_inputs(args)
     cfg = _build_config(args, raw)
     frontier, timings, extra = _solve(density, cfg, args.solver)
-    out = args.out or "frontier.csv"
     frontier.write_csv(out)
     _emit({**extra, "config_hash": cfg.config_hash(), "seed": cfg.seed,
            "tool_version": __version__, "timings": timings, "outputs": [str(out)],
            "config": cfg.to_dict(), "density": density.spec_dict(), "solver": args.solver},
-          args.manifest or f"{out}.manifest.json")
+          manifest)
     return 0
 
 
 def _cmd_check(args):
+    _check_outputs(args.out)
     _, density = _read_inputs(args)
     if not 0.0 < args.lambda_min < args.lambda0 < float("inf"):
         raise CliError(f"need 0 < --lambda-min < --lambda0 < inf, got --lambda-min "
@@ -146,6 +159,9 @@ def _cmd_check(args):
 
 
 def _cmd_bounds(args):
+    _check_outputs(args.out)
+    if args.emit_csv:
+        Path(args.emit_csv).mkdir(parents=True, exist_ok=True)
     raw, density = _read_inputs(args)
     cfg = _build_config(args, raw)
     if getattr(density, "family", "") != "piecewise":
@@ -166,9 +182,7 @@ def _cmd_bounds(args):
                                     n_paths=args.n_paths, g=g)
     _emit(report.to_json_dict(), args.out)
     if args.emit_csv:
-        outdir = Path(args.emit_csv)
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / "bounds_margins.csv"
+        path = Path(args.emit_csv) / "bounds_margins.csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,lambda,c1_sqrt_t,c2_sqrt_t,lower_margin,upper_margin\n")
             for t, lam in zip(frontier.t, frontier.lam):

@@ -23,10 +23,12 @@ import json
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import rng
 from .densities import Density, _check_int, _check_real, read_numeric_rows
@@ -47,6 +49,7 @@ __all__ = [
 
 _CHUNK = 8192  # fixed path-chunk size; independent of thread count by design
 _TILE = 1 << 17  # numbers per row tile of paths: working arrays stay cache-sized
+_AHEAD = 1 << 19  # random numbers per batch the particle scheme draws ahead (4 MB)
 
 
 class SolverConfigError(ValueError):
@@ -287,6 +290,14 @@ def simulate_particles(density: Density, cfg: SolverConfig):
     (``_near_barrier_cascade``); the dead are scattered into the full-length
     outputs and dropped from the pair. Gaussian and bridge lanes stay indexed
     by particle id, and only the alive lanes are inverted.
+
+    The uniform blocks are drawn in batches of about _AHEAD numbers. With
+    cfg.threads >= 2 one worker draws the next batch while the current one is
+    worked through (at most two batches, 8 MB, exist at once, and a step's
+    blocks are freed once it is done); with one thread the batches are drawn
+    inline. The numbers are the same either way, so the
+    result is bit-identical at any thread count. No batch is drawn once every
+    particle is dead.
     """
     n = cfg.n_particles
     K = cfg.n_steps
@@ -325,27 +336,43 @@ def simulate_particles(density: Density, cfg: SolverConfig):
         p = p[keep] - delta
         return keep, delta
 
-    for k in range(1, K + 1):
-        step_delta = 0.0
-        if len(ids):
-            xi = rng.normal_block(cfg.seed, rng.GAUSS_STEP, k, n, lanes=ids)
-            z_old = p.copy() if cfg.bridge_correction else None
-            p += sqdt * xi
-            keep, delta = cascade(t[k])
-            step_delta += delta
+    bridge = cfg.bridge_correction
+    per_batch = max(1, _AHEAD // (n * (2 if bridge else 1)))
 
-            if cfg.bridge_correction and len(ids):
-                zo = z_old if keep is None else z_old[keep]
-                ub = rng.uniform_block(cfg.seed, rng.BRIDGE, k, n)[ids]
-                p_hit = np.exp(-2.0 * zo * p / cfg.dt)
-                crossed = ub < p_hit
-                if np.any(crossed):
-                    p[crossed] = 0.0
-                    step_delta += cascade(t[k])[1]
+    def draw(lo):
+        """(step, bridge or None) uniform blocks of the batch of steps from lo."""
+        return [(rng.uniform_block(cfg.seed, rng.GAUSS_STEP, k, n),
+                 rng.uniform_block(cfg.seed, rng.BRIDGE, k, n) if bridge else None)
+                for k in range(lo, min(lo + per_batch, K + 1))]
 
-        lam[k] = (n - len(ids)) / n
-        if step_delta > threshold:
-            jumps.append((float(t[k]), step_delta))
+    def advance(k, ug, ub):
+        """Step k on the survivors from its uniform blocks; returns the step's jump."""
+        nonlocal p
+        z_old = p.copy() if bridge else None
+        p += sqdt * ndtri(ug[ids])
+        keep, step_delta = cascade(t[k])
+        if bridge and len(ids):
+            zo = z_old if keep is None else z_old[keep]
+            p_hit = np.exp(-2.0 * zo * p / cfg.dt)
+            crossed = ub[ids] < p_hit
+            if np.any(crossed):
+                p[crossed] = 0.0
+                step_delta += cascade(t[k])[1]
+        return step_delta
+
+    with ThreadPoolExecutor(max_workers=1) if cfg.threads > 1 else nullcontext() as pool:
+        ahead = None
+        for lo in range(1, K + 1, per_batch):
+            # the batch drawn ahead is read even when unused, so its error is raised
+            batch = ahead.result() if ahead else draw(lo) if len(ids) else None
+            ahead = (pool.submit(draw, lo + per_batch)
+                     if pool and len(ids) and lo + per_batch <= K else None)
+            for k in range(lo, min(lo + per_batch, K + 1)):
+                # popped, so a step's blocks are freed as soon as it is done
+                step_delta = advance(k, *batch.pop(0)) if len(ids) else 0.0
+                lam[k] = (n - len(ids)) / n
+                if step_delta > threshold:
+                    jumps.append((float(t[k]), step_delta))
 
     pos[ids] = p
     alive = np.zeros(n, dtype=bool)

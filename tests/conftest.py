@@ -1,4 +1,5 @@
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -18,3 +19,15 @@ def pw_std():
 @pytest.fixture(scope="session")
 def sine_density():
     return PeriodicOscillatoryDensity(1.0, "sin")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a thread running: every pool of the library
+    (Picard's, psi_grid's, the particle scheme's draw-ahead worker) must be
+    shut down and joined before its call returns, also when the call fails."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]
+    if leaked:
+        pytest.fail(f"threads left running: {leaked}")

@@ -423,8 +423,25 @@ def test_averaging_inputs_rejected(workdir, capsys, argv):
     (["bounds", "--config", "cfg.json", "--density", "pw.json", "--frontier", "adir",
       "--n-paths", "2000"], "adir"),
     (["check", "--density", "csv.json", "--n-lambda", "10", "--n-mu", "11"], "missing.csv"),
+    # outputs are checked before any density is built or anything is solved
+    (["picard", "--config", "cfg.json", "--density", "pw.json", "--out", "nodir/f.csv"],
+     "nodir/f.csv"),
+    (["simulate", "--config", "cfg.json", "--density", "pw.json", "--manifest", "nodir/m.json"],
+     "nodir/m.json"),
+    (["simulate", "--config", "cfg.json", "--density", "pw.json", "--out", "adir"], "adir"),
+    (["picard", "--config", "cfg.json", "--density", "pw.json", "--manifest", "adir"], "adir"),
+    (["check", "--density", "pw.json", "--out", "adir"], "adir"),
+    (["bounds", "--config", "cfg.json", "--density", "pw.json", "--out", "nodir/b.json"],
+     "nodir/b.json"),
+    (["bounds", "--config", "cfg.json", "--density", "pw.json", "--out", "b.json",
+      "--emit-csv", "pw.json/tables"], "pw.json/tables"),
 ])
-def test_an_unusable_path_exits_1_naming_it(workdir, capsys, argv, path):
+def test_an_unusable_path_exits_1_naming_it(workdir, capsys, monkeypatch, argv, path):
+    def never(*args, **kwargs):
+        pytest.fail("solved before the unusable path was reported")
+    for name in ("simulate_particles", "picard_minimal", "check_averaging_condition",
+                 "assemble_bounds_report"):
+        monkeypatch.setattr(f"stefanlab.cli.{name}", never)
     (workdir / "adir").mkdir()
     (workdir / "csv.json").write_text(json.dumps({"family": "tabulated", "csv": "missing.csv"}))
     assert main(argv + ["--threads", "1"]) == 1

@@ -4,24 +4,36 @@
 survivors compact; ``tests/_oracles.simulate_particles_argsort`` is the step
 loop with a full stable argsort every step. They must agree bit for bit.
 """
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from _oracles import physical_jump_bruteforce, simulate_particles_argsort
-from stefanlab import rng, uniform_density
+from stefanlab import rng, solver, uniform_density
 from stefanlab.solver import (SolverConfig, _near_barrier_cascade, _scan_sorted,
                               physical_jump_scan, simulate_particles)
 
 
+_REFEREE_CASES = {
+    "band": ("band", dict(n_particles=20_000, dt=5e-4, T=0.25, seed=2026)),
+    "band_bridge": ("band", dict(n_particles=20_000, dt=5e-4, T=0.25, seed=7,
+                                 bridge_correction=True)),
+    "sine_bridge": ("sine", dict(n_particles=5_000, dt=1e-3, T=0.25, seed=2026,
+                                 bridge_correction=True)),
+    "uniform_half": ("uniform_half", dict(n_particles=2_000, dt=1e-3, T=0.05, seed=1)),
+    "uniform_two": ("uniform_two", dict(n_particles=5_000, dt=1e-3, T=0.25, seed=1)),
+}
+
+
+# one thread keeps the bare case id; 2 and 3 threads run the draw-ahead worker
 @pytest.mark.parametrize("density_name, kw", [
-    ("band", dict(n_particles=20_000, dt=5e-4, T=0.25, seed=2026)),
-    ("band", dict(n_particles=20_000, dt=5e-4, T=0.25, seed=7, bridge_correction=True)),
-    ("sine", dict(n_particles=5_000, dt=1e-3, T=0.25, seed=2026, bridge_correction=True)),
-    ("uniform_half", dict(n_particles=2_000, dt=1e-3, T=0.05, seed=1)),
-    ("uniform_two", dict(n_particles=5_000, dt=1e-3, T=0.25, seed=1)),
-], ids=["band", "band_bridge", "sine_bridge", "uniform_half", "uniform_two"])
+    pytest.param(name, dict(kw, threads=threads),
+                 id=case if threads == 1 else f"{case}-threads{threads}")
+    for case, (name, kw) in _REFEREE_CASES.items() for threads in (1, 2, 3)])
 def test_simulate_bit_identical_to_argsort_referee(density_name, kw, request):
     density = {
         "band": lambda: request.getfixturevalue("pw_std"),
@@ -43,6 +55,116 @@ def test_normal_block_lanes_equal_indexed_block():
     lanes = np.array([0, 3, 4, 17, 99])
     full = rng.normal_block(11, rng.GAUSS_STEP, 5, 100)
     assert np.array_equal(rng.normal_block(11, rng.GAUSS_STEP, 5, 100, lanes=lanes), full[lanes])
+
+
+def test_inverted_uniform_lanes_equal_normal_block_lanes():
+    # simulate_particles inverts the alive lanes of a drawn uniform block itself
+    lanes = np.array([1, 2, 40, 63, 64, 999])
+    u = rng.uniform_block(2026, rng.GAUSS_STEP, 9, 1000)
+    assert np.array_equal(ndtri(u[lanes]),
+                          rng.normal_block(2026, rng.GAUSS_STEP, 9, 1000, lanes=lanes))
+
+
+def _count_draws(monkeypatch):
+    calls = []
+    for name in ("uniform_block", "normal_block"):
+        fn = getattr(rng, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(rng, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_dead_ensemble_draws_nothing(monkeypatch, threads):
+    # uniform[0, 1/2] freezes whole at t = 0
+    calls = _count_draws(monkeypatch)
+    cfg = SolverConfig(n_particles=2_000, dt=1e-3, T=0.05, seed=1, threads=threads)
+    fr, _ = simulate_particles(uniform_density(0, 0.5), cfg)
+    assert np.all(fr.lam == 1.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("threads, wasted", [(1, 3), (2, 7)])
+def test_draws_stop_with_the_last_particle(monkeypatch, threads, wasted):
+    # four steps per batch; after the step that kills the last particle only
+    # the rest of its batch and, with a worker, the batch drawn ahead are drawn
+    monkeypatch.setattr(solver, "_AHEAD", 4 * 500)
+    calls = _count_draws(monkeypatch)
+    cfg = SolverConfig(n_particles=500, dt=1e-3, T=0.25, seed=3, threads=threads)
+    fr, _ = simulate_particles(uniform_density(0.1, 0.7), cfg)
+    extinct = int(np.argmax(fr.lam == 1.0))
+    assert 0 < extinct < cfg.n_steps - wasted
+    drawn = [block for _, _, block, _ in calls]
+    assert sorted(drawn) == list(range(1, len(drawn) + 1))
+    assert extinct <= len(drawn) <= extinct + wasted
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+def _threads_alive():
+    return {t for t in threading.enumerate() if t.is_alive()}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failed_draw_ends_the_run_and_leaves_no_thread(monkeypatch, pw_std, threads):
+    # four steps per batch: block 7 is in the second batch, which the worker
+    # draws while the first is worked through
+    monkeypatch.setattr(solver, "_AHEAD", 4 * 1000)
+    draw = rng.uniform_block
+    where = []
+
+    def failing(seed, kind, block, n):
+        if block == 7:
+            where.append(threading.current_thread())
+            raise _Boom("block 7")
+        return draw(seed, kind, block, n)
+    monkeypatch.setattr(rng, "uniform_block", failing)
+    before = _threads_alive()
+    cfg = SolverConfig(n_particles=1000, dt=1e-3, T=0.02, seed=5, threads=threads)
+    with pytest.raises(_Boom, match="block 7"):
+        simulate_particles(pw_std, cfg)
+    assert _threads_alive() == before
+    assert (where[0] is threading.main_thread()) == (threads == 1)
+
+
+def test_a_failed_draw_ahead_fails_the_run_also_after_extinction(monkeypatch):
+    # uniform[0.1, 0.7] at 500 particles dies out at step 21 (see above): the
+    # worker has drawn steps 25-28 ahead by then, which are never used
+    monkeypatch.setattr(solver, "_AHEAD", 4 * 500)
+    draw = rng.uniform_block
+
+    def failing(seed, kind, block, n):
+        if block == 26:
+            raise _Boom("block 26")
+        return draw(seed, kind, block, n)
+    monkeypatch.setattr(rng, "uniform_block", failing)
+    cfg = SolverConfig(n_particles=500, dt=1e-3, T=0.25, seed=3, threads=2)
+    with pytest.raises(_Boom, match="block 26"):
+        simulate_particles(uniform_density(0.1, 0.7), cfg)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failed_step_ends_the_run_and_leaves_no_thread(monkeypatch, pw_std, threads):
+    monkeypatch.setattr(solver, "_AHEAD", 4 * 1000)
+    cascade = solver._near_barrier_cascade
+    calls = []
+
+    def failing(y, n):
+        calls.append(n)
+        if len(calls) == 6:
+            raise _Boom("step 6")
+        return cascade(y, n)
+    monkeypatch.setattr(solver, "_near_barrier_cascade", failing)
+    before = _threads_alive()
+    cfg = SolverConfig(n_particles=1000, dt=1e-3, T=0.02, seed=5, threads=threads)
+    with pytest.raises(_Boom, match="step 6"):
+        simulate_particles(pw_std, cfg)
+    assert _threads_alive() == before
 
 
 # random floats, heavy ties (exact zeros and a few repeated levels), dead mass
