@@ -22,8 +22,8 @@ from . import __version__
 from .bounds import assemble_bounds_report
 from .conditions import check_averaging_condition
 from .densities import DensityError, _check_int, make_density, read_numeric_rows
-from .solver import (FrontierPath, SolverConfig, SolverConfigError,
-                     physical_jump_scan, picard_minimal, simulate_particles)
+from .solver import (SOLVER_FIELDS, FrontierPath, SolverConfig, SolverConfigError,
+                     physical_jump_scan, picard_minimal, result_hash, simulate_particles)
 
 
 class CliError(Exception):
@@ -111,20 +111,24 @@ def _emit(payload, out_path):
 
 
 def _solve(density, cfg, solver):
-    """Frontier from the particle scheme or Picard, with the run's timings and
-    the solver's manifest fields; warns on stderr when Picard did not converge."""
+    """(frontier, run, extra) from the particle scheme or Picard: run holds the
+    result's hash, the seed and the run's timings, extra the solver's own
+    manifest fields. Warns on stderr when Picard did not converge."""
     t0 = time.perf_counter()
     if solver == "particle":
         frontier, _ = simulate_particles(density, cfg)
-        return frontier, {"simulate_s": time.perf_counter() - t0}, {
-            "jumps": [[t, dl] for t, dl in frontier.jumps]}
-    res = picard_minimal(density, cfg)
-    wall = time.perf_counter() - t0
-    if not res.converged:
-        sys.stderr.write(f"picard did not converge in {res.iterations} iterations "
-                         f"(last sup-change {res.history[-1]:.3e})\n")
-    return res.frontier, {"picard_s": wall}, {
-        "iterations": res.iterations, "converged": res.converged, "sup_changes": res.history}
+        timings = {"simulate_s": time.perf_counter() - t0}
+        extra = {"jumps": [[t, dl] for t, dl in frontier.jumps]}
+    else:
+        res = picard_minimal(density, cfg)
+        timings = {"picard_s": time.perf_counter() - t0}
+        if not res.converged:
+            sys.stderr.write(f"picard did not converge in {res.iterations} iterations "
+                             f"(last sup-change {res.history[-1]:.3e})\n")
+        frontier, extra = res.frontier, {"iterations": res.iterations,
+                                         "converged": res.converged, "sup_changes": res.history}
+    return frontier, {"config_hash": result_hash(density, cfg, solver), "seed": cfg.seed,
+                      "timings": timings}, extra
 
 
 def _cmd_solve(args):
@@ -133,10 +137,9 @@ def _cmd_solve(args):
     _check_outputs(out, manifest)
     raw, density = _read_inputs(args)
     cfg = _build_config(args, raw)
-    frontier, timings, extra = _solve(density, cfg, args.solver)
+    frontier, run, extra = _solve(density, cfg, args.solver)
     frontier.write_csv(out)
-    _emit({**extra, "config_hash": cfg.config_hash(), "seed": cfg.seed,
-           "tool_version": __version__, "timings": timings, "outputs": [str(out)],
+    _emit({**extra, **run, "tool_version": __version__, "outputs": [str(out)],
            "config": cfg.to_dict(), "density": density.spec_dict(), "solver": args.solver},
           manifest)
     return 0
@@ -221,11 +224,9 @@ def _cmd_sweep(args):
         if "=" not in spec:
             raise CliError(f"bad --param {spec!r}; expected name=v1,v2,...")
         name, _, vals = spec.partition("=")
-        if name.split(".")[0] == "picard":
-            raise CliError(f"--param {name}: sweep runs only the particle solver, "
-                           "so picard settings cannot change its result")
-        if name == "threads":
-            raise CliError("--param threads: the thread count cannot change a result, "
+        field = name.split(".")[0]
+        if field in SolverConfig.__dataclass_fields__ and field not in SOLVER_FIELDS["particle"]:
+            raise CliError(f"--param {name}: the particle solver does not read {field}, "
                            "so every cell would repeat one run")
         names.append(name)
         value_lists.append([_parse_sweep_value(v) for v in vals.split(",") if v])
@@ -236,17 +237,11 @@ def _cmd_sweep(args):
     outdir.mkdir(parents=True, exist_ok=True)
     index = []
     for i, (combo, cfg) in enumerate(zip(combos, cfgs)):
-        frontier, _ = simulate_particles(density, cfg)
+        frontier, run, _ = _solve(density, cfg, "particle")
         cell_csv = outdir / f"cell_{i:03d}.csv"
         frontier.write_csv(cell_csv)
-        index.append({
-            "cell": i,
-            "params": {n: v for n, v in zip(names, combo)},
-            "csv": cell_csv.name,
-            "config_hash": cfg.config_hash(),
-            "seed": cfg.seed,
-            "lambda_T": float(frontier.lam[-1]),
-        })
+        index.append({"cell": i, "params": dict(zip(names, combo)), "csv": cell_csv.name,
+                      **run, "lambda_T": float(frontier.lam[-1])})
     _emit({"tool_version": __version__, "density": density.spec_dict(), "cells": index},
           outdir / "index.json")
     return 0

@@ -188,9 +188,6 @@ class EnvelopeFunction:
         out = self.g_values[idx]
         return out if out.shape else float(out)
 
-    def g_tilde(self, s):
-        return np.asarray(s, dtype=float) * self(s)
-
     @property
     def g_tilde_max(self):
         return float(self.s_grid[-1] * self.g_values[-1])

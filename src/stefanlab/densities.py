@@ -402,8 +402,9 @@ class PiecewiseGeometricDensity(Density):
             x = blo
         return best, arg
 
-    def hard_window_probes(self, n_max=12):
-        """(lambda, mu) pairs whose window exactly covers an alpha2 band.
+    def hard_window_probes(self):
+        """(lambda, mu) pairs, one for each n = 1..12, whose window exactly
+        covers an alpha2 band.
 
         With lambda = a_{2n+1} (1-q)/q and mu = q/(1-q) the window average of f
         equals alpha2 > 1, so these defeat any positive averaging envelope.
@@ -413,11 +414,7 @@ class PiecewiseGeometricDensity(Density):
         mu = q / (1.0 - q)
         if mu > 1.0:
             return []
-        out = []
-        for n in range(1, n_max + 1):
-            lam = (1.0 - q) / q * float(self.odd_endpoint(n + 1))
-            out.append((lam, mu))
-        return out
+        return [((1.0 - q) / q * float(self.odd_endpoint(n + 1)), mu) for n in range(1, 13)]
 
     def good_set_bands(self, rho, n_max=30):
         """Intervals [a_{2n+2}, rho * a_{2n+1}] for n = 1..n_max plus [a_2, inf)."""
@@ -451,16 +448,16 @@ class _TailExpansion:
 
     computed by repeated integration by parts: each stage swaps G for the
     periodic antiderivative of its zero-mean part and gains a factor 1/v.
-    The truncation bound is tracked explicitly.
+    At most 40 stages are taken, and the truncation bound is tracked explicitly.
     """
 
-    def __init__(self, g_profile, alpha, m, v0, tol=1e-13, max_stages=40):
+    def __init__(self, g_profile, alpha, m, v0, tol=1e-13):
         self.v0 = float(v0)
         stages = []
         coeff, E = 1.0, 1.0 + (m + 1.0) / float(alpha)  # E = 1 + beta0
         G = g_profile
         best_k, best_bound = 0, math.inf
-        for k in range(max_stages):
+        for k in range(40):
             A = G.antiderivative_stage()
             stages.append((G.mean, A, coeff, E))
             bound = coeff * A.sup_abs * self.v0 ** (-E)

@@ -49,7 +49,7 @@ def adaptive_simpson(f, a, b, tol=1e-10, max_intervals=10**6):
     return total
 
 
-def bisect_nondecreasing(f, lo, hi, target, xtol=1e-12, max_iter=200):
+def bisect_nondecreasing(f, lo, hi, target, xtol=1e-12):
     """Smallest x in [lo, hi] with f(x) >= target, for nondecreasing f.
 
     Maintains f(lo) < target <= f(hi); the returned bracket midpoint is within
@@ -59,7 +59,7 @@ def bisect_nondecreasing(f, lo, hi, target, xtol=1e-12, max_iter=200):
         return lo
     if f(hi) < target:
         raise ValueError(f"target {target} not reached on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= xtol:
             return mid
@@ -70,13 +70,13 @@ def bisect_nondecreasing(f, lo, hi, target, xtol=1e-12, max_iter=200):
     return 0.5 * (lo + hi)
 
 
-def golden_section_max(f, lo, hi, xtol=1e-10, max_iter=200):
+def golden_section_max(f, lo, hi, xtol=1e-10):
     """Maximize a unimodal f on [lo, hi]; returns (argmax, max value)."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(200):
         if b - a <= xtol:
             break
         if fc >= fd:

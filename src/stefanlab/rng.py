@@ -48,14 +48,10 @@ def uniform_block(seed, kind, block, n):
     return _uniforms(seed, kind, block, n)
 
 
-def normal_block(seed, kind, block, n, lanes=None, start=0):
+def normal_block(seed, kind, block, n, start=0):
     """n standard normals, inverse-CDF of the uniform stream.
 
     ``start`` is the first lane: the result equals
-    ``normal_block(seed, kind, block, start + n)[start:]`` bit for bit. With
-    ``lanes`` (an index array into the n drawn lanes) only those lanes are
-    inverted: the result equals ``normal_block(seed, kind, block, n)[lanes]``
-    bit for bit, because all n uniforms are still drawn.
+    ``normal_block(seed, kind, block, start + n)[start:]`` bit for bit.
     """
-    u = _uniforms(seed, kind, block, n, start)
-    return ndtri(u if lanes is None else u[lanes])
+    return ndtri(_uniforms(seed, kind, block, n, start))

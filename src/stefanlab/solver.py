@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
@@ -45,6 +44,8 @@ __all__ = [
     "picard_minimal",
     "iter_y_chunks",
     "brownian_chunks",
+    "SOLVER_FIELDS",
+    "result_hash",
 ]
 
 _CHUNK = 8192  # fixed path-chunk size; independent of thread count by design
@@ -122,13 +123,6 @@ class SolverConfig:
         except TypeError as exc:
             raise SolverConfigError(f"bad picard config: {exc}")
         return cls(picard=picard, **d)
-
-    def config_hash(self):
-        """Identifies the result: fields that cannot change it (threads) stay out."""
-        d = self.to_dict()
-        del d["threads"]
-        blob = json.dumps(d, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 @dataclass
@@ -453,7 +447,7 @@ def picard_minimal(density: Density, cfg: SolverConfig):
 
     One pool of cfg.threads workers fills the float32 path store tile by tile
     and then runs every iteration, one 8192-path chunk per task. A chunk is
-    processed in row tiles in a per-thread buffer whose row 0 carries the
+    processed in row tiles in a buffer of its task whose row 0 carries the
     chunk's running sum, so each chunk is still summed row by row in order.
     """
     K = cfg.n_steps
@@ -469,16 +463,13 @@ def picard_minimal(density: Density, cfg: SolverConfig):
     chunks = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
     rows = max(1, _TILE // (K + 1))
     b32 = np.empty((M, K + 1), dtype=np.float32)
-    buffers = threading.local()
 
     def fill_tile(span):
         lo, hi = span
         b32[lo:hi] = _brownian_tile(cfg.seed, rng.PICARD_PATHS, lo, hi, sq_steps)
 
     def run_chunk(ci):
-        buf = getattr(buffers, "buf", None)
-        if buf is None:
-            buf = buffers.buf = np.empty((rows + 1, K + 1))
+        buf = np.empty((rows + 1, K + 1))
         lo, hi = chunks[ci]
         acc = partial[ci]
         for r in range(lo, hi, rows):
@@ -517,3 +508,24 @@ def picard_minimal(density: Density, cfg: SolverConfig):
     frontier = FrontierPath(t=t, lam=lam, jumps=[])
     return PicardResult(frontier=frontier, iterations=iterations,
                         history=history, converged=converged, iterates=iterates)
+
+
+# ---------------------------------------------------------------------------
+# what names a result
+# ---------------------------------------------------------------------------
+
+#: the config fields each solver reads; threads changes no result, so neither lists it
+SOLVER_FIELDS = {
+    "particle": ("n_particles", "dt", "T", "seed", "bridge_correction", "jump_threshold"),
+    "picard": ("dt", "T", "seed", "picard"),
+}
+
+
+def result_hash(density: Density, cfg: SolverConfig, solver):
+    """Names the frontier a solver computes: a hash of the solver, the density's
+    spec (the values a tabulated density read, not its path) and the config
+    fields that solver reads."""
+    d = cfg.to_dict()
+    blob = json.dumps({"solver": solver, "density": density.spec_dict(),
+                       "config": {f: d[f] for f in SOLVER_FIELDS[solver]}}, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]

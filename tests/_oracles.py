@@ -422,5 +422,5 @@ def g_tilde_inverse_bisect(g, y):
     """s with s g(s) = y by bisection to 1e-12 on [0, last node]; 0 maps to 0."""
     if y == 0.0:
         return 0.0
-    return bisect_nondecreasing(lambda s: float(g.g_tilde(s)), 0.0, float(g.s_grid[-1]), y,
+    return bisect_nondecreasing(lambda s: s * g(s), 0.0, float(g.s_grid[-1]), y,
                                 xtol=1e-12)

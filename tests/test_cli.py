@@ -189,6 +189,7 @@ def test_sweep_rejects_picard_parameters(workdir, capsys, param):
     assert code == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "particle solver" in err
+    assert f"--param {param.partition('=')[0]}:" in err
     assert not (workdir / "sw").exists()
 
 
@@ -197,8 +198,61 @@ def test_sweep_rejects_threads(workdir, capsys):
                  "--param", "threads=1,2", "--out-dir", "sw", "--threads", "1"])
     assert code == 1
     err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and "threads" in err
+    assert len(err.splitlines()) == 1 and "--param threads:" in err and "particle solver" in err
     assert not (workdir / "sw").exists()
+
+
+def test_sweep_rejects_a_name_that_is_no_config_field(workdir, capsys):
+    assert main(["sweep", "--config", "cfg.json", "--density", "pw.json",
+                 "--param", "foo=1", "--out-dir", "sw", "--threads", "1"]) == 1
+    assert "unknown config field 'foo'" in _one_line_error(capsys)
+    assert not (workdir / "sw").exists()
+
+
+def test_manifest_hash_names_the_density(workdir):
+    # one config on the band and the sine density: two frontiers, two hashes
+    (workdir / "sine.json").write_text(json.dumps({"family": "periodic", "alpha": 1.0,
+                                                   "psi": "sin"}))
+    hashes = set()
+    for name in ("pw", "sine"):
+        assert main(["simulate", "--config", "cfg.json", "--density", f"{name}.json",
+                     "--n-particles", "500", "--out", f"{name}.csv", "--threads", "1"]) == 0
+        hashes.add(json.loads((workdir / f"{name}.csv.manifest.json").read_text())[
+            "config_hash"])
+    assert (workdir / "pw.csv").read_bytes() != (workdir / "sine.csv").read_bytes()
+    assert len(hashes) == 2
+
+
+@pytest.mark.parametrize("command, change", [
+    ("simulate", {"picard": {"n_paths": 10, "max_iters": 2, "tol": 0.5}}),
+    ("simulate", {"threads": 3}),
+    ("picard", {"n_particles": 10}),
+    ("picard", {"bridge_correction": True}),
+    ("picard", {"jump_threshold": 0.5}),
+    ("picard", {"threads": 3}),
+])
+def test_manifest_hash_ignores_fields_the_solver_does_not_read(workdir, command, change):
+    (workdir / "cfg1.json").write_text(json.dumps({**CFG, "threads": 1}))
+    (workdir / "cfg2.json").write_text(json.dumps({**CFG, "threads": 1, **change}))
+    manifests = []
+    for cfg in ("cfg1", "cfg2"):
+        assert main([command, "--config", f"{cfg}.json", "--density", "pw.json",
+                     "--out", f"{cfg}.csv"]) == 0
+        manifests.append(json.loads((workdir / f"{cfg}.csv.manifest.json").read_text()))
+    assert (workdir / "cfg1.csv").read_bytes() == (workdir / "cfg2.csv").read_bytes()
+    assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+    assert manifests[0]["config"] != manifests[1]["config"]
+
+
+def test_sweep_cell_and_simulate_run_share_the_hash(workdir):
+    assert main(["simulate", "--config", "cfg.json", "--density", "pw.json", "--seed", "5",
+                 "--out", "s.csv", "--threads", "2"]) == 0
+    assert main(["sweep", "--config", "cfg.json", "--density", "pw.json",
+                 "--param", "seed=5", "--out-dir", "sw", "--threads", "1"]) == 0
+    man = json.loads((workdir / "s.csv.manifest.json").read_text())
+    cell = json.loads((workdir / "sw" / "index.json").read_text())["cells"][0]
+    assert cell["config_hash"] == man["config_hash"]
+    assert (workdir / "sw" / cell["csv"]).read_bytes() == (workdir / "s.csv").read_bytes()
 
 
 @pytest.mark.parametrize("n_paths", ["0", "-5"])
@@ -329,7 +383,8 @@ def test_manifest_and_index_keys(workdir):
     index = json.loads((workdir / "sw" / "index.json").read_text())
     assert set(index) == {"tool_version", "density", "cells"}
     assert set(index["cells"][0]) == {"cell", "params", "csv", "config_hash", "seed",
-                                      "lambda_T"}
+                                      "lambda_T", "timings"}
+    assert set(index["cells"][0]["timings"]) == {"simulate_s"}
 
 
 def test_bridge_flag_sets_the_config_field(workdir):

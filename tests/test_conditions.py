@@ -318,9 +318,9 @@ def test_g_tilde_inverse_is_the_smallest_s_reaching_y(case):
     g, y = case
     x = g_tilde_inverse(g, y)
     assert 0.0 < x <= g.s_grid[-1] * (1.0 + 1e-15)
-    assert float(g.g_tilde(x)) >= y * (1.0 - 1e-14)
+    assert x * g(x) >= y * (1.0 - 1e-14)
     below = np.append(np.linspace(0.0, x, 200, endpoint=False), x * (1.0 - 1e-9))
-    assert np.all(g.g_tilde(below) < y)
+    assert np.all(below * g(below) < y)
 
 
 def test_g_tilde_inverse_matches_bisection_on_the_sine_envelope(sine_density):

@@ -1,7 +1,8 @@
 """Static hygiene of the package source, read with ``ast`` only: every import
 is used, every ``__all__`` entry names something the module defines, every
-def and class is referenced somewhere in the repository's code, and numbers
-from outside are type-checked only by the two checkers in ``densities``."""
+def and class is referenced somewhere in the repository's code, every optional
+parameter is passed by some call, and numbers from outside are type-checked
+only by the two checkers in ``densities``."""
 import ast
 from pathlib import Path
 
@@ -139,3 +140,60 @@ def test_numbers_are_type_checked_only_by_the_checkers(path):
     lines = sorted(set(_number_type_tests(_tree(path))))
     assert not lines, (f"{path.name}: number type tests outside {sorted(NUMBER_CHECKERS)} "
                        f"at lines {lines}; call the checkers instead")
+
+
+#: optional parameters that no call passes, kept on purpose: the benchmark's
+#: tracer looks ``adaptive_simpson`` up by name until it is deleted
+NEVER_PASSED_ALLOWED = {"adaptive_simpson.tol", "adaptive_simpson.max_intervals"}
+
+
+def _optional_parameters(node, in_class=False):
+    """(callable name, parameter, call position or None, line) of every
+    parameter with a default under node. A method's positions skip ``self``,
+    and ``__init__`` is called by its class's name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            for name, param, pos, line in _optional_parameters(child, True):
+                yield (child.name if name == "__init__" else name), param, pos, line
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if in_class and positional and positional[0].arg in ("self", "cls") else 0
+            first = len(positional) - len(args.defaults)
+            for i in range(first, len(positional)):
+                yield child.name, positional[i].arg, i - skip, positional[i].lineno
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield child.name, arg.arg, None, arg.lineno
+            yield from _optional_parameters(child)
+        else:
+            yield from _optional_parameters(child, in_class)
+
+
+def _passed_parameters():
+    """(callable name, keyword or position) of every argument any call in the
+    repository's code passes; a ``*args`` or ``**kwargs`` passes everything."""
+    passed = set()
+    for top in CODE_DIRS:
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(_tree(path)):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                        k.arg is None for k in node.keywords):
+                    passed.add((name, "*"))
+                passed.update((name, i) for i in range(len(node.args)))
+                passed.update((name, k.arg) for k in node.keywords)
+    return passed
+
+
+def test_every_optional_parameter_is_passed_somewhere():
+    # a default that no call overrides is a constant: write it as one
+    passed = _passed_parameters()
+    never = [f"{path.name}: {name}.{param} (line {line})"
+             for path in MODULES for name, param, pos, line in _optional_parameters(_tree(path))
+             if f"{name}.{param}" not in NEVER_PASSED_ALLOWED
+             and not {(name, param), (name, pos), (name, "*")} & passed]
+    assert not never, f"optional parameters no call passes: {never}"

@@ -51,18 +51,12 @@ def test_simulate_bit_identical_to_argsort_referee(density_name, kw, request):
     assert np.array_equal(ens.death_time, ens_ref.death_time)
 
 
-def test_normal_block_lanes_equal_indexed_block():
-    lanes = np.array([0, 3, 4, 17, 99])
-    full = rng.normal_block(11, rng.GAUSS_STEP, 5, 100)
-    assert np.array_equal(rng.normal_block(11, rng.GAUSS_STEP, 5, 100, lanes=lanes), full[lanes])
-
-
 def test_inverted_uniform_lanes_equal_normal_block_lanes():
     # simulate_particles inverts the alive lanes of a drawn uniform block itself
     lanes = np.array([1, 2, 40, 63, 64, 999])
     u = rng.uniform_block(2026, rng.GAUSS_STEP, 9, 1000)
     assert np.array_equal(ndtri(u[lanes]),
-                          rng.normal_block(2026, rng.GAUSS_STEP, 9, 1000, lanes=lanes))
+                          rng.normal_block(2026, rng.GAUSS_STEP, 9, 1000)[lanes])
 
 
 def _count_draws(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from _oracles import compute_Y_samples, physical_jump_bruteforce
 from stefanlab import make_piecewise, uniform_density
+from stefanlab import make_density
 from stefanlab.solver import (
+    SOLVER_FIELDS,
     FrontierPath,
     PicardConfig,
     SolverConfig,
@@ -17,6 +20,7 @@ from stefanlab.solver import (
     initial_jump_stratified,
     physical_jump_scan,
     picard_minimal,
+    result_hash,
     simulate_particles,
 )
 
@@ -283,7 +287,7 @@ def test_picard_nonconvergence_flagged(pw_std):
 # ---------------------------------------------------------------------------
 
 
-def test_config_validation():
+def test_config_validation(pw_std):
     with pytest.raises(SolverConfigError):
         SolverConfig(n_particles=0)
     with pytest.raises(SolverConfigError):
@@ -295,7 +299,9 @@ def test_config_validation():
     cfg = SolverConfig.from_dict({"n_particles": 10, "dt": 0.001, "T": 0.1,
                                   "picard": {"n_paths": 5}})
     assert cfg.picard.n_paths == 5
-    assert cfg.config_hash() == SolverConfig.from_dict(cfg.to_dict()).config_hash()
+    for solver in SOLVER_FIELDS:
+        assert result_hash(pw_std, cfg, solver) == result_hash(
+            pw_std, SolverConfig.from_dict(cfg.to_dict()), solver)
 
 
 @pytest.mark.parametrize("fields, name", [
@@ -370,14 +376,47 @@ def test_frontier_validation():
         FrontierPath(t=t, lam=np.array([0.0, 0.2, 0.4, 0.9, 1.2]))
 
 
-def test_config_hash_ignores_threads():
+def test_config_hash_ignores_threads(pw_std):
     # threads cannot change a result, so bit-identical runs share a hash
     one = SolverConfig(n_particles=100, dt=0.001, T=0.1, threads=1)
-    eight = SolverConfig(n_particles=100, dt=0.001, T=0.1, threads=8)
-    assert one.config_hash() == eight.config_hash()
+    eight = replace(one, threads=8)
+    for solver in SOLVER_FIELDS:
+        assert result_hash(pw_std, one, solver) == result_hash(pw_std, eight, solver)
     assert one.to_dict()["threads"] == 1
-    assert one.config_hash() != SolverConfig(n_particles=100, dt=0.001, T=0.1,
-                                             seed=1).config_hash()
+    assert result_hash(pw_std, one, "particle") != result_hash(pw_std, replace(one, seed=1),
+                                                               "particle")
+
+
+def test_result_hash_names_the_density_and_the_solver(pw_std, sine_density):
+    # one config on the band and the sine density gives two frontiers, so two hashes
+    cfg = SolverConfig(n_particles=100, dt=0.001, T=0.1)
+    hashes = {result_hash(d, cfg, solver) for d in (pw_std, sine_density)
+              for solver in SOLVER_FIELDS}
+    assert len(hashes) == 4
+
+
+_CHANGED = {"n_particles": 200, "dt": 0.002, "T": 0.2, "seed": 1, "bridge_correction": True,
+            "jump_threshold": 0.5, "picard": PicardConfig(n_paths=7)}
+
+
+@pytest.mark.parametrize("solver, name", [(s, n) for s in SOLVER_FIELDS for n in _CHANGED])
+def test_result_hash_reads_exactly_the_solvers_fields(pw_std, solver, name):
+    # particle runs that differ only in picard.*, and picard runs that differ only
+    # in n_particles, bridge_correction or jump_threshold, compute one frontier
+    cfg = SolverConfig(n_particles=100, dt=0.001, T=0.1)
+    same = result_hash(pw_std, cfg, solver) == result_hash(
+        pw_std, replace(cfg, **{name: _CHANGED[name]}), solver)
+    assert same == (name not in SOLVER_FIELDS[solver])
+
+
+def test_result_hash_reads_a_tabulated_densitys_values_not_its_path(tmp_path):
+    (tmp_path / "f.csv").write_text("x,f\n0,0.25\n1,0.75\n2,0.25\n")
+    from_csv = make_density({"family": "tabulated", "csv": str(tmp_path / "f.csv")})
+    inline = make_density({"family": "tabulated", "grid": [0, 1, 2],
+                           "values": [0.25, 0.75, 0.25]})
+    cfg = SolverConfig(n_particles=100, dt=0.001, T=0.1)
+    for solver in SOLVER_FIELDS:
+        assert result_hash(from_csv, cfg, solver) == result_hash(inline, cfg, solver)
 
 
 @pytest.mark.parametrize("t", [
