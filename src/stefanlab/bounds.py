@@ -31,6 +31,7 @@ __all__ = [
     "compute_L",
     "compute_sqrt_constants",
     "estimate_beta_slope",
+    "sqrt_envelopes",
     "verify_frontier_envelopes",
     "simulate_drifted_sup",
     "prob_drifted_sup_below",
@@ -128,19 +129,33 @@ class EnvelopeMargins:
         return {**asdict(self), "sqrt_margin": self.sqrt_margin}
 
 
+def sqrt_envelopes(frontier: FrontierPath, *consts):
+    """(t, Lambda_t, c sqrt(t) for each c in consts) at the grid times t > 0:
+    the per-t square-root envelopes behind the report's sqrt and early
+    increment margins, and the rows of ``bounds --emit-csv``."""
+    pos = frontier.t > 0.0
+    sq = np.sqrt(frontier.t[pos])
+    return (frontier.t[pos], frontier.lam[pos], *(c * sq for c in consts))
+
+
+def _binomial_se(p, n):
+    """Standard error sqrt(p (1 - p) / n) of a frequency p over n samples."""
+    return np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / n)
+
+
 def verify_frontier_envelopes(frontier: FrontierPath, consts: SqrtConstants,
                               n_mc, g: EnvelopeFunction | None = None):
     """Margins of the square-root, increment, and (optionally) averaging-envelope
     bounds on a simulated frontier. n_mc is the sample count behind the frontier
     (particles or paths), used only for the reported standard error. Negative
     margins are findings, not errors."""
+    t_pos, lam_pos, lower, upper, mean_sup = sqrt_envelopes(frontier, consts.c1, consts.c2,
+                                                            ROOT_TWO_OVER_PI)
+    sqrt_lower = float(np.min(lam_pos - lower))
+    sqrt_upper = float(np.min(upper - lam_pos))
+
     t = frontier.t
     lam = frontier.lam
-    pos = t > 0.0
-    sq = np.sqrt(t[pos])
-    sqrt_lower = float(np.min(lam[pos] - consts.c1 * sq))
-    sqrt_upper = float(np.min(consts.c2 * sq - lam[pos]))
-
     # every pair t_i < t_{i+k}, one lag k at a time
     holder = float(np.min([np.min(consts.c3 * np.sqrt(t[k:] - t[:-k]) - (lam[k:] - lam[:-k]))
                            for k in range(1, len(t))]))
@@ -148,16 +163,13 @@ def verify_frontier_envelopes(frontier: FrontierPath, consts: SqrtConstants,
     chi_margin = None
     coverage = 0.0
     if g is not None:
-        covered = []
-        for ti, li in zip(t[pos], lam[pos]):
-            y = ROOT_TWO_OVER_PI * math.sqrt(ti)
-            if y <= g.g_tilde_max:
-                covered.append(chi_bar(g, ti) - li)
-        coverage = len(covered) / int(np.count_nonzero(pos))
+        covered = [chi_bar(g, ti) - li
+                   for ti, li, y in zip(t_pos, lam_pos, mean_sup) if y <= g.g_tilde_max]
+        coverage = len(covered) / len(t_pos)
         if covered:
             chi_margin = float(np.min(covered))
 
-    se = float(np.max(np.sqrt(np.clip(lam * (1.0 - lam), 0.0, None) / n_mc)))
+    se = float(np.max(_binomial_se(lam, n_mc)))
     return EnvelopeMargins(sqrt_lower_margin=sqrt_lower, sqrt_upper_margin=sqrt_upper,
                            holder_margin=holder, chi_bar_margin=chi_margin,
                            chi_bar_coverage=coverage, max_se=se)
@@ -181,7 +193,7 @@ def simulate_drifted_sup(c3, n_paths=20000, n_steps=2000, seed=0):
 
 def prob_drifted_sup_below(u_samples, x):
     """P(U <= x) from sorted samples; exactly 0 for x <= 0 (the continuous-time
-    running sup is strictly positive almost surely)."""
+    running sup is strictly positive almost surely) and 1 for x = inf."""
     if x <= 0.0:
         return 0.0
     return float(np.searchsorted(u_samples, x, side="right")) / len(u_samples)
@@ -216,14 +228,13 @@ class ProbGReport:
         }
 
 
-def _good_set_edges(d: PiecewiseGeometricDensity, rho, n_bands=30):
-    bands, (tail_lo, _) = d.good_set_bands(rho, n_max=n_bands)
+def _good_set_edges(d: PiecewiseGeometricDensity, rho, n_bands):
+    """Ascending edges of the good set G: the bands [a_{2n+2}, rho a_{2n+1}]
+    for n = n_bands, ..., 1, then [a_2, inf)."""
     edges = []
-    for lo, hi in sorted(bands):
-        edges.extend([lo, hi])
-    edges.append(tail_lo)
-    edges.append(np.inf)
-    return np.asarray(edges)
+    for n in range(n_bands + 1, 1, -1):
+        edges += [float(d.even_endpoint(n)), rho * float(d.odd_endpoint(n))]
+    return np.asarray(edges + [float(d.even_endpoint(1)), np.inf])
 
 
 def _lemma_interval(d: PiecewiseGeometricDensity, rho, t):
@@ -268,32 +279,25 @@ def _prob_in_G(frontier, d, t_indices, cols, u_samples, n_bands):
     """``estimate_prob_in_G`` on the samples cols = Y[:, t_indices]."""
     sb = compute_L(d)
     rho = float(sb.rho)
-    edges = _good_set_edges(d, rho, n_bands=n_bands)
+    edges = _good_set_edges(d, rho, n_bands)
     total = len(cols)
     inside = np.searchsorted(edges, cols, side="right") % 2 == 1
     lhs = inside.sum(axis=0) / total
-    lhs_se = np.sqrt(np.clip(lhs * (1.0 - lhs), 0.0, None) / total)
+    lhs_se = _binomial_se(lhs, total)
 
     tv = frontier.t[t_indices]
-    a_vals, b_vals, rhs, rhs_se = [], [], [], []
-    for t in tv:
-        a, b = _lemma_interval(d, rho, float(t))
-        pn = float(erfc(a / math.sqrt(2.0)))  # P(|N| >= a)
-        pu = 1.0 if math.isinf(b) else prob_drifted_sup_below(u_samples, b - a)
-        rhs.append(pn * pu)
-        pu_se = 0.0 if math.isinf(b) else math.sqrt(max(pu * (1.0 - pu), 0.0) / len(u_samples))
-        rhs_se.append(pn * pu_se)
-        a_vals.append(a)
-        b_vals.append(b)
-    rhs = np.asarray(rhs)
-    rhs_se = np.asarray(rhs_se)
+    a_vals, b_vals = np.asarray([_lemma_interval(d, rho, float(t)) for t in tv]).T
+    pn = erfc(a_vals / math.sqrt(2.0))  # P(|N| >= a)
+    pu = np.asarray([prob_drifted_sup_below(u_samples, x) for x in b_vals - a_vals])
+    rhs = pn * pu
+    rhs_se = pn * _binomial_se(pu, len(u_samples))
 
     alpha2 = float(d.alpha2)
     L = float(sb.L)
     threshold = (alpha2 - 1.0) / (alpha2 - L)
     return ProbGReport(
-        t_values=np.asarray(tv), lhs=lhs, lhs_se=lhs_se, rhs=rhs, rhs_se=rhs_se,
-        a_values=np.asarray(a_vals), b_values=np.asarray(b_vals),
+        t_values=tv, lhs=lhs, lhs_se=lhs_se, rhs=rhs, rhs_se=rhs_se,
+        a_values=a_vals, b_values=b_vals,
         threshold=threshold,
         probG_margin=float(np.min(lhs - rhs)),
         threshold_margin=float(np.min(lhs - threshold)),
@@ -362,12 +366,8 @@ def early_increment_check(frontier: FrontierPath, d: Density):
     grid (the t = 0 case of the increment inequality; alpha2 = 1 for a
     density without bands)."""
     alpha2 = float(getattr(d, "alpha2", 1.0))
-    t = frontier.t
-    lam = frontier.lam
-    pos = t > 0.0
-    lhs = lam[pos] - np.asarray(d.cdf_fast(lam[pos]))
-    rhs = alpha2 * ROOT_TWO_OVER_PI * np.sqrt(t[pos])
-    return float(np.min(rhs - lhs))
+    _, lam, rhs = sqrt_envelopes(frontier, alpha2 * ROOT_TWO_OVER_PI)
+    return float(np.min(rhs - (lam - np.asarray(d.cdf_fast(lam)))))
 
 
 # ---------------------------------------------------------------------------

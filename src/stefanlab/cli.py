@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import assemble_bounds_report
+from .bounds import assemble_bounds_report, sqrt_envelopes
 from .conditions import check_averaging_condition
-from .densities import DensityError, _check_int, make_density, read_numeric_rows
+from .densities import (DensityError, _check_int, make_density, read_numeric_rows,
+                        write_numeric_rows)
 from .solver import (SOLVER_FIELDS, FrontierPath, SolverConfig, SolverConfigError,
                      physical_jump_scan, picard_minimal, result_hash, simulate_particles)
 
@@ -185,15 +186,11 @@ def _cmd_bounds(args):
                                     n_paths=args.n_paths, g=g)
     _emit(report.to_json_dict(), args.out)
     if args.emit_csv:
-        path = Path(args.emit_csv) / "bounds_margins.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,lambda,c1_sqrt_t,c2_sqrt_t,lower_margin,upper_margin\n")
-            for t, lam in zip(frontier.t, frontier.lam):
-                if t <= 0.0:
-                    continue
-                lo = report.c1 * t ** 0.5
-                hi = report.c2 * t ** 0.5
-                fh.write(f"{t!r},{lam!r},{lo!r},{hi!r},{lam - lo!r},{hi - lam!r}\n")
+        t, lam, lower, upper = sqrt_envelopes(frontier, report.c1, report.c2)
+        write_numeric_rows(Path(args.emit_csv) / "bounds_margins.csv",
+                           ("t", "lambda", "c1_sqrt_t", "c2_sqrt_t", "lower_margin",
+                            "upper_margin"),
+                           zip(t, lam, lower, upper, lam - lower, upper - lam))
     return 0 if report.worst_margin >= 0.0 else 2
 
 
@@ -255,8 +252,8 @@ def _cmd_sweep(args):
 def _add_common(sub, config=True):
     if config:
         sub.add_argument("--config", help="solver config JSON")
+        sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--density", help="density spec JSON (overrides the config's)")
-    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--threads", type=int, default=None,
                      help="worker threads (default: STEFAN_THREADS or hardware)")
 

@@ -43,6 +43,7 @@ __all__ = [
     "make_density",
     "tabulated_from_csv",
     "read_numeric_rows",
+    "write_numeric_rows",
 ]
 
 
@@ -190,11 +191,11 @@ class TabulatedProfile:
 
 
 def make_profile(spec):
-    """The density profile g = (1 + psi)/2 for a JSON-style spec of psi: "sin",
-    a number (constant), or {"period": P, "values": [...]} sampled uniformly
-    over one period; psi must map into [-1, 1]."""
+    """(g, spec) for a JSON-style spec of psi: "sin", a number (constant), or
+    {"period": P, "values": [...]} sampled uniformly over one period, mapping
+    into [-1, 1]; g = (1 + psi)/2, and spec writes every number as a float."""
     if spec == "sin":
-        return SinusoidProfile(0.5, 0.0, 0.5)
+        return SinusoidProfile(0.5, 0.0, 0.5), spec
     try:
         if isinstance(spec, dict):
             values = _real_array("psi values", spec["values"])
@@ -206,8 +207,9 @@ def make_profile(spec):
     if not np.all(np.abs(values) <= 1.0 + 1e-9):
         raise DensityError("profile must map into [-1, 1]")
     if isinstance(spec, dict):
-        return TabulatedProfile(spec["period"], 0.5 * values + 0.5)
-    return SinusoidProfile(0.0, 0.0, 0.5 * float(spec) + 0.5)
+        g = TabulatedProfile(spec["period"], 0.5 * values + 0.5)
+        return g, {"period": g.period, "values": values.tolist()}
+    return SinusoidProfile(0.0, 0.0, 0.5 * float(spec) + 0.5), float(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +418,6 @@ class PiecewiseGeometricDensity(Density):
             return []
         return [((1.0 - q) / q * float(self.odd_endpoint(n + 1)), mu) for n in range(1, 13)]
 
-    def good_set_bands(self, rho, n_max=30):
-        """Intervals [a_{2n+2}, rho * a_{2n+1}] for n = 1..n_max plus [a_2, inf)."""
-        rho = float(rho)
-        bands = [(float(self.even_endpoint(n + 1)), rho * float(self.odd_endpoint(n + 1)))
-                 for n in range(1, n_max + 1)]
-        return bands, (float(self.even_endpoint(1)), math.inf)
-
     def spec_dict(self):
         def enc(v):
             return str(v) if isinstance(v, Fraction) else float(v)
@@ -497,8 +492,7 @@ class PeriodicOscillatoryDensity(Density):
     def __init__(self, alpha, psi="sin"):
         _check_real(DensityError, "alpha", alpha)
         self.alpha = float(alpha)
-        self.psi_spec = psi
-        self.g = make_profile(psi)  # in [0, 1]
+        self.g, self.psi_spec = make_profile(psi)  # g in [0, 1]
         if self.g.mean <= 1e-12:
             raise DensityError("profile mean is -1; the density has no mass")
         for v0 in self._V0_CANDIDATES:
@@ -873,6 +867,15 @@ def read_numeric_rows(path, sep):
     return rows
 
 
+def write_numeric_rows(path, header, rows):
+    """A CSV that ``read_numeric_rows`` reads back: the header names, then one
+    line per row with each field written as repr(float(v))."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
 def tabulated_from_csv(path):
     """Two-column CSV (x, f), fields separated by ',' or ';', read by
     ``read_numeric_rows`` (blank rows skipped, an optional header)."""
@@ -968,6 +971,8 @@ class GaussianPathDensity(TabulatedDensity):
         return best, arg
 
     def spec_dict(self):
+        if not np.array_equal(self.grid, np.linspace(0.0, 1.0, len(self.grid))):
+            raise DensityError("a Gaussian-path density on a custom grid has no spec")
         return {"family": "gaussian_path", "hurst": self.hurst, "beta_lil": self.beta_lil,
                 "grid_size": len(self.grid), "seed": self.seed}
 

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import rng
-from .densities import Density, _check_int, _check_real, read_numeric_rows
+from .densities import Density, _check_int, _check_real, read_numeric_rows, write_numeric_rows
 
 __all__ = [
     "PicardConfig",
@@ -148,10 +148,8 @@ class FrontierPath:
             raise ValueError("frontier values must lie in [0, 1]")
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,lambda,alive_fraction\n")
-            for t, lam in zip(self.t, self.lam):
-                fh.write(f"{float(t)!r},{float(lam)!r},{1.0 - float(lam)!r}\n")
+        write_numeric_rows(path, ("t", "lambda", "alive_fraction"),
+                           zip(self.t, self.lam, 1.0 - self.lam))
 
     @staticmethod
     def read_csv(path):
@@ -472,17 +470,15 @@ def picard_minimal(density: Density, cfg: SolverConfig):
         buf = np.empty((rows + 1, K + 1))
         lo, hi = chunks[ci]
         acc = partial[ci]
+        acc[...] = 0.0
         for r in range(lo, hi, rows):
             m = min(rows, hi - r)
             y = buf[1:m + 1]
             np.subtract(lam, b32[r:r + m], out=y)
             np.maximum.accumulate(y, axis=1, out=y)
             y[...] = density.cdf_fast(y)
-            if r == lo:
-                np.add.reduce(y, axis=0, out=acc)
-            else:
-                buf[0] = acc
-                np.add.reduce(buf[:m + 1], axis=0, out=acc)
+            buf[0] = acc
+            np.add.reduce(buf[:m + 1], axis=0, out=acc)
 
     lam = np.zeros(K + 1)
     history = []

@@ -291,8 +291,8 @@ def bruteforce_sup_ratio(d, n_y=1000, n_h=1000):
     and [a_2, a1]; the value approaches L from below as the grids refine."""
     rho = float(compute_L(d).rho)
     a1 = float(d.a1)
-    bands, (tail_lo, _) = d.good_set_bands(rho, n_max=12)
-    pieces = bands + [(tail_lo, a1)]
+    pieces = [(float(d.even_endpoint(n + 1)), rho * float(d.odd_endpoint(n + 1)))
+              for n in range(1, 13)] + [(float(d.even_endpoint(1)), a1)]
     lengths = np.asarray([hi - lo for lo, hi in pieces])
     counts = np.maximum((n_y * lengths / lengths.sum()).astype(int), 8)
     ys = np.concatenate([np.linspace(lo, hi, c) for (lo, hi), c in zip(pieces, counts)])

@@ -8,6 +8,7 @@ import pytest
 from _oracles import bruteforce_sup_ratio
 from stefanlab import make_density, make_piecewise, uniform_density
 from stefanlab.bounds import (
+    _good_set_edges,
     assemble_bounds_report,
     compute_L,
     compute_sqrt_constants,
@@ -225,6 +226,17 @@ def test_estimators_reject_a_bad_n_paths(pw_std, pw_frontier, n_paths):
         simulate_drifted_sup(3.0, n_paths=n_paths, n_steps=10)
     with pytest.raises(ValueError, match="n_paths"):
         estimate_delta0(pw_frontier, pw_std, n_paths=n_paths)
+
+
+@pytest.mark.parametrize("n_bands", [0, 30])
+def test_good_set_edges_are_the_sorted_bands_of_the_endpoints(n_bands):
+    # a non-dyadic float density: G is [a_{2n+2}, rho a_{2n+1}], n = 1..n_bands, and [a_2, inf)
+    d = make_piecewise(0.3, 1.1, 0.6, 0.7)
+    rho = float(compute_L(d).rho)
+    bands = sorted((float(d.even_endpoint(n + 1)), rho * float(d.odd_endpoint(n + 1)))
+                   for n in range(1, n_bands + 1))
+    want = [x for band in bands for x in band] + [float(d.even_endpoint(1)), math.inf]
+    assert np.array_equal(_good_set_edges(d, rho, n_bands), want)
 
 
 def test_prob_in_G_reflection_identity(pw_std):

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from stefanlab.bounds import sqrt_envelopes
 from stefanlab.cli import main
+from stefanlab.densities import read_numeric_rows
 from stefanlab.solver import FrontierPath
 
 PW_SPEC = {"family": "piecewise", "alpha1": "1/2", "alpha2": "21/20",
@@ -64,6 +66,15 @@ def test_check_sine_passes(workdir, capsys):
     for key in ("holds_1_5", "holds_1_6", "holds_1_7", "lambda0", "g_envelope", "worst_psi"):
         assert key in rep
     assert all(len(pair) == 2 for pair in rep["g_envelope"])
+
+
+def test_check_takes_no_seed(workdir, capsys):
+    # the averaging check draws no random numbers, so a seed would change nothing
+    (workdir / "sine.json").write_text(json.dumps({"family": "periodic", "alpha": 1.0,
+                                                   "psi": "sin"}))
+    assert main(["check", "--density", "sine.json", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--seed" in err
 
 
 def test_check_piecewise_fails_exit2(workdir):
@@ -144,12 +155,23 @@ def test_bounds_roundtrip_bit_identical(workdir):
 
 
 def test_bounds_emit_csv(workdir):
-    main(["bounds", "--config", "cfg.json", "--density", "pw.json",
-          "--n-paths", "2000", "--out", "b.json", "--emit-csv", "tables",
-          "--threads", "1"])
-    lines = (workdir / "tables" / "bounds_margins.csv").read_text().splitlines()
-    assert lines[0].startswith("t,lambda,")
-    assert len(lines) > 10
+    # this grid holds t = 0.1205, where t ** 0.5 is one ulp off sqrt(t); every row
+    # must be the report's own envelope, written as plain floats
+    assert main(["simulate", "--config", "cfg.json", "--density", "pw.json", "--dt", "5e-4",
+                 "--T", "0.25", "--out", "f.csv", "--threads", "1"]) == 0
+    main(["bounds", "--config", "cfg.json", "--density", "pw.json", "--frontier", "f.csv",
+          "--n-paths", "2000", "--out", "b.json", "--emit-csv", "tables", "--threads", "1"])
+    path = workdir / "tables" / "bounds_margins.csv"
+    assert path.read_text().splitlines()[0] == ("t,lambda,c1_sqrt_t,c2_sqrt_t,"
+                                                "lower_margin,upper_margin")
+    rep = json.loads((workdir / "b.json").read_text())
+    t, lam, lower, upper = sqrt_envelopes(FrontierPath.read_csv("f.csv"), rep["c1"], rep["c2"])
+    rows = np.asarray([nums for _, nums in read_numeric_rows(path, ",")])
+    assert len(rows) == 500 and 0.1205 in t
+    assert np.array_equal(rows, np.column_stack([t, lam, lower, upper, lam - lower,
+                                                 upper - lam]))
+    assert rows[:, 4].min() == rep["sqrt_lower_margin"]
+    assert rows[:, 5].min() == rep["sqrt_upper_margin"]
 
 
 def test_bounds_rejects_non_piecewise(workdir, capsys):

@@ -654,6 +654,13 @@ def test_spec_dict_round_trips_through_json(density):
     assert np.array_equal(again.cdf(xs), density.cdf(xs))
 
 
+def test_a_gaussian_path_density_on_a_custom_grid_has_no_spec():
+    # its spec would name the density on linspace(0, 1, grid_size), a different one
+    d = build_gaussian_path(0.5, 1.41, seed=1, grid=np.linspace(0.0, 1.0, 65) ** 2)
+    with pytest.raises(DensityError, match="custom grid"):
+        d.spec_dict()
+
+
 def test_profile_helpers():
     s = SinusoidProfile(1.0, 0.0, 0.0)
     assert s.mean == 0.0 and s.sup_abs == 1.0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from _oracles import compute_Y_samples, physical_jump_bruteforce
 from stefanlab import make_piecewise, uniform_density
 from stefanlab import make_density
+from stefanlab.densities import PeriodicOscillatoryDensity
 from stefanlab.solver import (
     SOLVER_FIELDS,
     FrontierPath,
@@ -417,6 +418,19 @@ def test_result_hash_reads_a_tabulated_densitys_values_not_its_path(tmp_path):
     cfg = SolverConfig(n_particles=100, dt=0.001, T=0.1)
     for solver in SOLVER_FIELDS:
         assert result_hash(from_csv, cfg, solver) == result_hash(inline, cfg, solver)
+
+
+@pytest.mark.parametrize("psi, same", [
+    (0, 0.0),
+    ({"period": 3, "values": [0.0, -1.0, 0.5]}, {"period": 3.0, "values": [0.0, -1.0, 0.5]}),
+    ({"period": 3.0, "values": [0, -1, 1]}, {"period": 3.0, "values": [0.0, -1.0, 1.0]}),
+], ids=["constant", "period", "values"])
+def test_result_hash_of_a_periodic_density_reads_psi_as_floats(psi, same):
+    # an integer and a float psi build one density, so they name one result
+    cfg = SolverConfig(n_particles=100, dt=0.001, T=0.1)
+    for solver in SOLVER_FIELDS:
+        assert (result_hash(PeriodicOscillatoryDensity(1.0, psi), cfg, solver)
+                == result_hash(PeriodicOscillatoryDensity(1.0, same), cfg, solver))
 
 
 @pytest.mark.parametrize("t", [
