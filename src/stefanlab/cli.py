@@ -114,7 +114,8 @@ def _emit(payload, out_path):
 def _solve(density, cfg, solver):
     """(frontier, run, extra) from the particle scheme or Picard: run holds the
     result's hash, the seed and the run's timings, extra the solver's own
-    manifest fields. Warns on stderr when Picard did not converge."""
+    manifest fields. Warns on stderr when Picard did not converge, or when it
+    stopped with its estimated distance to the limit above its tolerance."""
     t0 = time.perf_counter()
     if solver == "particle":
         frontier, _ = simulate_particles(density, cfg)
@@ -126,8 +127,13 @@ def _solve(density, cfg, solver):
         if not res.converged:
             sys.stderr.write(f"picard did not converge in {res.iterations} iterations "
                              f"(last sup-change {res.history[-1]:.3e})\n")
+        elif res.tail_estimate is not None and res.tail_estimate > cfg.picard.tol:
+            sys.stderr.write(f"picard stopped at sup-change {res.history[-1]:.3e}, but the "
+                             f"estimated distance to the limit is {res.tail_estimate:.3e} "
+                             f"(tol {cfg.picard.tol:g})\n")
         frontier, extra = res.frontier, {"iterations": res.iterations,
-                                         "converged": res.converged, "sup_changes": res.history}
+                                         "converged": res.converged, "sup_changes": res.history,
+                                         "tail_estimate": res.tail_estimate}
     return frontier, {"config_hash": result_hash(density, cfg, solver), "seed": cfg.seed,
                       "timings": timings}, extra
 

@@ -196,6 +196,10 @@ def make_profile(spec):
     into [-1, 1]; g = (1 + psi)/2, and spec writes every number as a float."""
     if spec == "sin":
         return SinusoidProfile(0.5, 0.0, 0.5), spec
+    if isinstance(spec, dict):
+        extra = sorted(set(spec) - {"period", "values"})
+        if extra:
+            raise DensityError(f"psi has unknown key {extra[0]!r}")
     try:
         if isinstance(spec, dict):
             values = _real_array("psi values", spec["values"])

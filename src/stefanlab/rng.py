@@ -4,12 +4,21 @@ Every draw in the package is a pure function of (seed, stream kind, block, lane)
 a Philox generator is keyed by the run seed and the 256-bit counter's two high
 words select (block, kind), so per-particle / per-path logical streams are fixed
 lanes of a vectorized block. Results are bit-identical for any thread count and
-any chunking of the consumers, because any lane range of a block is
-reproducible: a draw that starts at lane ``start`` sets the counter's low word
-to the Philox output block holding that lane (four lanes per block).
+any chunking of the consumers. Each kind of stream is drawn by exactly one of
+the functions below, in one of two ways:
 
-Gaussians are produced by inverse-CDF of the uniform lane (one uniform per
-normal), not by rejection, so the draw count per lane is deterministic.
+* Inverse CDF (``uniform_block``, ``normal_block``): one 64-bit word per lane,
+  so any lane range of a block is reproducible. A draw that starts at lane
+  ``start`` sets the counter's low word to the Philox output block holding that
+  lane (four lanes per block). The tiled path streams (``PICARD_PATHS``,
+  ``Y_SAMPLES``, ``U_SUP``) and every other normal stream use this.
+* Ziggurat (``ziggurat_block``, for ``GAUSS_STEP`` only): numpy's
+  ``Generator.standard_normal`` (Marsaglia & Tsang, J. Stat. Softw. 2000), which
+  rejects now and then, so a lane has no fixed counter position. A lane is a
+  position in the block's sequence: the first m values of a draw of any length
+  equal a draw of m, and no other lane range can be drawn on its own. numpy
+  promises no stability of a ``Generator`` method's stream across its versions,
+  so this stream's numbers are pinned only for one numpy version.
 """
 from __future__ import annotations
 
@@ -17,8 +26,8 @@ import numpy as np
 from scipy.special import ndtri
 
 # stream kinds (counter word 3)
-GAUSS_STEP = 1      # particle-step increments, block = step index
-BRIDGE = 2          # bridge-crossing uniforms, block = step index
+GAUSS_STEP = 1      # particle-step increments, block = step index, lane = survivor rank
+BRIDGE = 2          # bridge-crossing uniforms, block = step index, lane = survivor rank
 PICARD_PATHS = 3    # Picard path increments, block = path-chunk index
 Y_SAMPLES = 4       # running-max sample paths, block = path-chunk index
 SLOPE_PROBE = 5     # slope-constant MC normals, block = grid index
@@ -26,6 +35,12 @@ U_SUP = 6           # drifted running-sup samples, block = path-chunk index
 GAUSS_PATH = 7      # density path sampling, block = 0
 
 _TWO53 = float(1 << 53)
+
+
+def _philox(seed, kind, block, word0):
+    """Generator for stream (seed, kind, block) from Philox output block word0."""
+    counter = np.array([word0, 0, block, kind], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
 
 
 def _uniforms(seed, kind, block, n, start=0):
@@ -37,8 +52,7 @@ def _uniforms(seed, kind, block, n, start=0):
     keeps its four-argument form, which ``benchmarks/tracing.py`` wraps.
     """
     skip = start % 4
-    counter = np.array([start // 4, 0, block, kind], dtype=np.uint64)
-    g = np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
+    g = _philox(seed, kind, block, start // 4)
     bits = g.integers(0, 1 << 53, size=skip + n, dtype=np.uint64)[skip:]
     return (bits.astype(np.float64) + 0.5) / _TWO53
 
@@ -55,3 +69,12 @@ def normal_block(seed, kind, block, n, start=0):
     ``normal_block(seed, kind, block, start + n)[start:]`` bit for bit.
     """
     return ndtri(_uniforms(seed, kind, block, n, start))
+
+
+def ziggurat_block(seed, kind, block, n):
+    """The first n standard normals of stream (seed, kind, block), by ziggurat.
+
+    The result equals ``ziggurat_block(seed, kind, block, m)[:n]`` for every
+    m >= n, so a consumer may draw more lanes than it reads.
+    """
+    return _philox(seed, kind, block, 0).standard_normal(n)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import rng
 from .densities import Density, _check_int, _check_real, read_numeric_rows, write_numeric_rows
@@ -187,6 +186,17 @@ class PicardResult:
     converged: bool
     iterates: list = field(default_factory=list)  # per-iteration frontiers
 
+    @property
+    def tail_estimate(self):
+        """Estimated sup distance from the last iterate to the limit: r/(1 - r)
+        times the last sup-change, with r the ratio of the last two (the
+        remainder of a geometric series). None with fewer than two changes or
+        when they do not shrink."""
+        if len(self.history) < 2 or self.history[-1] >= self.history[-2]:
+            return None
+        r = self.history[-1] / self.history[-2]
+        return r / (1.0 - r) * self.history[-1]
+
 
 # ---------------------------------------------------------------------------
 # cascade resolution
@@ -280,16 +290,20 @@ def simulate_particles(density: Density, cfg: SolverConfig):
     The survivors live in a compact pair: ascending particle ids and their
     positions. A cascade sorts only the particles near the barrier
     (``_near_barrier_cascade``); the dead are scattered into the full-length
-    outputs and dropped from the pair. Gaussian and bridge lanes stay indexed
-    by particle id, and only the alive lanes are inverted.
+    outputs and dropped from the pair. A survivor's Gaussian and bridge lanes
+    are its rank in the ascending ids: step k reads the first len(ids) lanes of
+    its ``GAUSS_STEP`` block (``rng.ziggurat_block``) and, after the first
+    cascade, of its ``BRIDGE`` block.
 
-    The uniform blocks are drawn in batches of about _AHEAD numbers. With
-    cfg.threads >= 2 one worker draws the next batch while the current one is
+    The blocks are drawn in batches of a fixed _AHEAD // n steps, each block
+    with as many lanes as there are survivors when its batch is requested,
+    never fewer than the survivors who read it. With cfg.threads >= 2 one
+    worker draws the next batch, as scaled normals, while the current one is
     worked through (at most two batches, 8 MB, exist at once, and a step's
     blocks are freed once it is done); with one thread the batches are drawn
-    inline. The numbers are the same either way, so the
-    result is bit-identical at any thread count. No batch is drawn once every
-    particle is dead.
+    inline at their first step. A block's first m lanes do not depend on how
+    many are drawn, so the result is bit-identical at any thread count. No
+    batch is drawn once every particle is dead.
     """
     n = cfg.n_particles
     K = cfg.n_steps
@@ -331,22 +345,26 @@ def simulate_particles(density: Density, cfg: SolverConfig):
     bridge = cfg.bridge_correction
     per_batch = max(1, _AHEAD // (n * (2 if bridge else 1)))
 
-    def draw(lo):
-        """(step, bridge or None) uniform blocks of the batch of steps from lo."""
-        return [(rng.uniform_block(cfg.seed, rng.GAUSS_STEP, k, n),
-                 rng.uniform_block(cfg.seed, rng.BRIDGE, k, n) if bridge else None)
-                for k in range(lo, min(lo + per_batch, K + 1))]
+    def draw(lo, m):
+        """(increments, bridge uniforms or None) of m lanes for each step of the
+        batch from lo; the increments are the step normals times sqrt(dt)."""
+        batch = []
+        for k in range(lo, min(lo + per_batch, K + 1)):
+            dz = rng.ziggurat_block(cfg.seed, rng.GAUSS_STEP, k, m)
+            dz *= sqdt
+            batch.append((dz, rng.uniform_block(cfg.seed, rng.BRIDGE, k, m) if bridge else None))
+        return batch
 
-    def advance(k, ug, ub):
-        """Step k on the survivors from its uniform blocks; returns the step's jump."""
+    def advance(k, dz, ub):
+        """Step k on the survivors from its blocks; returns the step's jump."""
         nonlocal p
         z_old = p.copy() if bridge else None
-        p += sqdt * ndtri(ug[ids])
+        p += dz[:len(p)]
         keep, step_delta = cascade(t[k])
         if bridge and len(ids):
             zo = z_old if keep is None else z_old[keep]
             p_hit = np.exp(-2.0 * zo * p / cfg.dt)
-            crossed = ub[ids] < p_hit
+            crossed = ub[:len(p)] < p_hit
             if np.any(crossed):
                 p[crossed] = 0.0
                 step_delta += cascade(t[k])[1]
@@ -356,8 +374,8 @@ def simulate_particles(density: Density, cfg: SolverConfig):
         ahead = None
         for lo in range(1, K + 1, per_batch):
             # the batch drawn ahead is read even when unused, so its error is raised
-            batch = ahead.result() if ahead else draw(lo) if len(ids) else None
-            ahead = (pool.submit(draw, lo + per_batch)
+            batch = ahead.result() if ahead else draw(lo, len(ids)) if len(ids) else None
+            ahead = (pool.submit(draw, lo + per_batch, len(ids))
                      if pool and len(ids) and lo + per_batch <= K else None)
             for k in range(lo, min(lo + per_batch, K + 1)):
                 # popped, so a step's blocks are freed as soon as it is done

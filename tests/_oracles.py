@@ -187,7 +187,8 @@ def simulate_particles_argsort(density, cfg):
 
     Referee for ``simulate_particles``: the step loop as it stood before the
     near-barrier cascade and the compact survivors, which must reproduce it
-    bit for bit.
+    bit for bit. Each step draws exactly as many Gaussian (and bridge) lanes as
+    it has survivors, lane j for the j-th alive particle in id order.
 
     Initialization is stratified (X_i = F^{-1}((i - 1/2)/n)), which makes the
     time-0 jump deterministic. Each step: Gaussian increments for the alive
@@ -222,10 +223,10 @@ def simulate_particles_argsort(density, cfg):
     for k in range(1, K + 1):
         step_delta = 0.0
         if np.any(alive):
-            xi = rng.normal_block(cfg.seed, rng.GAUSS_STEP, k, n)
             aidx = np.nonzero(alive)[0]
+            xi = rng.ziggurat_block(cfg.seed, rng.GAUSS_STEP, k, len(aidx))
             z_old = pos[aidx].copy()
-            pos[aidx] += sqdt * xi[aidx]
+            pos[aidx] += sqdt * xi
 
             order = np.argsort(pos[aidx], kind="stable")
             kstar = _scan_sorted(pos[aidx][order], n)
@@ -242,7 +243,7 @@ def simulate_particles_argsort(density, cfg):
                 keep = np.isin(aidx, aidx2)
                 zo = z_old[keep]
                 zn = pos[aidx2]
-                ub = rng.uniform_block(cfg.seed, rng.BRIDGE, k, n)[aidx2]
+                ub = rng.uniform_block(cfg.seed, rng.BRIDGE, k, len(aidx2))
                 p_hit = np.exp(-2.0 * zo * zn / cfg.dt)
                 crossed = ub < p_hit
                 if np.any(crossed):

@@ -7,7 +7,7 @@ import pytest
 from stefanlab.bounds import sqrt_envelopes
 from stefanlab.cli import main
 from stefanlab.densities import read_numeric_rows
-from stefanlab.solver import FrontierPath
+from stefanlab.solver import FrontierPath, PicardResult
 
 PW_SPEC = {"family": "piecewise", "alpha1": "1/2", "alpha2": "21/20",
            "p": "1/2", "q": "1/2"}
@@ -130,6 +130,29 @@ def test_picard_manifest_flags_convergence(workdir):
     assert man["converged"] is True
     assert man["iterations"] >= 1
     assert man["solver"] == "picard"
+
+
+@pytest.mark.parametrize("history, warned", [
+    ([1e-2, 5e-3, 9.9e-4], False),  # r = 0.198: about 2.4e-4 left
+    ([2e-3, 1.6e-3, 9e-4], True),   # r = 0.5625: about 1.16e-3 left, above tol
+])
+def test_picard_warns_when_its_tail_estimate_exceeds_tol(workdir, capsys, monkeypatch,
+                                                        history, warned):
+    def geometric(density, cfg):
+        t = cfg.t_grid()
+        return PicardResult(frontier=FrontierPath(t=t, lam=np.zeros_like(t)),
+                            iterations=len(history), history=history, converged=True)
+    monkeypatch.setattr("stefanlab.cli.picard_minimal", geometric)
+    assert main(["picard", "--config", "cfg.json", "--density", "pw.json",
+                 "--out", "p.csv", "--threads", "1"]) == 0
+    man = json.loads((workdir / "p.csv.manifest.json").read_text())
+    r = history[-1] / history[-2]
+    assert man["tail_estimate"] == pytest.approx(r / (1.0 - r) * history[-1], rel=1e-15)
+    err = capsys.readouterr().err
+    if warned:
+        assert len(err.splitlines()) == 1 and "estimated distance to the limit" in err
+    else:
+        assert err == ""
 
 
 def test_bounds_roundtrip_bit_identical(workdir):
@@ -396,7 +419,7 @@ def test_manifest_and_index_keys(workdir):
     main(["picard", "--config", "cfg.json", "--density", "pw.json", "--out", "p.csv",
           "--threads", "1"])
     man = json.loads((workdir / "p.csv.manifest.json").read_text())
-    assert set(man) == common | {"iterations", "converged", "sup_changes"}
+    assert set(man) == common | {"iterations", "converged", "sup_changes", "tail_estimate"}
     assert set(man["timings"]) == {"picard_s"}
     assert set(man["config"]) == {"n_particles", "dt", "T", "seed", "bridge_correction",
                                   "jump_threshold", "threads", "picard"}
@@ -463,6 +486,8 @@ def test_solve_rejects_a_bad_config_field(workdir, capsys, fields, name, command
     {"family": "tabulated", "grid": ["0", "1"], "values": [1.0, 1.0]},
     {"family": "tabulated", "grid": [0.0, 1.0], "values": [True, True]},
     {"family": "tabulated", "csv": 0},
+    {"family": "periodic", "alpha": 1.0,
+     "psi": {"period": 3.0, "values": [0.0, -1.0, 0.5], "phase": 1.0}},
 ])
 def test_check_rejects_a_non_finite_density_spec(workdir, capsys, spec):
     (workdir / "d.json").write_text(json.dumps(spec))

@@ -589,6 +589,8 @@ def test_make_density_errors():
     ({"family": "tabulated", "grid": 2.0, "values": [1.0, 1.0]}, "grid"),
     ({"family": "tabulated", "grid": [0.0, 1.0], "values": [True, True]}, "values"),
     ({"family": "tabulated", "grid": [0.0, 1.0, 2.0], "values": [1e308, 1e308, 1e308]}, "mass"),
+    ({"family": "periodic", "alpha": 1.0,
+      "psi": {"period": 3.0, "values": [0.0, -1.0, 0.5], "phase": 1.0}}, "unknown key 'phase'"),
 ])
 def test_make_density_rejects_non_finite_or_non_integer_fields(spec, match):
     with pytest.raises(DensityError, match=match):

@@ -1,8 +1,9 @@
 """Static hygiene of the package source, read with ``ast`` only: every import
 is used, every ``__all__`` entry names something the module defines, every
 def and class is referenced somewhere in the repository's code, every optional
-parameter is passed by some call, and numbers from outside are type-checked
-only by the two checkers in ``densities``."""
+parameter is passed by some call, numbers from outside are type-checked
+only by the two checkers in ``densities``, and each kind of random stream is
+drawn by one function of ``rng``."""
 import ast
 from pathlib import Path
 
@@ -197,3 +198,65 @@ def test_every_optional_parameter_is_passed_somewhere():
              if f"{name}.{param}" not in NEVER_PASSED_ALLOWED
              and not {(name, param), (name, pos), (name, "*")} & passed]
     assert not never, f"optional parameters no call passes: {never}"
+
+
+def _draw_functions():
+    """The public functions of ``rng``: every draw of a stream goes through one."""
+    return {node.name for node in _tree(SRC / "rng.py").body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def _call_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _stream_parameters(trees, draws):
+    """{callable: (position of its stream argument, draw function)} for the draw
+    functions and, to a fixed point, every function that passes one of its own
+    parameters on as the stream argument of one of those."""
+    known = {name: (1, name) for name in draws}  # (seed, kind, block, n, ...)
+    functions = [node for tree in trees for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name not in draws]
+    grew = True
+    while grew:
+        grew = False
+        for fn in functions:
+            params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call) or _call_name(call) not in known:
+                    continue
+                pos, draw = known[_call_name(call)]
+                arg = call.args[pos] if pos < len(call.args) else None
+                if isinstance(arg, ast.Name) and arg.id in params:
+                    entry = (params.index(arg.id), draw)
+                    assert known.get(fn.name, entry) == entry, f"{fn.name} forwards two streams"
+                    grew |= fn.name not in known
+                    known[fn.name] = entry
+    return known
+
+
+def test_each_stream_kind_has_one_generator():
+    # a second way to draw one stream would give two sets of numbers for one seed
+    trees = {path.name: _tree(path) for path in MODULES}
+    draws = _draw_functions()
+    forwards = _stream_parameters(trees.values(), draws)
+    generators = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "rng":
+                pytest.fail(f"{name}:{node.lineno}: import rng itself; stream kinds are "
+                            "read as rng.<KIND>")
+            if not isinstance(node, ast.Call):
+                continue
+            for pos, arg in enumerate(node.args):
+                if (isinstance(arg, ast.Attribute) and isinstance(arg.value, ast.Name)
+                        and arg.value.id == "rng" and arg.attr.isupper()):
+                    callee = _call_name(node)
+                    where = f"{name}:{node.lineno}"
+                    assert callee in forwards and forwards[callee][0] == pos, (
+                        f"{where}: rng.{arg.attr} passed to {callee}, which draws no stream")
+                    generators.setdefault(arg.attr, set()).add(forwards[callee][1])
+    assert generators, "no stream kind found"
+    several = {kind: sorted(fns) for kind, fns in generators.items() if len(fns) > 1}
+    assert not several, f"stream kinds drawn by more than one function: {several}"

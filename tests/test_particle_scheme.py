@@ -8,9 +8,8 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
 
 from _oracles import physical_jump_bruteforce, simulate_particles_argsort
 from stefanlab import rng, solver, uniform_density
@@ -51,17 +50,27 @@ def test_simulate_bit_identical_to_argsort_referee(density_name, kw, request):
     assert np.array_equal(ens.death_time, ens_ref.death_time)
 
 
-def test_inverted_uniform_lanes_equal_normal_block_lanes():
-    # simulate_particles inverts the alive lanes of a drawn uniform block itself
-    lanes = np.array([1, 2, 40, 63, 64, 999])
-    u = rng.uniform_block(2026, rng.GAUSS_STEP, 9, 1000)
-    assert np.array_equal(ndtri(u[lanes]),
-                          rng.normal_block(2026, rng.GAUSS_STEP, 9, 1000)[lanes])
+_triples = st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 7), st.integers(0, 2**20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple=_triples, m=st.integers(0, 300), extra=st.integers(0, 300))
+def test_ziggurat_block_lanes_are_prefix_positions(triple, m, extra):
+    # simulate_particles draws more lanes than a step reads; the first m must not move
+    assert np.array_equal(rng.ziggurat_block(*triple, m + extra)[:m],
+                          rng.ziggurat_block(*triple, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_triples, b=_triples)
+def test_ziggurat_blocks_of_different_streams_differ(a, b):
+    assume(a != b)
+    assert not np.array_equal(rng.ziggurat_block(*a, 8), rng.ziggurat_block(*b, 8))
 
 
 def _count_draws(monkeypatch):
     calls = []
-    for name in ("uniform_block", "normal_block"):
+    for name in ("ziggurat_block", "uniform_block", "normal_block"):
         fn = getattr(rng, name)
 
         def counted(*args, _fn=fn, **kwargs):
@@ -96,6 +105,29 @@ def test_draws_stop_with_the_last_particle(monkeypatch, threads, wasted):
     assert extinct <= len(drawn) <= extinct + wasted
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_step_blocks_have_a_lane_for_every_survivor_who_reads_them(monkeypatch, pw_std,
+                                                                   threads):
+    # four steps per batch (two blocks a step with the bridge); a batch gets
+    # one lane per survivor when it is requested: at its first step inline,
+    # at the previous batch's first step on the worker
+    n = 1000
+    monkeypatch.setattr(solver, "_AHEAD", 4 * 2 * n)
+    calls = _count_draws(monkeypatch)
+    cfg = SolverConfig(n_particles=n, dt=1e-3, T=0.05, seed=5, threads=threads,
+                       bridge_correction=True)
+    fr, _ = simulate_particles(pw_std, cfg)
+    survivors = np.rint(n * (1.0 - fr.lam)).astype(int)  # after each step
+    drawn = {(kind, block): lanes for _, kind, block, lanes in calls}
+    assert len(drawn) == len(calls) == 2 * cfg.n_steps
+    for (kind, block), lanes in drawn.items():
+        assert kind in (rng.GAUSS_STEP, rng.BRIDGE)
+        first = block - (block - 1) % 4
+        requested = first if threads == 1 else max(1, first - 4)
+        assert lanes == survivors[requested - 1] >= survivors[block - 1]
+    assert survivors[-1] < survivors[0]
+
+
 class _Boom(RuntimeError):
     pass
 
@@ -109,7 +141,7 @@ def test_a_failed_draw_ends_the_run_and_leaves_no_thread(monkeypatch, pw_std, th
     # four steps per batch: block 7 is in the second batch, which the worker
     # draws while the first is worked through
     monkeypatch.setattr(solver, "_AHEAD", 4 * 1000)
-    draw = rng.uniform_block
+    draw = rng.ziggurat_block
     where = []
 
     def failing(seed, kind, block, n):
@@ -117,7 +149,7 @@ def test_a_failed_draw_ends_the_run_and_leaves_no_thread(monkeypatch, pw_std, th
             where.append(threading.current_thread())
             raise _Boom("block 7")
         return draw(seed, kind, block, n)
-    monkeypatch.setattr(rng, "uniform_block", failing)
+    monkeypatch.setattr(rng, "ziggurat_block", failing)
     before = _threads_alive()
     cfg = SolverConfig(n_particles=1000, dt=1e-3, T=0.02, seed=5, threads=threads)
     with pytest.raises(_Boom, match="block 7"):
@@ -127,16 +159,16 @@ def test_a_failed_draw_ends_the_run_and_leaves_no_thread(monkeypatch, pw_std, th
 
 
 def test_a_failed_draw_ahead_fails_the_run_also_after_extinction(monkeypatch):
-    # uniform[0.1, 0.7] at 500 particles dies out at step 21 (see above): the
+    # uniform[0.1, 0.7] at 500 particles dies out at step 22 (see above): the
     # worker has drawn steps 25-28 ahead by then, which are never used
     monkeypatch.setattr(solver, "_AHEAD", 4 * 500)
-    draw = rng.uniform_block
+    draw = rng.ziggurat_block
 
     def failing(seed, kind, block, n):
         if block == 26:
             raise _Boom("block 26")
         return draw(seed, kind, block, n)
-    monkeypatch.setattr(rng, "uniform_block", failing)
+    monkeypatch.setattr(rng, "ziggurat_block", failing)
     cfg = SolverConfig(n_particles=500, dt=1e-3, T=0.25, seed=3, threads=2)
     with pytest.raises(_Boom, match="block 26"):
         simulate_particles(uniform_density(0.1, 0.7), cfg)

@@ -16,6 +16,7 @@ from stefanlab.solver import (
     SOLVER_FIELDS,
     FrontierPath,
     PicardConfig,
+    PicardResult,
     SolverConfig,
     SolverConfigError,
     initial_jump_stratified,
@@ -253,6 +254,22 @@ def test_picard_monotone_iterates_exact(pw_std):
         assert np.all(it >= prev)
         prev = it
     assert np.all(np.diff(res.frontier.lam) >= 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(1e-8, 1.0), r=st.floats(0.01, 0.99), k=st.integers(2, 40))
+def test_picard_tail_estimate_is_the_geometric_remainder(c, r, k):
+    # sup-changes c r^j, j < k: the iterates still have sum_{j >= k} c r^j to go
+    history = [c * r**j for j in range(k)]
+    res = PicardResult(frontier=None, iterations=k, history=history, converged=True)
+    assert res.tail_estimate == pytest.approx(c * r**k / (1.0 - r), rel=1e-12)
+
+
+@pytest.mark.parametrize("history", [[], [3e-3], [1e-3, 1e-3], [1e-3, 2e-3]])
+def test_picard_tail_estimate_is_none_without_a_shrinking_pair(history):
+    res = PicardResult(frontier=None, iterations=len(history), history=history,
+                       converged=False)
+    assert res.tail_estimate is None
 
 
 def test_picard_thread_count_bit_identical(pw_std):
