@@ -511,6 +511,7 @@ class PeriodicOscillatoryDensity(Density):
         # relative error near 1e-16 alpha, and the head is off by that much
         if not abs((1.0 + 1.0 / self.alpha - 1.0) * self.alpha - 1.0) <= 1e-9:
             raise DensityError(f"alpha = {alpha} is too large: 1 + 1/alpha - 1 loses 1/alpha")
+        self._F_x0 = self._exp0.eval(self.v0) / self.alpha  # F(x0), where the table starts
         self._build_table()
         if not abs(self.total_mass - 1.0) <= 1e-9:
             raise DensityError(f"alpha = {alpha} is out of reach: the table's mass is "
@@ -531,12 +532,19 @@ class PeriodicOscillatoryDensity(Density):
             return u ** (-1.0 / self.alpha)
 
     def _head(self, x):
-        """F(x) for 0 < x <= x0 from the tail expansion; where u overflows,
-        its exact leading term g.mean x."""
+        """F(x) for 0 < x <= x0 (a 1-d array) from the tail expansion; where u
+        overflows, its exact leading term g.mean x. The expansion's terms cancel
+        only to rounding, which makes it dip by up to about 1e-15 where f
+        vanishes or nearly so; a running max over the sorted points, capped at
+        the value at x0 that starts the table, keeps it nondecreasing over the
+        points of one call."""
         u = self._u(x)
         finite = np.isfinite(u)
-        return np.where(finite, self._exp0.eval(np.where(finite, u, self.v0)) / self.alpha,
-                        self.g.mean * x)
+        F = np.where(finite, self._exp0.eval(np.where(finite, u, self.v0)) / self.alpha,
+                     self.g.mean * x)
+        order = np.argsort(x, kind="stable")
+        F[order] = np.minimum(np.maximum.accumulate(F[order]), self._F_x0)
+        return F
 
     def _cell_integral(self, lo, hi, moment=0):
         """Elementwise integral_lo^hi y^moment f(y) dy; exact to rounding in one cell."""
@@ -560,8 +568,7 @@ class PeriodicOscillatoryDensity(Density):
 
     def _cumulative(self, xs):
         """F at the nodes xs, xs[0] = x0: the expansion head plus the cell rules."""
-        head = self._exp0.eval(self.v0) / self.alpha
-        return np.cumsum(np.concatenate([[head], self._cell_integral(xs[:-1], xs[1:])]))
+        return np.cumsum(np.concatenate([[self._F_x0], self._cell_integral(xs[:-1], xs[1:])]))
 
     def _build_table(self):
         hi = max(2.0 * self.x0, 1.0)

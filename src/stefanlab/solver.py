@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
@@ -295,15 +296,19 @@ def simulate_particles(density: Density, cfg: SolverConfig):
     its ``GAUSS_STEP`` block (``rng.ziggurat_block``) and, after the first
     cascade, of its ``BRIDGE`` block.
 
-    The blocks are drawn in batches of a fixed _AHEAD // n steps, each block
-    with as many lanes as there are survivors when its batch is requested,
-    never fewer than the survivors who read it. With cfg.threads >= 2 one
-    worker draws the next batch, as scaled normals, while the current one is
-    worked through (at most two batches, 8 MB, exist at once, and a step's
-    blocks are freed once it is done); with one thread the batches are drawn
-    inline at their first step. A block's first m lanes do not depend on how
-    many are drawn, so the result is bit-identical at any thread count. No
-    batch is drawn once every particle is dead.
+    The blocks are drawn, as scaled normals, in batches of a fixed _AHEAD // n
+    steps, each block with as many lanes as there are survivors when its batch
+    is requested, never fewer than the survivors who read it. A batch's steps
+    wait in a deque. With cfg.threads >= 2 the next batch is requested at the
+    current one's first step, and one worker draws its steps from the front
+    while the current batch is worked through; the main thread, once done with
+    that, draws from the back the steps the worker has not started, and then
+    waits for the worker. With one thread a batch is requested at its own first
+    step and the main thread draws every step. A block's first m lanes do not
+    depend on how many are drawn, so the result is bit-identical at any thread
+    count and any split of a batch. At most two batches (8 MB) exist at once, a
+    step's blocks are freed once it is done, and no batch is requested once
+    every particle is dead.
     """
     n = cfg.n_particles
     K = cfg.n_steps
@@ -345,15 +350,40 @@ def simulate_particles(density: Density, cfg: SolverConfig):
     bridge = cfg.bridge_correction
     per_batch = max(1, _AHEAD // (n * (2 if bridge else 1)))
 
-    def draw(lo, m):
-        """(increments, bridge uniforms or None) of m lanes for each step of the
-        batch from lo; the increments are the step normals times sqrt(dt)."""
-        batch = []
-        for k in range(lo, min(lo + per_batch, K + 1)):
+    def take(pop, drawn, m):
+        """Draw the steps pop() hands out until none is left: step k's
+        increments (its normals times sqrt(dt)) and, with the bridge, its
+        uniforms, m lanes each."""
+        while True:
+            try:
+                k = pop()
+            except IndexError:
+                return drawn
             dz = rng.ziggurat_block(cfg.seed, rng.GAUSS_STEP, k, m)
             dz *= sqdt
-            batch.append((dz, rng.uniform_block(cfg.seed, rng.BRIDGE, k, m) if bridge else None))
-        return batch
+            drawn[k] = dz, rng.uniform_block(cfg.seed, rng.BRIDGE, k, m) if bridge else None
+
+    def request(lo):
+        """The batch of steps from lo, with one lane per survivor of now:
+        (steps not yet drawn, drawn steps by step, m, the worker's future or
+        None). The worker takes steps from the front."""
+        todo = deque(range(lo, min(lo + per_batch, K + 1)))
+        drawn = {}
+        m = len(ids)
+        return todo, drawn, m, pool.submit(take, todo.popleft, drawn, m) if pool else None
+
+    def collect(todo, drawn, m, worker):
+        """The batch's drawn steps. The main thread takes, from the back, the
+        steps the worker has not started (every step without one); then it
+        reads the worker's future, also when its own draw failed."""
+        try:
+            return take(todo.pop, drawn, m)
+        except BaseException:
+            todo.clear()  # the worker stops after the step it is drawing
+            raise
+        finally:
+            if worker:
+                worker.result()
 
     def advance(k, dz, ub):
         """Step k on the survivors from its blocks; returns the step's jump."""
@@ -373,13 +403,12 @@ def simulate_particles(density: Density, cfg: SolverConfig):
     with ThreadPoolExecutor(max_workers=1) if cfg.threads > 1 else nullcontext() as pool:
         ahead = None
         for lo in range(1, K + 1, per_batch):
-            # the batch drawn ahead is read even when unused, so its error is raised
-            batch = ahead.result() if ahead else draw(lo, len(ids)) if len(ids) else None
-            ahead = (pool.submit(draw, lo + per_batch, len(ids))
-                     if pool and len(ids) and lo + per_batch <= K else None)
+            # the batch drawn ahead is collected even when unused, so its error is raised
+            batch = collect(*ahead) if ahead else collect(*request(lo)) if len(ids) else None
+            ahead = request(lo + per_batch) if pool and len(ids) and lo + per_batch <= K else None
             for k in range(lo, min(lo + per_batch, K + 1)):
                 # popped, so a step's blocks are freed as soon as it is done
-                step_delta = advance(k, *batch.pop(0)) if len(ids) else 0.0
+                step_delta = advance(k, *batch.pop(k)) if len(ids) else 0.0
                 lam[k] = (n - len(ids)) / n
                 if step_delta > threshold:
                     jumps.append((float(t[k]), step_delta))

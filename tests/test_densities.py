@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -743,6 +743,28 @@ def test_cdf_fast_nondecreasing(cdf_families, family, xs):
     d = cdf_families[family]
     F = np.asarray(d.cdf_fast(np.sort(np.asarray(xs))))
     assert np.all(np.diff(F) >= 0.0)
+
+
+# psi values with a run of -1 samples: f vanishes on a stretch of every period
+_zero_stretch_values = st.tuples(
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+    st.integers(2, 5),
+    st.lists(st.floats(-1.0, 1.0), max_size=6),
+).map(lambda t: t[0] + [-1.0] * t[1] + t[2]).filter(lambda v: sum(v) > 1.0 - len(v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=_zero_stretch_values, alpha=st.sampled_from([0.5, 1.0, 2.0]),
+       period=st.sampled_from([1.0, 2.0 * math.pi]), seed=st.integers(0, 2**32 - 1))
+@example(values=[0.0, -1.0, -1.0], alpha=1.0, period=2.0 * math.pi, seed=0)
+def test_periodic_cdf_nondecreasing_where_f_vanishes_on_a_stretch(values, alpha, period, seed):
+    # below x0 the tail expansion cancels only to rounding; the points come
+    # unsorted, and cross x0 into the table
+    d = PeriodicOscillatoryDensity(alpha, {"period": period, "values": values})
+    xs = np.concatenate([np.geomspace(1e-12, 1e-2, 20_000), np.geomspace(1e-12, d.a, 20_000)])
+    xs = np.random.default_rng(seed).permutation(xs)
+    order = np.argsort(xs, kind="stable")
+    assert np.all(np.diff(np.asarray(d.cdf(xs))[order]) >= 0.0)
 
 
 @pytest.mark.parametrize("family", ["band_exact", "band_float", "periodic_sine",

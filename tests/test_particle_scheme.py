@@ -4,7 +4,11 @@
 survivors compact; ``tests/_oracles.simulate_particles_argsort`` is the step
 loop with a full stable argsort every step. They must agree bit for bit.
 """
+import sys
 import threading
+import time
+from collections import Counter, deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,6 +132,93 @@ def test_step_blocks_have_a_lane_for_every_survivor_who_reads_them(monkeypatch, 
     assert survivors[-1] < survivors[0]
 
 
+@pytest.mark.parametrize("bridge", [False, True])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_every_step_block_is_drawn_exactly_once(monkeypatch, threads, bridge):
+    # four steps per batch; every step's blocks up to extinction are drawn once,
+    # and after it only those of the batches requested while particles lived:
+    # the rest of the last one's batch and, with a worker, the batch after it
+    monkeypatch.setattr(solver, "_AHEAD", 4 * 500 * (2 if bridge else 1))
+    calls = _count_draws(monkeypatch)
+    cfg = SolverConfig(n_particles=500, dt=1e-3, T=0.25, seed=3, threads=threads,
+                       bridge_correction=bridge)
+    fr, _ = simulate_particles(uniform_density(0.1, 0.7), cfg)
+    extinct = int(np.argmax(fr.lam == 1.0))
+    assert 0 < extinct < cfg.n_steps - 8
+    last = -(-extinct // 4) * 4 + (4 if threads > 1 else 0)
+    kinds = (rng.GAUSS_STEP, rng.BRIDGE) if bridge else (rng.GAUSS_STEP,)
+    assert Counter((kind, block) for _, kind, block, _ in calls) == Counter(
+        (kind, block) for kind in kinds for block in range(1, last + 1))
+
+
+def _on_main():
+    return threading.current_thread() is threading.main_thread()
+
+
+class _MainWaitsDeque(deque):
+    """A batch's steps; the main thread takes from the back only once the
+    worker has taken every step, so it draws none."""
+
+    def pop(self):
+        deadline = time.monotonic() + 10.0
+        while _on_main() and self and time.monotonic() < deadline:
+            time.sleep(1e-4)
+        return super().pop()
+
+
+@pytest.mark.parametrize("bridge", [False, True])
+@pytest.mark.parametrize("split", ["main_takes_some", "worker_takes_all"])
+def test_any_split_of_the_draws_gives_the_one_thread_run(monkeypatch, pw_std, split, bridge):
+    # a slow worker leaves the main thread the back of every batch; a main
+    # thread that waits leaves every step to the worker
+    n = 1000
+    monkeypatch.setattr(solver, "_AHEAD", 4 * 2 * n)
+    cfg = SolverConfig(n_particles=n, dt=1e-3, T=0.05, seed=5, bridge_correction=bridge)
+    fr_ref, ens_ref = simulate_particles(pw_std, cfg)
+    draw = rng.ziggurat_block
+    by_main = {}
+
+    def recorded(seed, kind, block, m):
+        by_main[block] = by_main.get(block, ()) + (_on_main(),)
+        if split == "main_takes_some" and not _on_main():
+            time.sleep(2e-3)
+        return draw(seed, kind, block, m)
+    monkeypatch.setattr(rng, "ziggurat_block", recorded)
+    if split == "worker_takes_all":
+        monkeypatch.setattr(solver, "deque", _MainWaitsDeque)
+    fr, ens = simulate_particles(pw_std, replace(cfg, threads=2))
+    assert sorted(by_main) == list(range(1, cfg.n_steps + 1))
+    assert all(len(who) == 1 for who in by_main.values())
+    took = sum(who[0] for who in by_main.values())
+    assert took > 0 if split == "main_takes_some" else took == 0
+    assert np.array_equal(fr.lam, fr_ref.lam)
+    assert np.array_equal(ens.death_time, ens_ref.death_time)
+    assert np.array_equal(ens.positions, ens_ref.positions)
+
+
+def test_a_short_switch_interval_keeps_every_draw_once_and_the_result(monkeypatch, pw_std):
+    # the main thread and the worker pop the same deque; switching threads as
+    # often as the interpreter allows must still draw each block once
+    n = 1000
+    monkeypatch.setattr(solver, "_AHEAD", 2 * 2 * n)  # two steps per batch
+    cfg = SolverConfig(n_particles=n, dt=1e-3, T=0.05, seed=5, bridge_correction=True)
+    fr_ref, ens_ref = simulate_particles(pw_std, cfg)
+    calls = _count_draws(monkeypatch)
+    every_block_once = Counter((kind, block) for kind in (rng.GAUSS_STEP, rng.BRIDGE)
+                               for block in range(1, cfg.n_steps + 1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            calls.clear()
+            fr, ens = simulate_particles(pw_std, replace(cfg, threads=2))
+            assert Counter((kind, block) for _, kind, block, _ in calls) == every_block_once
+            assert np.array_equal(fr.lam, fr_ref.lam)
+            assert np.array_equal(ens.positions, ens_ref.positions)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class _Boom(RuntimeError):
     pass
 
@@ -138,24 +229,107 @@ def _threads_alive():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_failed_draw_ends_the_run_and_leaves_no_thread(monkeypatch, pw_std, threads):
-    # four steps per batch: block 7 is in the second batch, which the worker
-    # draws while the first is worked through
+    # four steps per batch: block 8 ends the second batch, which the worker
+    # draws, all of it, while the main thread waits for it
     monkeypatch.setattr(solver, "_AHEAD", 4 * 1000)
+    if threads > 1:
+        monkeypatch.setattr(solver, "deque", _MainWaitsDeque)
     draw = rng.ziggurat_block
     where = []
 
     def failing(seed, kind, block, n):
-        if block == 7:
+        if block == 8:
             where.append(threading.current_thread())
-            raise _Boom("block 7")
+            raise _Boom("block 8")
         return draw(seed, kind, block, n)
     monkeypatch.setattr(rng, "ziggurat_block", failing)
     before = _threads_alive()
     cfg = SolverConfig(n_particles=1000, dt=1e-3, T=0.02, seed=5, threads=threads)
-    with pytest.raises(_Boom, match="block 7"):
+    with pytest.raises(_Boom, match="block 8"):
         simulate_particles(pw_std, cfg)
     assert _threads_alive() == before
     assert (where[0] is threading.main_thread()) == (threads == 1)
+
+
+def _second_batch_choreography(monkeypatch, worker_draw, main_draw):
+    """Four steps per batch at 1000 particles and 2 threads: the worker takes
+    block 5, the front of the second batch, and the main thread, at the end of
+    the first batch, draws blocks from the back only once the worker has
+    started block 5. worker_draw(block, inner) and main_draw(block, inner)
+    draw the second batch's blocks, inner() being the real draw; returns the
+    list the main thread's blocks are appended to."""
+    monkeypatch.setattr(solver, "_AHEAD", 4 * 1000)
+    draw = rng.ziggurat_block
+    started = threading.Event()
+    main_blocks = []
+
+    def patched(seed, kind, block, n):
+        def inner():
+            return draw(seed, kind, block, n)
+        if block < 5 or block > 8:
+            return inner()
+        if not _on_main():
+            started.set()
+            return worker_draw(block, inner)
+        assert started.wait(10)
+        main_blocks.append(block)
+        return main_draw(block, inner)
+    monkeypatch.setattr(rng, "ziggurat_block", patched)
+    return main_blocks
+
+
+@pytest.mark.parametrize("worker_fails", [False, True])
+def test_a_failed_draw_of_the_main_thread_reads_the_worker_first(monkeypatch, pw_std,
+                                                                 worker_fails):
+    # the main thread fails on block 8 while the worker draws block 5; the
+    # worker stops after it, and its own failure is raised over the main's
+    main_failed = threading.Event()
+    worker_done = []
+
+    def worker_draw(block, inner):
+        assert main_failed.wait(10)
+        worker_done.append(block)
+        if worker_fails:
+            raise _Boom(f"block {block}")
+        return inner()
+
+    def main_draw(block, inner):
+        main_failed.set()
+        raise _Boom(f"block {block}")
+    main_blocks = _second_batch_choreography(monkeypatch, worker_draw, main_draw)
+    before = _threads_alive()
+    cfg = SolverConfig(n_particles=1000, dt=1e-3, T=0.02, seed=5, threads=2)
+    with pytest.raises(_Boom) as exc:
+        simulate_particles(pw_std, cfg)
+    assert _threads_alive() == before
+    assert main_blocks == [8] and worker_done == [5]
+    if worker_fails:
+        assert str(exc.value) == "block 5" and str(exc.value.__context__) == "block 8"
+    else:
+        assert str(exc.value) == "block 8"
+
+
+def test_a_failed_draw_of_the_worker_fails_the_run_when_the_main_thread_took_the_rest(
+        monkeypatch, pw_std):
+    # the worker fails on block 5 only after the main thread has drawn 8, 7 and 6
+    main_done = threading.Event()
+
+    def worker_draw(block, inner):
+        assert main_done.wait(10)
+        raise _Boom(f"block {block}")
+
+    def main_draw(block, inner):
+        out = inner()
+        if block == 6:
+            main_done.set()
+        return out
+    main_blocks = _second_batch_choreography(monkeypatch, worker_draw, main_draw)
+    before = _threads_alive()
+    cfg = SolverConfig(n_particles=1000, dt=1e-3, T=0.02, seed=5, threads=2)
+    with pytest.raises(_Boom, match="block 5"):
+        simulate_particles(pw_std, cfg)
+    assert _threads_alive() == before
+    assert main_blocks == [8, 7, 6]
 
 
 def test_a_failed_draw_ahead_fails_the_run_also_after_extinction(monkeypatch):
