@@ -44,32 +44,36 @@ ROOT_TWO_OVER_PI = math.sqrt(2.0 / math.pi)  # E|N| for a standard normal
 
 # window averages this close to 1 leave no certifiable positive envelope
 _VIOLATION_SLACK = 1e-9
+_PSI_BLOCK = 8192  # windows per psi_grid block; independent of thread count by design
 
 
 def psi(d: Density, lam, mu):
-    """Window average psi(lambda, mu) = integral_mu^{mu+1} f(lambda x) dx.
+    """Window average psi(lambda, mu) = integral_mu^{mu+1} f(lambda x) dx, elementwise.
 
     Equal to (F(lambda (mu+1)) - F(lambda mu)) / lambda for lambda > 0; exact
     in rational arithmetic for the piecewise family when lambda and mu are
     Fractions. psi(0, mu) degenerates to f(0).
     """
-    if lam == 0:
+    if np.ndim(lam) == 0 and lam == 0:
         return d.pdf(lam)
-    return (d.cdf(lam * (mu + 1)) - d.cdf(lam * mu)) / lam
+    diff = d.cdf(lam * (mu + 1)) - d.cdf(lam * mu)
+    with np.errstate(invalid="ignore"):  # 0 / 0 at a zero lambda of an array, which reads f(0)
+        return np.where(lam == 0.0, d.pdf(0.0), diff / lam) if np.ndim(lam) else diff / lam
 
 
 def psi_grid(d: Density, lambdas, mus, threads=1):
-    """Matrix psi(lambda_i, mu_j). Each row depends only on its own lambda, so
-    the result is bit-identical for any thread count."""
+    """Matrix psi(lambda_i, mu_j), one psi call per block of whole rows of about
+    _PSI_BLOCK windows, fixed by the grid, so the result is the same at any thread count."""
     lambdas = np.asarray(lambdas, dtype=float)
     mus = np.asarray(mus, dtype=float)
     out = np.empty((len(lambdas), len(mus)))
+    rows = max(1, _PSI_BLOCK // max(1, len(mus)))
 
-    def run_row(i):
-        out[i, :] = psi(d, lambdas[i], mus)
+    def run_block(lo):
+        out[lo:lo + rows] = psi(d, lambdas[lo:lo + rows, None], mus)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run_row, range(len(lambdas))))
+        list(pool.map(run_block, range(0, len(lambdas), rows)))
     return out
 
 
@@ -117,7 +121,6 @@ def check_pointwise_condition(d: Density):
     check fails.
     """
     windows = []
-    margins = []
     witness = None
     for k in range(1, 25):
         hi = 2.0 ** (-k)
@@ -125,10 +128,9 @@ def check_pointwise_condition(d: Density):
         sup, arg = d.sup_pdf(lo, hi)
         margin = 1.0 - float(sup)
         windows.append((lo, hi, margin))
-        margins.append(margin)
         if margin <= 0.0 and witness is None:
             witness = arg
-    margins = np.asarray(margins)
+    margins = np.asarray([m for _, _, m in windows])
     h_values = np.minimum.accumulate(margins)
     holds = bool(np.all(margins > 0.0))
     return PointwiseReport(holds=holds, witness=witness, windows=windows, h_values=h_values)
@@ -288,10 +290,10 @@ def check_averaging_condition(d: Density, lambda0_candidate=0.01, lambda_grid=No
 
     values = psi_grid(d, lambda_grid, mu_grid, threads=threads)
     probes = getattr(d, "hard_window_probes", list)()
-    extra = [(lam, mu) for lam, mu in probes if 0.0 < lam <= lam0]
-    lam_nodes = np.concatenate([np.repeat(lambda_grid, len(mu_grid)), [e[0] for e in extra]])
-    mu_nodes = np.concatenate([np.tile(mu_grid, len(lambda_grid)), [e[1] for e in extra]])
-    psi_nodes = np.concatenate([values.ravel(), [psi(d, lam, mu) for lam, mu in extra]])
+    extra = np.asarray([p for p in probes if 0.0 < p[0] <= lam0], dtype=float).reshape(-1, 2)
+    lam_nodes = np.concatenate([np.repeat(lambda_grid, len(mu_grid)), extra[:, 0]])
+    mu_nodes = np.concatenate([np.tile(mu_grid, len(lambda_grid)), extra[:, 1]])
+    psi_nodes = np.concatenate([values.ravel(), psi(d, extra[:, 0], extra[:, 1])])
 
     bad = psi_nodes > 1.0 - _VIOLATION_SLACK
     violated = bool(np.any(bad))

@@ -547,10 +547,12 @@ class PeriodicOscillatoryDensity(Density):
         return F
 
     def _cell_integral(self, lo, hi, moment=0):
-        """Elementwise integral_lo^hi y^moment f(y) dy; exact to rounding in one cell."""
+        """Elementwise integral_lo^hi y^moment f(y) dy; exact to rounding in one cell.
+        Summed per point: a BLAS product's order depends on the call's other points."""
         half = 0.5 * (np.asarray(hi, dtype=float) - lo)
         y = (lo + half)[..., None] + half[..., None] * _GL_NODES
-        return half * ((y ** moment * self.g.eval(self._u(y))) @ _GL_WEIGHTS)
+        f = self.g.eval(self._u(y))
+        return half * np.einsum("...k,k->...", y ** moment * f if moment else f, _GL_WEIGHTS)
 
     def _nodes(self, hi):
         """Nodes on [x0, hi]: every cell edge (in u = x^(-alpha)), a uniform grid

@@ -18,7 +18,9 @@ approach the closed-form slope bound L from below. ``tabulated_profile_mass``
 integrates the periodic density of a tabulated profile between the profile's
 breaks.
 ``g_tilde_inverse_bisect`` inverts s g(s) by bisection, as ``g_tilde_inverse``
-did before its closed form.
+did before its closed form. ``beta_slope_table_loop`` and ``delta0_nodes_loop``
+evaluate the bounds estimators' CDF differences one call per (t, x) node and
+one per (chunk, h), as the bit-identity referees of their block evaluation.
 
 ``compute_Y_samples`` and ``pointwise_h_at`` are helpers only the tests use:
 the materialized running-max samples and the fitted pointwise margin at a point.
@@ -425,3 +427,41 @@ def g_tilde_inverse_bisect(g, y):
         return 0.0
     return bisect_nondecreasing(lambda s: s * g(s), 0.0, float(g.s_grid[-1]), y,
                                 xtol=1e-12)
+
+
+def beta_slope_table_loop(d, frontier, seed):
+    """``estimate_beta_slope``'s table, one ``cdf_fast`` call per (t, x) node."""
+    K = len(frontier.t) - 1
+    t_idx = np.unique(np.clip(np.geomspace(max(1, K // 200), K, 12).astype(int), 1, K))
+    upper = d.support_upper
+    scale = float(upper) if math.isfinite(upper) else 2.0
+    xs = np.geomspace(1e-3 * scale, 2.0 * scale, 24)
+    table = np.zeros((len(t_idx), len(xs)))
+    for bi, ti in enumerate(t_idx):
+        xi = rng.normal_block(seed, rng.SLOPE_PROBE, int(ti), 20000)
+        w = float(frontier.lam[ti]) + math.sqrt(float(frontier.t[ti])) * xi
+        Fw = np.asarray(d.cdf_fast(w))
+        for xj, x in enumerate(xs):
+            table[bi, xj] = float(np.mean(np.asarray(d.cdf_fast(w + x)) - Fw)) / x
+    return table
+
+
+def delta0_nodes_loop(d, cols):
+    """(node means, node standard errors) of ``estimate_delta0`` on the samples
+    cols = Y[:, t_indices], one ``cdf_fast`` call per (8192-path chunk, h)."""
+    upper = d.support_upper
+    scale = float(upper) if math.isfinite(upper) else 2.0
+    h_grid = np.geomspace(1e-4 * scale, scale, 16)
+    sums = np.zeros((cols.shape[1], len(h_grid)))
+    sq_sums = np.zeros_like(sums)
+    total = len(cols)
+    for lo in range(0, total, 8192):
+        chunk = cols[lo:lo + 8192]
+        Fy = np.asarray(d.cdf_fast(chunk))
+        for hj, h in enumerate(h_grid):
+            ratio = (np.asarray(d.cdf_fast(chunk + h)) - Fy) / h
+            sums[:, hj] += ratio.sum(axis=0)
+            sq_sums[:, hj] += (ratio * ratio).sum(axis=0)
+    means = sums / total
+    var = np.clip(sq_sums / total - means ** 2, 0.0, None)
+    return means, np.sqrt(var / total)

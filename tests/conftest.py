@@ -24,8 +24,9 @@ def sine_density():
 @pytest.fixture(autouse=True)
 def no_leaked_threads():
     """Fail a test that leaves a thread running: every pool of the library
-    (Picard's, psi_grid's, the particle scheme's draw-ahead worker) must be
-    shut down and joined before its call returns, also when the call fails."""
+    (Picard's, the one psi_grid maps its blocks of windows on, the particle
+    scheme's draw-ahead worker) must be shut down and joined before its call
+    returns, also when the call fails."""
     before = set(threading.enumerate())
     yield
     leaked = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]

@@ -5,10 +5,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from _oracles import bruteforce_sup_ratio
+from _oracles import beta_slope_table_loop, bruteforce_sup_ratio, delta0_nodes_loop
 from stefanlab import make_density, make_piecewise, uniform_density
 from stefanlab.bounds import (
+    _default_t_indices,
     _good_set_edges,
+    _y_columns,
     assemble_bounds_report,
     compute_L,
     compute_sqrt_constants,
@@ -296,6 +298,19 @@ def test_delta0_piecewise_below_one(pw_std, pw_frontier):
     rep = estimate_delta0(pw_frontier, pw_std, n_paths=20_000, seed=5)
     assert rep.delta0_hat + 3.0 * rep.se_at_max < 1.0
     assert rep.node_means.shape == (len(rep.t_values), len(rep.h_values))
+
+
+@pytest.mark.parametrize("seed", [5, 314])
+def test_estimators_block_evaluation_equals_the_node_loop(pw_std, sine_density, pw_frontier,
+                                                          seed):
+    # 10_000 paths span two 8192-path chunks of the delta0 sums
+    cols = _y_columns(pw_frontier, 10_000, seed, _default_t_indices(pw_frontier, 8))
+    for d in (pw_std, sine_density):
+        _, table = estimate_beta_slope(d, pw_frontier, seed=seed)
+        assert np.array_equal(table, beta_slope_table_loop(d, pw_frontier, seed))
+        rep = estimate_delta0(pw_frontier, d, n_paths=10_000, seed=seed)
+        means, ses = delta0_nodes_loop(d, cols)
+        assert np.array_equal(rep.node_means, means) and np.array_equal(rep.node_ses, ses)
 
 
 # ---------------------------------------------------------------------------

@@ -73,21 +73,36 @@ def test_psi_piecewise_exact_vs_riemann(pw_std):
         assert psi(pw_std, lam, mu) == pytest.approx(want, abs=1e-6)
 
 
-def test_psi_grid_thread_determinism(pw_std):
-    lams = np.geomspace(1e-4, 0.5, 40)
-    mus = np.linspace(0.0, 1.0, 31)
-    a = psi_grid(pw_std, lams, mus, threads=1)
-    b = psi_grid(pw_std, lams, mus, threads=8)
-    assert np.array_equal(a, b)
+def test_psi_grid_thread_determinism(pw_std, sine_density):
+    for lams, mus in ((np.geomspace(1e-4, 0.5, 40), np.linspace(0.0, 1.0, 31)),  # one block
+                      (np.geomspace(1e-4, 0.5, 250), np.linspace(0.0, 1.0, 101))):  # four
+        for d in (pw_std, sine_density):
+            a = psi_grid(d, lams, mus, threads=1)
+            for threads in (2, 3, 8):
+                assert np.array_equal(a, psi_grid(d, lams, mus, threads=threads))
+
+
+def test_psi_grid_equals_psi_row_by_row(pw_std, sine_density):
+    # rows of all four kinds of density, a zero lambda among them, across blocks
+    profile = make_density({"family": "periodic", "alpha": 1.0,
+                            "psi": {"period": 2.0 * math.pi, "values": [0.0, -0.5, 0.5, 0.2]}})
+    path = build_gaussian_path(0.5, math.sqrt(2.0), grid_size=257, seed=3)
+    lams = np.concatenate([[0.0], np.geomspace(1e-6, 2.0, 199)])
+    mus = np.linspace(0.0, 1.0, 101)
+    for d in (pw_std, sine_density, profile, path):
+        want = np.array([np.broadcast_to(psi(d, lam, mus), mus.shape) for lam in lams])
+        assert np.array_equal(psi_grid(d, lams, mus, threads=2), want)
 
 
 def test_psi_bounded_by_max_density(pw_std, sine_density):
-    lams = np.geomspace(1e-5, 1.0, 25)
+    lams = np.concatenate([[0.0], np.geomspace(1e-5, 1.0, 25)])
     mus = np.linspace(0.0, 1.0, 21)
     vals = psi_grid(pw_std, lams, mus)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.05 + 1e-12)
     vals = psi_grid(sine_density, lams, mus)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0 + 1e-12)
+    u = uniform_density(0.0, 2.0)  # f(0) = 1/2, which the zero-lambda row must read
+    assert np.array_equal(psi_grid(u, lams, mus)[0], np.full(len(mus), 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -728,6 +728,8 @@ def cdf_families(pw_std, sine_density):
         "band_exact": pw_std,
         "band_float": make_piecewise(0.5, 1.05, 0.5, 0.5),
         "periodic_sine": sine_density,
+        "periodic_profile": PeriodicOscillatoryDensity(
+            1.0, {"period": 2.0 * math.pi, "values": [0.0, -0.5, 0.5, 0.2]}),
         "gaussian_path": build_gaussian_path(0.5, math.sqrt(2.0), grid_size=513, seed=7),
         "tabulated": make_density({"family": "tabulated", "grid": [0.0, 0.3, 0.7, 1.5],
                                    "values": [0.2, 1.4, 0.0, 0.9]}),
@@ -768,11 +770,17 @@ def test_periodic_cdf_nondecreasing_where_f_vanishes_on_a_stretch(values, alpha,
 
 
 @pytest.mark.parametrize("family", ["band_exact", "band_float", "periodic_sine",
-                                    "gaussian_path", "tabulated"])
+                                    "periodic_profile", "gaussian_path", "tabulated"])
 @settings(max_examples=40, deadline=None)
 @given(xs=st.lists(st.one_of(st.floats(-1.0, 4.0), st.floats(0.0, 1e-6)),
                    min_size=6, max_size=6),
        us=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+# above-x0 points that a cell rule summed by a matrix product reads differently
+# inside one call than alone (for the sine, then for the profile)
+@example(xs=[0.9813920847865071, 0.371678016448809, 0.7462949706311363,
+             1.1813177685605831, 0.7661227173311422, 1.1145855266547755], us=[0.5] * 6)
+@example(xs=[0.797583468104147, 0.4359285971688367, 0.04418845469976729,
+             0.5785085069750494, 0.2954641013035603, 0.03262888737084885], us=[0.5] * 6)
 def test_methods_keep_the_input_shape_and_act_pointwise(cdf_families, family, xs, us):
     d = cdf_families[family]
     for method, values in (("pdf", xs), ("cdf", xs), ("cdf_fast", xs), ("sample", us)):

@@ -2,8 +2,9 @@
 is used, every ``__all__`` entry names something the module defines, every
 def and class is referenced somewhere in the repository's code, every optional
 parameter is passed by some call, numbers from outside are type-checked
-only by the two checkers in ``densities``, and each kind of random stream is
-drawn by one function of ``rng``."""
+only by the two checkers in ``densities``, each kind of random stream is
+drawn by one function of ``rng``, and no method of a density takes a matrix
+product."""
 import ast
 from pathlib import Path
 
@@ -260,3 +261,36 @@ def test_each_stream_kind_has_one_generator():
     assert generators, "no stream kind found"
     several = {kind: sorted(fns) for kind, fns in generators.items() if len(fns) > 1}
     assert not several, f"stream kinds drawn by more than one function: {several}"
+
+
+#: products whose summation order BLAS may pick by the size of the whole call
+MATRIX_PRODUCTS = {"dot", "matmul", "inner", "tensordot", "vdot"}
+
+
+def _density_classes(trees):
+    """Every class that derives, directly or not, from ``Density``."""
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    found = {"Density"}
+    grew = True
+    while grew:
+        grew = False
+        for cls in classes:
+            bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                     for b in cls.bases}
+            if cls.name not in found and bases & found:
+                found.add(cls.name)
+                grew = True
+    return [cls for cls in classes if cls.name in found]
+
+
+def test_no_matrix_product_in_a_density_method():
+    # a density acts pointwise: the value at a point may not depend on the
+    # other points of the call, which a BLAS product's blocking can make it do
+    found = []
+    for cls in _density_classes(_tree(path) for path in MODULES):
+        for node in ast.walk(cls):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)) or (
+                    isinstance(node, ast.Call) and _call_name(node) in MATRIX_PRODUCTS):
+                found.append(f"{cls.name} line {node.lineno}")
+    assert not found, f"matrix products in density methods: {found}"
