@@ -41,12 +41,14 @@ print(f"  trivial profiles: psi=1 -> a = {PeriodicOscillatoryDensity(1.0, 1.0).a
 
 # --- the Gaussian-path density ----------------------------------------------
 # A Brownian sample path minus the iterated-logarithm envelope, clipped to
-# [0, 1], plus an exponential tail carrying the leftover mass.
+# [0, 1], then a piecewise-linear tent past 1 carrying the leftover mass.
 gp = build_gaussian_path(hurst=0.5, beta_lil=math.sqrt(2.0), grid_size=513, seed=7)
+mass01 = float(gp.cdf(1.0))
 print("\nGaussian-path density (H = 1/2, seed 7):")
-print(f"  f(0) = {float(gp.pdf(0.0))}, mass on [0,1] = {gp.mass01:.4f}, "
-      f"tail mass = {gp.tail_mass:.4f}")
-touches = int(np.count_nonzero((gp.values >= 1.0) & (gp.grid > 0.0)))
+print(f"  f(0) = {float(gp.pdf(0.0))}, mass on [0,1] = {mass01:.4f}, "
+      f"tent mass = {1.0 - mass01:.4f} on (1, {gp.support_upper:.4f}]")
+on_path = (gp.grid > 0.0) & (gp.grid <= 1.0)
+touches = int(np.count_nonzero((gp.values >= 1.0) & on_path))
 print(f"  grid points where the clipped path touches 1: {touches}")
 
 # --- tabulated densities ------------------------------------------------------

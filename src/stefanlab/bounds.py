@@ -92,8 +92,7 @@ def estimate_beta_slope(d: Density, frontier: FrontierPath, seed=0):
     """
     K = len(frontier.t) - 1
     t_idx = np.unique(np.clip(np.geomspace(max(1, K // 200), K, 12).astype(int), 1, K))
-    scale = d.support_upper if math.isfinite(d.support_upper) else 2.0
-    xs = np.geomspace(1e-3 * scale, 2.0 * scale, 24)
+    xs = np.geomspace(1e-3 * d.support_upper, 2.0 * d.support_upper, 24)
     shifts = np.concatenate([[0.0], xs])[:, None]
     table = np.zeros((len(t_idx), len(xs)))
     for bi, ti in enumerate(t_idx):
@@ -330,8 +329,7 @@ def estimate_delta0(frontier: FrontierPath, d: Density, n_paths=20000, seed=0):
 def _delta0(frontier, d, t_indices, cols):
     """``estimate_delta0`` on the samples cols = Y[:, t_indices]. The sums are
     reduced per 8192-path chunk in row order, then across chunks."""
-    scale = d.support_upper if math.isfinite(d.support_upper) else 2.0
-    h_grid = np.geomspace(1e-4 * scale, scale, 16)
+    h_grid = np.geomspace(1e-4 * d.support_upper, d.support_upper, 16)
     shifts = np.concatenate([[0.0], h_grid])[:, None, None]
 
     sums = np.zeros((len(t_indices), len(h_grid)))

@@ -55,7 +55,7 @@ def psi(d: Density, lam, mu):
     Fractions. psi(0, mu) degenerates to f(0).
     """
     if np.ndim(lam) == 0 and lam == 0:
-        return d.pdf(lam)
+        return d.pdf(lam) if np.ndim(mu) == 0 else np.full(np.shape(mu), d.pdf(0.0))
     diff = d.cdf(lam * (mu + 1)) - d.cdf(lam * mu)
     with np.errstate(invalid="ignore"):  # 0 / 0 at a zero lambda of an array, which reads f(0)
         return np.where(lam == 0.0, d.pdf(0.0), diff / lam) if np.ndim(lam) else diff / lam
@@ -146,9 +146,7 @@ class MomentReport:
 
 def check_moment_condition(d: Density):
     """Max-pdf scan plus first-moment quadrature."""
-    upper = d.support_upper
-    scan_hi = 20.0 if not math.isfinite(upper) else float(upper)
-    sup, arg = d.sup_pdf(0.0, scan_hi)
+    sup, arg = d.sup_pdf(0.0, float(d.support_upper))
     sup = float(sup)
     f_le_1 = sup <= 1.0 + 1e-12
     return MomentReport(f_le_1=f_le_1, max_pdf=sup,
@@ -270,7 +268,8 @@ def check_averaging_condition(d: Density, lambda0_candidate=0.01, lambda_grid=No
     Densities exposing hard_window_probes() get those adversarial (lambda, mu)
     pairs appended, so families that defeat the condition at isolated lambdas
     are caught between grid points. The report's lambda0 is the largest grid
-    lambda verified on every node below it (the candidate itself if all pass).
+    lambda verified on every node below it (the largest grid lambda if all pass:
+    a grid that stops below the candidate verifies nothing past its end).
     """
     _check_real(ValueError, "lambda0 candidate", lambda0_candidate)
     _check_int(ValueError, "threads", threads, 1)
@@ -302,7 +301,7 @@ def check_averaging_condition(d: Density, lambda0_candidate=0.01, lambda_grid=No
         lambda0 = float(below[-1]) if len(below) else 0.0
         fit = lam_nodes <= lambda0
     else:
-        lambda0, fit = lam0, slice(None)
+        lambda0, fit = float(np.max(lambda_grid)), slice(None)
     env = _fit_envelope(lam_nodes[fit] * (mu_nodes[fit] + 1.0), psi_nodes[fit])
     # 1 - max psi over every node; -inf when no node has s = lambda (mu+1) > 0
     margin_1_7 = float(1.0 - np.max(psi_nodes)) if violated or env is not None else -math.inf

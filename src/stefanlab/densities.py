@@ -9,7 +9,8 @@ Four families share one interface (pdf, cdf, sample, first moment, windowed sup)
   the support endpoint a fixed by normalization.
 * ``TabulatedDensity`` -- grid + values with linear interpolation.
 * ``GaussianPathDensity`` -- a clipped Gaussian sample path minus an
-  iterated-logarithm envelope, tabulated on [0, 1], plus an exponential tail.
+  iterated-logarithm envelope, tabulated on [0, 1], then a piecewise-linear
+  tent past 1 carrying the mass the path leaves.
 
 Densities are immutable after construction and safe to share across threads.
 """
@@ -793,7 +794,9 @@ class TabulatedDensity(Density):
                 "values": [float(v) for v in self.values]}
 
 
-def _make_tabulated(grid, values):
+def _make_tabulated(grid, values, cls=TabulatedDensity, **fields):
+    """A cls (a TabulatedDensity) on the validated grid and values, rescaled
+    to unit mass, with the extra dataclass fields given."""
     grid, values = _real_array("grid", grid), _real_array("values", values)
     if grid.shape != values.shape or len(grid) < 2:
         raise DensityError("tabulated density needs matching 1-d grid and values, length >= 2")
@@ -812,7 +815,7 @@ def _make_tabulated(grid, values):
         values = values / mass
     F = _pwl_F(grid, values)
     F[-1] = min(F[-1], 1.0)
-    return TabulatedDensity(grid=grid, values=values, F_grid=F, normalized=normalized)
+    return cls(grid=grid, values=values, F_grid=F, normalized=normalized, **fields)
 
 
 def uniform_density(lo, hi):
@@ -920,74 +923,26 @@ def _lil_envelope(x, hurst, beta):
 
 @dataclass(frozen=True, eq=False)
 class GaussianPathDensity(TabulatedDensity):
-    """Clipped path density (1 + S_x - kappa_x)_+ ^ 1 tabulated on a grid in
-    [0, 1], plus an exponential tail tail_mass * exp(-(x-1)) carrying the
-    remaining mass.
+    """Clipped path density (1 + S_x - kappa_x)_+ ^ 1 tabulated on a grid of
+    [0, 1] that ends at 1, where kappa makes it 0, followed, when the path
+    carries less than unit mass, by a piecewise-linear tent carrying the rest.
 
-    The tabulated core is zero between the grid's last node and 1; each
-    method below is the core's plus the tail's part.
+    ``path`` holds S on the grid of [0, 1], the first ``len(path)`` nodes.
     """
 
     path: np.ndarray
     hurst: float
     beta_lil: float
     seed: int
-    mass01: float
-    tail_mass: float
 
     family = "gaussian_path"
 
-    @property
-    def support_upper(self):
-        return math.inf if self.tail_mass > 0.0 else super().support_upper
-
-    @staticmethod
-    def _with_tail(x, core, beyond, tail):
-        """The core's values, replaced by tail(x[beyond]) where beyond holds."""
-        out = np.array(core)
-        out[beyond] = tail(x[beyond])
-        return out if out.shape else float(out)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._with_tail(x, super().pdf(x), x > 1.0,
-                               lambda xt: self.tail_mass * np.exp(-(xt - 1.0)))
-
-    def cdf(self, x):
-        # past 1 the value is mass01 plus the tail's mass, even with no tail
-        x = np.asarray(x, dtype=float)
-        return self._with_tail(
-            x, super().cdf(x), x > 1.0,
-            lambda xt: self.mass01 + self.tail_mass * (1.0 - np.exp(-(xt - 1.0))))
-
-    def sample(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.tail_mass > 0.0:
-            def tail(ut):
-                with np.errstate(divide="ignore"):  # u = 1 is the tail's quantile +inf
-                    return 1.0 - np.log1p(-np.minimum((ut - self.mass01) / self.tail_mass, 1.0))
-        else:
-            def tail(ut):
-                return 1.0
-        return self._with_tail(u, super().sample(u), ~(u <= self.mass01), tail)
-
-    def first_moment(self):
-        return super().first_moment() + 2.0 * self.tail_mass
-
-    def sup_pdf(self, lo, hi):
-        best, arg = super().sup_pdf(lo, hi)
-        if self.tail_mass > 0.0 and hi > 1.0:
-            xt = max(float(lo), 1.0)
-            v = self.tail_mass * math.exp(-(xt - 1.0))
-            if v > best:
-                best, arg = v, xt
-        return best, arg
-
     def spec_dict(self):
-        if not np.array_equal(self.grid, np.linspace(0.0, 1.0, len(self.grid))):
+        core = self.grid[:len(self.path)]
+        if not np.array_equal(core, np.linspace(0.0, 1.0, len(core))):
             raise DensityError("a Gaussian-path density on a custom grid has no spec")
         return {"family": "gaussian_path", "hurst": self.hurst, "beta_lil": self.beta_lil,
-                "grid_size": len(self.grid), "seed": self.seed}
+                "grid_size": len(self.path), "seed": self.seed}
 
 
 def build_gaussian_path(hurst, beta_lil, grid_size=513, seed=0, grid=None):
@@ -1006,10 +961,10 @@ def build_gaussian_path(hurst, beta_lil, grid_size=513, seed=0, grid=None):
     _check_int(DensityError, "grid_size", grid_size, 2)
     hurst, beta_lil = float(hurst), float(beta_lil)
     grid = np.linspace(0.0, 1.0, grid_size) if grid is None else _real_array("grid", grid)
-    if grid[0] != 0.0:
+    if not (grid.size and grid[0] == 0.0):
         grid = np.concatenate([[0.0], grid])
-    if np.any(np.diff(grid) <= 0.0) or grid[-1] > 1.0 or grid[0] < 0.0:
-        raise DensityError("grid must be strictly increasing within [0, 1]")
+    if np.any(np.diff(grid) <= 0.0) or grid[-1] != 1.0:
+        raise DensityError("grid must be strictly increasing within [0, 1] and end at 1")
     pos = grid[1:]
     z = rng.normal_block(seed, rng.GAUSS_PATH, 0, len(pos))
     if hurst == 0.5:
@@ -1029,15 +984,15 @@ def build_gaussian_path(hurst, beta_lil, grid_size=513, seed=0, grid=None):
     with np.errstate(invalid="ignore"):
         f_grid = np.clip(1.0 + S - kappa, 0.0, 1.0)
     f_grid = np.where(np.isnan(f_grid), 0.0, f_grid)
-    mass01 = float(np.trapezoid(f_grid, grid))
-    rescaled = mass01 > 1.0
-    if rescaled:
-        f_grid = f_grid / mass01
-        mass01 = 1.0
-    return GaussianPathDensity(grid=grid, values=f_grid, F_grid=_pwl_F(grid, f_grid),
-                               normalized=rescaled, path=S, hurst=hurst,
-                               beta_lil=beta_lil, seed=int(seed),
-                               mass01=mass01, tail_mass=1.0 - mass01)
+    tail = 1.0 - float(np.trapezoid(f_grid, grid))
+    if tail > 0.0:
+        # f(1) = 0, as kappa(1) = inf: a tent on (1, 1 + w] carries the missing
+        # mass, its peak 2 tail / w <= 1/2 clear of the level 1 the path reaches
+        w = max(1.0, 4.0 * tail)
+        grid = np.append(grid, [1.0 + 0.5 * w, 1.0 + w])
+        f_grid = np.append(f_grid, [2.0 * tail / w, 0.0])
+    return _make_tabulated(grid, f_grid, GaussianPathDensity, path=S, hurst=hurst,
+                           beta_lil=beta_lil, seed=int(seed))
 
 
 # ---------------------------------------------------------------------------

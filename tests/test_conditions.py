@@ -49,6 +49,12 @@ def test_psi_piecewise_adversarial_window_exact(pw_std):
 def test_psi_zero_lambda_degenerates_to_pdf(pw_std):
     u = uniform_density(0.0, 2.0)
     assert psi(u, 0.0, 0.3) == pytest.approx(0.5)
+    # a scalar zero lambda against an array of mus reads f(0) in the mus' shape
+    mus = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    for d in (u, pw_std):
+        f0 = float(d.pdf(0.0))
+        assert np.array_equal(psi(d, 0.0, mus), np.full(mus.shape, f0))
+        assert sup_psi(d, 0.0) == (f0, 0.0)
 
 
 def test_psi_sine_vs_riemann_oracle(sine_density):
@@ -90,7 +96,7 @@ def test_psi_grid_equals_psi_row_by_row(pw_std, sine_density):
     lams = np.concatenate([[0.0], np.geomspace(1e-6, 2.0, 199)])
     mus = np.linspace(0.0, 1.0, 101)
     for d in (pw_std, sine_density, profile, path):
-        want = np.array([np.broadcast_to(psi(d, lam, mus), mus.shape) for lam in lams])
+        want = np.array([psi(d, lam, mus) for lam in lams])
         assert np.array_equal(psi_grid(d, lams, mus, threads=2), want)
 
 
@@ -199,6 +205,14 @@ def test_averaging_sine_passes_with_quarter_envelope(sine_density):
     assert np.all(rep.g_envelope.g_values >= 0.25)  # sup psi < 3/4 on this range
     assert rep.holds_1_6
     assert not rep.holds_1_5  # averaging succeeds where the pointwise test fails
+
+
+def test_averaging_lambda0_is_no_larger_than_the_grid(sine_density):
+    # with no violated node, lambda0 is the largest lambda the grid verified,
+    # not the candidate the grid stops short of
+    rep = check_averaging_condition(sine_density, 2.0, lambda_grid=[1e-6, 1e-5])
+    assert rep.holds_1_7
+    assert rep.lambda0 == 1e-5
 
 
 def test_averaging_linear_density_passes():

@@ -346,7 +346,10 @@ def test_gaussian_path_formula_and_mass():
         assert float(d.pdf(x)) == pytest.approx(manual, abs=1e-15)
     assert float(d.pdf(1.0)) == 0.0  # the envelope blows up at 1
     assert float(d.cdf(60.0)) == pytest.approx(1.0, abs=1e-12)
-    assert d.mass01 + d.tail_mass == pytest.approx(1.0, abs=1e-15)
+    # F(1) is the path's own mass; the tent past 1 carries the rest
+    assert float(d.cdf(1.0)) == pytest.approx(np.trapezoid(d.values[:513], d.grid[:513]),
+                                              abs=1e-15)
+    assert float(d.cdf(d.support_upper)) == pytest.approx(1.0, abs=1e-15)
     assert math.isfinite(d.first_moment())
 
 
@@ -395,7 +398,7 @@ def test_gaussian_path_scaling_law_ks():
 def test_gaussian_path_general_hurst_and_errors():
     d = build_gaussian_path(0.75, 1.0, grid_size=129, seed=3)
     assert d.path[0] == 0.0
-    assert 0.0 < d.mass01 <= 1.0
+    assert 0.0 < float(d.cdf(1.0)) <= 1.0
     with pytest.raises(DensityError, match="grid"):
         build_gaussian_path(0.75, 1.0, grid=np.array([0.0, 0.5, 0.5, 1.0]))
     with pytest.raises(DensityError):
@@ -408,20 +411,29 @@ def test_gaussian_path_sample_roundtrip():
     xs = d.sample(us)
     assert np.all(np.diff(xs) >= -1e-14)
     assert np.max(np.abs(d.cdf(xs) - us)) < 1e-9
-    # tail samples land beyond 1 when the tail carries mass
-    if d.tail_mass > 1e-3:
-        assert d.sample(1.0 - d.tail_mass / 2.0) > 1.0
+    # tail samples land beyond 1 when the tail carries mass, and the top one
+    # at the end of the support
+    tail = 1.0 - float(d.cdf(1.0))
+    if tail > 1e-3:
+        assert d.sample(1.0 - tail / 2.0) > 1.0
+    assert d.sample(1.0) == pytest.approx(d.support_upper, abs=1e-12)
 
 
-def test_gaussian_path_core_is_zero_past_a_grid_ending_below_one():
-    d = build_gaussian_path(0.5, 0.2, seed=3, grid=np.linspace(0.0, 0.8, 200))
-    assert d.tail_mass > 0.0
-    gap = np.linspace(0.8, 1.0, 41)[1:]
-    assert np.all(d.pdf(gap) == 0.0)
-    assert d.sup_pdf(0.81, 1.0) == (0.0, None)
-    # the pdf integrates to the CDF's total
-    xs = np.union1d(d.grid, np.linspace(0.8, 3.0, 20_001))
-    assert np.trapezoid(d.pdf(xs), xs) == pytest.approx(float(d.cdf(3.0)), abs=1e-3)
+def test_gaussian_path_rejects_a_grid_ending_below_one():
+    with pytest.raises(DensityError, match="end at 1"):
+        build_gaussian_path(0.5, 0.2, seed=3, grid=np.linspace(0.0, 0.8, 200))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), beta_lil=st.floats(0.1, 3.0),
+       grid_size=st.sampled_from([65, 257, 513]))
+def test_gaussian_path_tail_is_a_tent_of_the_missing_mass(seed, beta_lil, grid_size):
+    d = build_gaussian_path(0.5, beta_lil, grid_size=grid_size, seed=seed)
+    assert float(d.cdf(d.support_upper)) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(d.values <= 1.0)
+    assert np.all(d.values[d.grid > 1.0] <= 0.5)
+    again = make_density(d.spec_dict())
+    assert np.array_equal(again.grid, d.grid) and np.array_equal(again.values, d.values)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +503,6 @@ def test_tabulated_validation():
 def test_tabulated_sup_pdf_window_past_the_grid_end():
     # the sup runs over (lo, hi]: lo counts only while the pdf lives to its right
     assert uniform_density(0.0, 0.5).sup_pdf(0.5, 1.0) == (0.0, None)
-    gp = build_gaussian_path(0.5, 0.2, seed=3, grid=np.linspace(0.0, 0.8, 200))
-    assert gp.sup_pdf(0.8, 1.0) == (0.0, None)
     assert uniform_density(0.0, 0.5).sup_pdf(0.2, 1.0) == (2.0, 0.5)
     assert uniform_density(0.1, 0.5).sup_pdf(0.1, 0.3) == (2.5, 0.1)
 
@@ -654,6 +664,8 @@ def test_spec_dict_round_trips_through_json(density):
     xs = np.concatenate([np.geomspace(1e-9, 3.0, 401), np.linspace(0.0, 3.0, 301)])
     assert np.array_equal(again.pdf(xs), density.pdf(xs))
     assert np.array_equal(again.cdf(xs), density.cdf(xs))
+    assert math.isfinite(density.support_upper)
+    assert float(density.cdf(density.support_upper)) == 1.0
 
 
 def test_a_gaussian_path_density_on_a_custom_grid_has_no_spec():

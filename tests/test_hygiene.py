@@ -3,8 +3,8 @@ is used, every ``__all__`` entry names something the module defines, every
 def and class is referenced somewhere in the repository's code, every optional
 parameter is passed by some call, numbers from outside are type-checked
 only by the two checkers in ``densities``, each kind of random stream is
-drawn by one function of ``rng``, and no method of a density takes a matrix
-product."""
+drawn by one function of ``rng``, no method of a density takes a matrix
+product, and no subclass of a concrete density family reimplements it."""
 import ast
 from pathlib import Path
 
@@ -294,3 +294,34 @@ def test_no_matrix_product_in_a_density_method():
                     isinstance(node, ast.Call) and _call_name(node) in MATRIX_PRODUCTS):
                 found.append(f"{cls.name} line {node.lineno}")
     assert not found, f"matrix products in density methods: {found}"
+
+
+#: the one method a subclass of a concrete family may redefine: its spec names
+#: the parameters it was built from, not its tables
+REDEFINABLE = {"spec_dict"}
+
+
+def _methods(cls):
+    return {node.name for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_no_subclass_of_a_concrete_density_redefines_its_methods():
+    # a subclass that redefines pdf, cdf or sample is a second implementation
+    # of the density, which the two must then keep in step
+    classes = {cls.name: cls for cls in _density_classes(_tree(path) for path in MODULES)}
+
+    def parents(cls):
+        return [b.id for b in cls.bases if isinstance(b, ast.Name) and b.id in classes]
+
+    found = []
+    for cls in classes.values():
+        if not set(parents(cls)) - {"Density"}:
+            continue
+        inherited, todo = set(), parents(cls)
+        while todo:
+            base = classes[todo.pop()]
+            inherited |= _methods(base)
+            todo += parents(base)
+        found += [f"{cls.name}.{name}" for name in sorted(_methods(cls) & inherited - REDEFINABLE)]
+    assert not found, f"inherited density methods redefined: {found}"
