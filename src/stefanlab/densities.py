@@ -846,11 +846,18 @@ def _check_real(error, name, value, positive=True):
 
 
 def _real_array(name, values):
-    """A list, tuple or 1-d array of finite numbers as a float array."""
+    """A list, tuple or 1-d array of finite numbers as a float array; the
+    error names the first element that is not one. A 1-d float array is
+    checked in one call, anything else element by element."""
     if not isinstance(values, (list, tuple, np.ndarray)):
         raise DensityError(f"{name} must be a list of numbers, got {values!r}")
-    for i, v in enumerate(values):
-        _check_real(DensityError, f"{name}[{i}]", v, positive=None)
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind == "f":
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            _check_real(DensityError, f"{name}[{bad[0]}]", values[bad[0]], positive=None)
+    else:
+        for i, v in enumerate(values):
+            _check_real(DensityError, f"{name}[{i}]", v, positive=None)
     return np.asarray(values, dtype=float)
 
 

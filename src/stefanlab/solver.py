@@ -11,7 +11,12 @@ Two routes to the frontier Lambda_t = P(absorption by t):
 * ``picard_minimal``: fixed-point iteration Lambda <- mean F(running max of
   (-B + Lambda)) over a common set of Brownian paths, increasing pointwise to
   the minimal solution. Assumes no time-0 jump (its value at 0 is F(0) = 0)
-  and rejects a density whose stratified time-0 jump is positive.
+  and rejects a density whose stratified time-0 jump is positive. The paths
+  are stored time-major, one float32 row per grid step. Each iteration sweeps
+  the steps in order, one task per contiguous run of 8192-path chunks, and
+  evaluates F only where a path's running max moves, about one (path, step)
+  in ten. Each chunk's column sums are folded path by path in order, through
+  path-major copies of 16-step blocks.
 
 All randomness is drawn from counter-based streams (see rng), so results are
 bit-identical across runs and thread counts.
@@ -486,14 +491,23 @@ def picard_minimal(density: Density, cfg: SolverConfig):
     The same Brownian paths (common random numbers) are reused every iteration,
     which makes the iterates pointwise nondecreasing exactly: the running max
     is monotone in Lambda, F is evaluated through a monotone interpolation, and
-    the per-chunk summation trees are fixed. Targets densities with no time-0
+    the per-chunk summation order is fixed. Targets densities with no time-0
     jump; the iteration pins Lambda_0 = F(0) = 0, so a density whose
     stratified time-0 jump is positive raises ValueError.
 
-    One pool of cfg.threads workers fills the float32 path store tile by tile
-    and then runs every iteration, one 8192-path chunk per task. A chunk is
-    processed in row tiles in a buffer of its task whose row 0 carries the
-    chunk's running sum, so each chunk is still summed row by row in order.
+    The float32 path store is time-major, one row of M paths per grid step,
+    filled by the pool from ``_brownian_tile``s transposed on write, so it holds
+    the same numbers as a path-major store. The 8192-path chunks are split into
+    cfg.threads contiguous runs of whole chunks, and each iteration runs one
+    task per run. A task sweeps the steps j = 1..K carrying each path's running
+    max Y and F(Y): only the paths with Lambda_j - B_j > Y move, and only they
+    get a new ``cdf_fast`` value. F(Y) is kept for blocks of _TILE // _CHUNK =
+    16 steps. When a block is complete, each chunk of the run folds a path-major
+    copy of its part, row by row from a zero row, into the chunk's column sums
+    (np.add.reduce sums a single column pairwise, so a one-step block is folded
+    two columns wide). Each chunk is thus summed path by path in order, as one
+    pass over its whole path-by-step table would be, and the thread count only
+    decides how the chunks are split: the iterates are the same at any count.
     """
     K = cfg.n_steps
     t = cfg.t_grid()
@@ -506,26 +520,47 @@ def picard_minimal(density: Density, cfg: SolverConfig):
 
     sq_steps = np.full(K, math.sqrt(cfg.dt))
     chunks = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
-    rows = max(1, _TILE // (K + 1))
-    b32 = np.empty((M, K + 1), dtype=np.float32)
+    cuts = [len(chunks) * i // cfg.threads for i in range(cfg.threads + 1)]
+    runs = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+    block = _TILE // _CHUNK
+    b32 = np.empty((K + 1, M), dtype=np.float32)
 
     def fill_tile(span):
         lo, hi = span
-        b32[lo:hi] = _brownian_tile(cfg.seed, rng.PICARD_PATHS, lo, hi, sq_steps)
+        b32[:, lo:hi] = _brownian_tile(cfg.seed, rng.PICARD_PATHS, lo, hi, sq_steps).T
 
-    def run_chunk(ci):
-        buf = np.empty((rows + 1, K + 1))
-        lo, hi = chunks[ci]
-        acc = partial[ci]
-        acc[...] = 0.0
-        for r in range(lo, hi, rows):
-            m = min(rows, hi - r)
-            y = buf[1:m + 1]
-            np.subtract(lam, b32[r:r + m], out=y)
-            np.maximum.accumulate(y, axis=1, out=y)
-            y[...] = density.cdf_fast(y)
-            buf[0] = acc
-            np.add.reduce(buf[:m + 1], axis=0, out=acc)
+    def fold(run, j1, snap, rows):
+        """Add F(Y) at the steps of the block ending before j1, snap's first
+        rows, to each chunk's column sums, in path order from a zero row."""
+        w = (j1 - 1) % block + 1
+        wide = max(w, 2)  # np.add.reduce sums one column pairwise, two or more row by row
+        off = chunks[run[0]][0]
+        for ci in range(*run):
+            lo, hi = chunks[ci]
+            part = rows[:(hi - lo + 1) * wide].reshape(-1, wide)
+            part[0] = 0.0
+            part[1:, w:] = 0.0
+            part[1:, :w] = snap[:w, lo - off:hi - off].T
+            partial[ci, j1 - w:j1] = np.add.reduce(part, axis=0)[:w]
+
+    def sweep(run):
+        """One iteration on the paths of a run of chunks."""
+        lo, hi = chunks[run[0]][0], chunks[run[1] - 1][1]
+        snap = np.empty((block, hi - lo))  # F(Y) at the steps of the current block
+        rows = np.empty((_CHUNK + 1) * block)  # a chunk's path-major copy of a block
+        y = lam[0] - b32[0, lo:hi]
+        snap[0] = density.cdf_fast(y)
+        for j in range(1, K + 1):
+            f = snap[j % block]
+            np.subtract(lam[j], b32[j, lo:hi], out=f)  # -B_j + Lambda_j, for now
+            moved = np.flatnonzero(f > y)
+            x = f[moved]
+            f[...] = snap[(j - 1) % block]
+            if len(moved):
+                y[moved] = x
+                f[moved] = density.cdf_fast(x)
+            if j % block == block - 1 or j == K:
+                fold(run, j + 1, snap, rows)
 
     lam = np.zeros(K + 1)
     history = []
@@ -537,7 +572,7 @@ def picard_minimal(density: Density, cfg: SolverConfig):
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         list(pool.map(fill_tile, _row_tiles(M, K)))
         for it in range(cfg.picard.max_iters):
-            list(pool.map(run_chunk, range(len(chunks))))
+            list(pool.map(sweep, runs))
             new_lam = partial.sum(axis=0) / M
             sup_change = float(np.max(np.abs(new_lam - lam)))
             history.append(sup_change)

@@ -309,9 +309,14 @@ def bruteforce_sup_ratio(d, n_y=1000, n_h=1000):
     return best
 
 
-def picard_minimal_negb(density, cfg, keep_iterates=False):
+def picard_minimal_negb(density, cfg, keep_iterates=False, moves=None):
     """``picard_minimal`` with its own store of -B paths, as it stood before the
-    shared ``brownian_chunks`` generator; its iterates must match bit for bit."""
+    shared ``brownian_chunks`` generator; its iterates must match bit for bit.
+
+    It evaluates F at every (path, step) of its dense running max Y. Given a
+    list ``moves``, each iteration appends the number of strict increases of Y
+    along the paths, summed over all paths.
+    """
     K = cfg.n_steps
     t = cfg.t_grid()
     M = cfg.picard.n_paths
@@ -332,12 +337,14 @@ def picard_minimal_negb(density, cfg, keep_iterates=False):
     converged = False
     iterations = 0
     partial = np.empty((len(chunks), K + 1))
+    chunk_moves = np.zeros(len(chunks), dtype=np.int64)
 
     def run_chunk(ci):
         lo, hi = chunks[ci]
         z = negb32[lo:hi].astype(np.float64) + lam[None, :]
         y = np.maximum.accumulate(z, axis=1)
         partial[ci] = np.asarray(density.cdf_fast(y)).sum(axis=0)
+        chunk_moves[ci] = np.count_nonzero(y[:, 1:] > y[:, :-1])
 
     for it in range(cfg.picard.max_iters):
         if cfg.threads > 1:
@@ -352,6 +359,8 @@ def picard_minimal_negb(density, cfg, keep_iterates=False):
         lam = new_lam
         if keep_iterates:
             iterates.append(lam.copy())
+        if moves is not None:
+            moves.append(int(chunk_moves.sum()))
         iterations = it + 1
         if sup_change < cfg.picard.tol:
             converged = True

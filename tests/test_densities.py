@@ -405,6 +405,19 @@ def test_gaussian_path_general_hurst_and_errors():
         build_gaussian_path(1.5, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_float_array_grid_names_its_first_non_finite_element(bad, dtype):
+    # a float array is checked in one call; the one-line error still names the
+    # first bad element as a list of the same numbers would
+    grid = np.array([0.0, 0.25, bad, 0.75, bad, 1.0], dtype=dtype)
+    with pytest.raises(DensityError) as exc:
+        build_gaussian_path(0.5, 1.0, grid=grid)
+    assert str(exc.value) == f"grid[2] must be a finite number, got {grid[2]!r}"
+    with pytest.raises(DensityError, match=r"^grid\[2\] must be a finite number, got "):
+        build_gaussian_path(0.5, 1.0, grid=[0.0, 0.25, bad, 0.75, bad, 1.0])
+
+
 def test_gaussian_path_sample_roundtrip():
     d = build_gaussian_path(0.5, math.sqrt(2.0), grid_size=513, seed=11)
     us = np.linspace(0.001, 0.999, 1000)
