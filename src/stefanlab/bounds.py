@@ -5,8 +5,10 @@ Everything here is checked against simulation: the slope bound L on the good
 set, the square-root envelope constants c1/c2, the increment constant c3, the
 early-time bound through the averaging envelope, the good-set occupation
 probability with its reflection/drifted-sup lower bound, and the expected
-increment-ratio contraction diagnostic delta0. Margins are always reported in
-the direction that certifies the inequality; nothing is averaged across checks.
+increment-ratio contraction diagnostic delta0. These last two take running-max
+samples Y at given grid columns, which the report draws once for both. Margins
+are always reported in the direction that certifies the inequality; nothing is
+averaged across checks.
 """
 from __future__ import annotations
 
@@ -129,9 +131,8 @@ def sqrt_envelopes(frontier: FrontierPath, *consts):
     """(t, Lambda_t, c sqrt(t) for each c in consts) at the grid times t > 0:
     the per-t square-root envelopes behind the report's sqrt and early
     increment margins, and the rows of ``bounds --emit-csv``."""
-    pos = frontier.t > 0.0
-    sq = np.sqrt(frontier.t[pos])
-    return (frontier.t[pos], frontier.lam[pos], *(c * sq for c in consts))
+    t, sq = frontier.t[1:], np.sqrt(frontier.t[1:])  # a frontier starts at t = 0
+    return (t, frontier.lam[1:], *(c * sq for c in consts))
 
 
 def _binomial_se(p, n):
@@ -258,21 +259,12 @@ def _y_columns(frontier: FrontierPath, n_paths, seed, t_indices):
 
 
 def estimate_prob_in_G(frontier: FrontierPath, d: PiecewiseGeometricDensity,
-                       consts: SqrtConstants, t_indices=None, n_paths=20000, seed=0,
-                       n_bands=30):
-    """Per-t MC estimates of P(Y_t in G) against the reflection/drifted-sup
-    lower bound P(|N| >= a) P(U <= b - a), plus the occupation threshold
-    (alpha2 - 1)/(alpha2 - L) that the contraction argument needs."""
-    if t_indices is None:
-        t_indices = _default_t_indices(frontier, 10)
-    t_indices = np.asarray(t_indices, dtype=int)
-    u_samples = simulate_drifted_sup(consts.c3, n_paths=n_paths, seed=seed)
-    cols = _y_columns(frontier, n_paths, seed, t_indices)
-    return _prob_in_G(frontier, d, t_indices, cols, u_samples, n_bands)
-
-
-def _prob_in_G(frontier, d, t_indices, cols, u_samples, n_bands):
-    """``estimate_prob_in_G`` on the samples cols = Y[:, t_indices]."""
+                       consts: SqrtConstants, t_indices, cols, seed, n_bands=30):
+    """Per-t MC estimates of P(Y_t in G) on the running-max samples
+    cols = Y[:, t_indices] against the reflection/drifted-sup lower bound
+    P(|N| >= a) P(U <= b - a), with U drawn at len(cols) paths, plus the
+    occupation threshold (alpha2 - 1)/(alpha2 - L) that the contraction
+    argument needs."""
     sb = compute_L(d)
     rho = float(sb.rho)
     edges = _good_set_edges(d, rho, n_bands)
@@ -284,6 +276,7 @@ def _prob_in_G(frontier, d, t_indices, cols, u_samples, n_bands):
     tv = frontier.t[t_indices]
     a_vals, b_vals = np.asarray([_lemma_interval(d, rho, float(t)) for t in tv]).T
     pn = erfc(a_vals / math.sqrt(2.0))  # P(|N| >= a)
+    u_samples = simulate_drifted_sup(consts.c3, n_paths=total, seed=seed)
     pu = np.asarray([prob_drifted_sup_below(u_samples, x) for x in b_vals - a_vals])
     rhs = pn * pu
     rhs_se = pn * _binomial_se(pu, len(u_samples))
@@ -316,19 +309,12 @@ class Delta0Report:
     node_ses: np.ndarray
 
 
-def estimate_delta0(frontier: FrontierPath, d: Density, n_paths=20000, seed=0):
-    """MC estimate of the double sup of E[(F(Y_t + h) - F(Y_t)) / h] on a
-    (t, h) grid of 8 times and 16 log-spaced increments; the per-node means
-    double as the expected-increment-ratio probe (increment h playing the
-    role of the window size)."""
-    t_indices = _default_t_indices(frontier, 8)
-    cols = _y_columns(frontier, n_paths, seed, t_indices)
-    return _delta0(frontier, d, t_indices, cols)
-
-
-def _delta0(frontier, d, t_indices, cols):
-    """``estimate_delta0`` on the samples cols = Y[:, t_indices]. The sums are
-    reduced per 8192-path chunk in row order, then across chunks."""
+def estimate_delta0(frontier: FrontierPath, d: Density, t_indices, cols):
+    """MC estimate of the double sup of E[(F(Y_t + h) - F(Y_t)) / h] over the
+    running-max samples cols = Y[:, t_indices] and 16 log-spaced increments h;
+    the per-node means double as the expected-increment-ratio probe (increment
+    h playing the role of the window size). The sums are reduced per 8192-path
+    chunk in row order, then across chunks."""
     h_grid = np.geomspace(1e-4 * d.support_upper, d.support_upper, 16)
     shifts = np.concatenate([[0.0], h_grid])[:, None, None]
 
@@ -423,10 +409,9 @@ def assemble_bounds_report(d: PiecewiseGeometricDensity, frontier: FrontierPath,
     ti_d = _default_t_indices(frontier, 8)
     union = np.union1d(ti_g, ti_d)
     cols = _y_columns(frontier, n_paths, seed, union)
-    u_samples = simulate_drifted_sup(consts.c3, n_paths=n_paths, seed=seed)
-    prob_g = _prob_in_G(frontier, d, ti_g, cols[:, np.searchsorted(union, ti_g)],
-                        u_samples, n_bands=30)
-    d0 = _delta0(frontier, d, ti_d, cols[:, np.searchsorted(union, ti_d)])
+    prob_g = estimate_prob_in_G(frontier, d, consts, ti_g,
+                                cols[:, np.searchsorted(union, ti_g)], seed)
+    d0 = estimate_delta0(frontier, d, ti_d, cols[:, np.searchsorted(union, ti_d)])
     early = early_increment_check(frontier, d)
     return BoundsReport(
         beta1=float(d.beta1), beta2=float(d.beta2), admissible=bool(d.admissible),

@@ -231,8 +231,13 @@ def _cmd_sweep(args):
         if field in SolverConfig.__dataclass_fields__ and field not in SOLVER_FIELDS["particle"]:
             raise CliError(f"--param {name}: the particle solver does not read {field}, "
                            "so every cell would repeat one run")
+        values = [_parse_sweep_value(v) for v in vals.split(",") if v]
+        if not values:
+            raise CliError(f"--param {name}: no values; expected name=v1,v2,...")
+        if name in names:
+            raise CliError(f"--param {name}: given twice; list all its values in one --param")
         names.append(name)
-        value_lists.append([_parse_sweep_value(v) for v in vals.split(",") if v])
+        value_lists.append(values)
     # every cell's config is checked before anything is simulated or written
     combos = list(itertools.product(*value_lists))
     cfgs = [_build_config(args, raw, zip(names, combo)) for combo in combos]

@@ -132,7 +132,8 @@ class SolverConfig:
 
 @dataclass
 class FrontierPath:
-    """Nondecreasing frontier on a uniform time grid, plus detected jumps."""
+    """Nondecreasing frontier on a uniform time grid that starts at t = 0 and
+    holds at least two times, plus detected jumps."""
 
     t: np.ndarray
     lam: np.ndarray
@@ -141,10 +142,12 @@ class FrontierPath:
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
         self.lam = np.asarray(self.lam, dtype=float)
-        if self.t.shape != self.lam.shape or self.t.ndim != 1 or not self.t.size:
-            raise ValueError("frontier t and lam must be matching non-empty 1-d arrays")
+        if self.t.shape != self.lam.shape or self.t.ndim != 1 or self.t.size < 2:
+            raise ValueError("frontier t and lam must be matching 1-d arrays of at least two times")
         if not np.all(np.isfinite(self.t)) or np.any(np.diff(self.t) <= 0.0):
             raise ValueError("frontier t must be finite and strictly increasing")
+        if self.t[0] != 0.0:
+            raise ValueError(f"frontier must start at t = 0, got t = {self.t[0]:g}")
         if not np.all(np.isfinite(self.lam)):
             raise ValueError("frontier lam must be finite")
         if np.any(np.diff(self.lam) < 0.0):

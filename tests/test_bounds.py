@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import beta_slope_table_loop, bruteforce_sup_ratio, delta0_nodes_loop
-from stefanlab import make_density, make_piecewise, uniform_density
+from stefanlab import bounds, make_density, make_piecewise, uniform_density
 from stefanlab.bounds import (
     _default_t_indices,
     _good_set_edges,
@@ -25,6 +25,12 @@ from stefanlab.bounds import (
 from stefanlab.solver import FrontierPath, PicardConfig, SolverConfig, picard_minimal
 
 ROOT_2_PI = math.sqrt(2.0 / math.pi)
+
+
+def _samples(frontier, n_t, n_paths, seed):
+    """The report's default grid of n_t times and the running-max samples there."""
+    t_indices = _default_t_indices(frontier, n_t)
+    return t_indices, _y_columns(frontier, n_paths, seed, t_indices)
 
 
 @pytest.fixture(scope="module")
@@ -223,11 +229,11 @@ def test_drifted_sup_degenerate_interval_rhs_zero():
 
 
 @pytest.mark.parametrize("n_paths", [0, 1.5, True])
-def test_estimators_reject_a_bad_n_paths(pw_std, pw_frontier, n_paths):
+def test_estimators_reject_a_bad_n_paths(pw_frontier, n_paths):
     with pytest.raises(ValueError, match="n_paths"):
         simulate_drifted_sup(3.0, n_paths=n_paths, n_steps=10)
     with pytest.raises(ValueError, match="n_paths"):
-        estimate_delta0(pw_frontier, pw_std, n_paths=n_paths)
+        _y_columns(pw_frontier, n_paths, 0, _default_t_indices(pw_frontier, 8))
 
 
 @pytest.mark.parametrize("n_bands", [0, 30])
@@ -251,8 +257,8 @@ def test_prob_in_G_reflection_identity(pw_std):
     fr = FrontierPath(t=t, lam=np.zeros_like(t))
     consts = compute_sqrt_constants(pw_std, 0.5)
     # restrict the good set to its tail piece [a2, inf), as in the identity
-    rep = estimate_prob_in_G(fr, pw_std, consts, t_indices=[K], n_paths=40_000,
-                             seed=3, n_bands=0)
+    rep = estimate_prob_in_G(fr, pw_std, consts, [K], _y_columns(fr, 40_000, 3, [K]), 3,
+                             n_bands=0)
     want = 0.3173
     # the discrete running max undershoots, biasing the estimate down a touch
     assert rep.lhs[0] == pytest.approx(want, abs=3.0 * rep.lhs_se[0] + 0.012)
@@ -261,7 +267,8 @@ def test_prob_in_G_reflection_identity(pw_std):
 def test_prob_in_G_dominates_lemma_bound(pw_std, pw_frontier):
     beta, _ = estimate_beta_slope(pw_std, pw_frontier, seed=2)
     consts = compute_sqrt_constants(pw_std, beta)
-    rep = estimate_prob_in_G(pw_frontier, pw_std, consts, n_paths=20_000, seed=4)
+    rep = estimate_prob_in_G(pw_frontier, pw_std, consts,
+                             *_samples(pw_frontier, 10, 20_000, 4), 4)
     assert len(rep.t_values) == 10
     for lhs, rhs, se_l, se_r in zip(rep.lhs, rep.rhs, rep.lhs_se, rep.rhs_se):
         assert lhs >= rhs - 3.0 * (se_l + se_r)
@@ -279,7 +286,7 @@ def test_delta0_lipschitz_uniform():
     cfg = SolverConfig(n_particles=10, dt=0.001, T=0.1, seed=7,
                        picard=PicardConfig(n_paths=10_000, max_iters=20, tol=1e-4))
     fr = picard_minimal(u2, cfg).frontier
-    rep = estimate_delta0(fr, u2, n_paths=10_000, seed=5)
+    rep = estimate_delta0(fr, u2, *_samples(fr, 8, 10_000, 5))
     # F is 1/2-Lipschitz, so every node mean is at most 1/2
     assert rep.delta0_hat <= 0.5 + 1e-12
     assert rep.delta0_hat + 3.0 * rep.se_at_max <= 0.51
@@ -290,12 +297,12 @@ def test_delta0_bounded_by_max_density():
                         "values": [0.9, 0.9, 0.0]})
     t = np.linspace(0.0, 0.1, 101)
     fr = FrontierPath(t=t, lam=np.zeros_like(t))
-    rep = estimate_delta0(fr, tri, n_paths=5000, seed=6)
+    rep = estimate_delta0(fr, tri, *_samples(fr, 8, 5000, 6))
     assert rep.delta0_hat <= 0.9 + 1e-12
 
 
 def test_delta0_piecewise_below_one(pw_std, pw_frontier):
-    rep = estimate_delta0(pw_frontier, pw_std, n_paths=20_000, seed=5)
+    rep = estimate_delta0(pw_frontier, pw_std, *_samples(pw_frontier, 8, 20_000, 5))
     assert rep.delta0_hat + 3.0 * rep.se_at_max < 1.0
     assert rep.node_means.shape == (len(rep.t_values), len(rep.h_values))
 
@@ -304,11 +311,11 @@ def test_delta0_piecewise_below_one(pw_std, pw_frontier):
 def test_estimators_block_evaluation_equals_the_node_loop(pw_std, sine_density, pw_frontier,
                                                           seed):
     # 10_000 paths span two 8192-path chunks of the delta0 sums
-    cols = _y_columns(pw_frontier, 10_000, seed, _default_t_indices(pw_frontier, 8))
+    t_indices, cols = _samples(pw_frontier, 8, 10_000, seed)
     for d in (pw_std, sine_density):
         _, table = estimate_beta_slope(d, pw_frontier, seed=seed)
         assert np.array_equal(table, beta_slope_table_loop(d, pw_frontier, seed))
-        rep = estimate_delta0(pw_frontier, d, n_paths=10_000, seed=seed)
+        rep = estimate_delta0(pw_frontier, d, t_indices, cols)
         means, ses = delta0_nodes_loop(d, cols)
         assert np.array_equal(rep.node_means, means) and np.array_equal(rep.node_ses, ses)
 
@@ -325,11 +332,27 @@ def test_early_increment_margin(pw_std, pw_frontier):
 
 
 def test_bounds_report_one_y_pass_equals_the_standalone_estimators(pw_std, pw_frontier):
-    # 10_000 paths span two 8192-path chunks, so the per-chunk sums of delta0 matter
+    # 10_000 paths span two 8192-path chunks, so the per-chunk sums of delta0 matter;
+    # each estimator here is fed by its own Y pass on its own grid
     rep = assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000, seed=5, n_paths=10_000)
     consts = compute_sqrt_constants(pw_std, rep.beta_slope)
-    pg = estimate_prob_in_G(pw_frontier, pw_std, consts, n_paths=10_000, seed=5)
-    d0 = estimate_delta0(pw_frontier, pw_std, n_paths=10_000, seed=5)
+    pg = estimate_prob_in_G(pw_frontier, pw_std, consts,
+                            *_samples(pw_frontier, 10, 10_000, 5), 5)
+    d0 = estimate_delta0(pw_frontier, pw_std, *_samples(pw_frontier, 8, 10_000, 5))
     assert rep.prob_g.to_dict() == pg.to_dict()
     assert np.array_equal(rep.prob_g.lhs_se, pg.lhs_se)
     assert (rep.delta0_hat, rep.delta0_se) == (d0.delta0_hat, d0.se_at_max)
+
+
+def test_bounds_report_calls_each_estimator_once_through_the_module(pw_std, pw_frontier,
+                                                                     monkeypatch):
+    # the report's estimates are the public estimators' (so a wrapper of a public
+    # name sees them), and one drifted-sup sample serves the occupation bound
+    calls = {}
+    for name in ("estimate_prob_in_G", "estimate_delta0", "simulate_drifted_sup"):
+        def counted(*args, _fn=getattr(bounds, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(bounds, name, counted)
+    assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000, seed=5, n_paths=2000)
+    assert calls == {"estimate_prob_in_G": 1, "estimate_delta0": 1, "simulate_drifted_sup": 1}

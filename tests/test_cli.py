@@ -227,14 +227,22 @@ def test_sweep_rejects_a_bad_cell_before_running(workdir, capsys):
     assert not (workdir / "sw").exists()
 
 
-@pytest.mark.parametrize("param", ["picard.n_paths=10,20", "picard={}"])
-def test_sweep_rejects_picard_parameters(workdir, capsys, param):
+@pytest.mark.parametrize("params, reason", [
+    (["picard.n_paths=10,20"], "particle solver"),
+    (["picard={}"], "particle solver"),
+    (["n_particles="], "no values"),
+    (["n_particles=100", "n_particles=200"], "given twice"),
+], ids=["picard.n_paths=10,20", "picard={}", "no-values", "given-twice"])
+def test_sweep_rejects_picard_parameters(workdir, capsys, monkeypatch, params, reason):
+    # also a --param with no values, or a name given twice, before any cell runs
+    monkeypatch.setattr("stefanlab.cli._solve", lambda *a: pytest.fail("a cell ran"))
+    argv = [x for param in params for x in ("--param", param)]
     code = main(["sweep", "--config", "cfg.json", "--density", "pw.json",
-                 "--param", param, "--out-dir", "sw", "--threads", "1"])
+                 *argv, "--out-dir", "sw", "--threads", "1"])
     assert code == 1
     err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and "particle solver" in err
-    assert f"--param {param.partition('=')[0]}:" in err
+    assert len(err.splitlines()) == 1 and reason in err
+    assert f"--param {params[0].partition('=')[0]}:" in err
     assert not (workdir / "sw").exists()
 
 
@@ -350,6 +358,19 @@ def test_bounds_rejects_non_monotone_frontier(workdir, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "bad.csv" in err and "strictly increasing" in err
+
+
+@pytest.mark.parametrize("rows, reason", [
+    ("0.0005,0.0,1.0\n0.001,0.1,0.9\n", "start at t = 0"),
+    ("0.0,0.0,1.0\n", "at least two times"),
+], ids=["no-time-zero", "one-row"])
+def test_bounds_rejects_a_frontier_without_time_zero_or_a_second_time(workdir, capsys, rows,
+                                                                       reason):
+    (workdir / "f.csv").write_text("t,lambda,alive_fraction\n" + rows)
+    assert main(["bounds", "--config", "cfg.json", "--density", "pw.json",
+                 "--frontier", "f.csv", "--n-paths", "2000", "--threads", "1"]) == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("error: f.csv: ") and reason in err
 
 
 def test_picard_rejects_a_time_zero_jump(workdir, capsys):

@@ -372,10 +372,9 @@ def test_frontier_csv_roundtrip(tmp_path):
 
 
 @settings(max_examples=100, deadline=None)
-@given(t0=st.floats(-1.0, 1.0), steps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=40),
-       data=st.data())
-def test_frontier_csv_roundtrip_property(t0, steps, data):
-    t = t0 + np.concatenate([[0.0], np.cumsum(steps)])
+@given(steps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=40), data=st.data())
+def test_frontier_csv_roundtrip_property(steps, data):
+    t = np.concatenate([[0.0], np.cumsum(steps)])
     lam = np.sort(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(t), max_size=len(t))))
     fr = FrontierPath(t=t, lam=lam)
     with tempfile.TemporaryDirectory() as tmp:
@@ -461,6 +460,17 @@ def test_frontier_rejects_bad_time_grid(t):
         FrontierPath(t=np.array(t), lam=np.zeros(4))
 
 
+@pytest.mark.parametrize("t, match", [
+    ([0.0005, 0.001, 0.0015], "start at t = 0, got t = 0.0005"),
+    ([-0.1, 0.0, 0.1], "start at t = 0, got t = -0.1"),
+    ([0.0], "at least two times"),
+    ([], "at least two times"),
+], ids=["late-start", "negative-start", "one-time", "empty"])
+def test_frontier_starts_at_zero_and_holds_two_times(t, match):
+    with pytest.raises(ValueError, match=match):
+        FrontierPath(t=np.array(t), lam=np.zeros(len(t)))
+
+
 def test_frontier_rejects_nonfinite_lam():
     with pytest.raises(ValueError, match="finite"):
         FrontierPath(t=np.linspace(0.0, 0.3, 4), lam=np.array([0.0, 0.1, np.nan, 0.2]))
@@ -479,7 +489,7 @@ def test_read_csv_rejects_truncated_row(tmp_path):
 def test_read_csv_rejects_a_header_only_file(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("t,lambda,alive_fraction\n")
-    with pytest.raises(ValueError, match="non-empty"):
+    with pytest.raises(ValueError, match=f"{path.name}: .*at least two times"):
         FrontierPath.read_csv(path)
 
 
