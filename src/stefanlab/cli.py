@@ -90,12 +90,17 @@ def _build_config(args, raw, params=()):
 
 def _check_outputs(*paths):
     """Exit 1 before any work when an output file could not be written at the
-    end: its directory must exist and the path must not be a directory."""
+    end: its directory must exist, the path must not be a directory, and no two
+    outputs may name the same file."""
+    seen = {}
     for path in map(Path, filter(None, paths)):
         if path.is_dir():
             raise CliError(f"{path}: Is a directory")
         if not path.parent.is_dir():
             raise CliError(f"{path}: No such directory: {path.parent}")
+        first = seen.setdefault(path.resolve(), path)
+        if first is not path:
+            raise CliError(f"{path}: names the same file as {first}")
 
 
 def _emit(payload, out_path):
@@ -169,9 +174,10 @@ def _cmd_check(args):
 
 
 def _cmd_bounds(args):
-    _check_outputs(args.out)
+    margins = Path(args.emit_csv) / "bounds_margins.csv" if args.emit_csv else None
     if args.emit_csv:
         Path(args.emit_csv).mkdir(parents=True, exist_ok=True)
+    _check_outputs(args.out, margins)
     raw, density = _read_inputs(args)
     cfg = _build_config(args, raw)
     if getattr(density, "family", "") != "piecewise":
@@ -193,7 +199,7 @@ def _cmd_bounds(args):
     _emit(report.to_json_dict(), args.out)
     if args.emit_csv:
         t, lam, lower, upper = sqrt_envelopes(frontier, report.c1, report.c2)
-        write_numeric_rows(Path(args.emit_csv) / "bounds_margins.csv",
+        write_numeric_rows(margins,
                            ("t", "lambda", "c1_sqrt_t", "c2_sqrt_t", "lower_margin",
                             "upper_margin"),
                            zip(t, lam, lower, upper, lam - lower, upper - lam))

@@ -776,18 +776,19 @@ class TabulatedDensity(Density):
 
     def sup_pdf(self, lo, hi):
         lo, hi = float(lo), float(hi)
-        best, arg = 0.0, None
-        inside = (self.grid > lo) & (self.grid <= hi)
-        cands = list(self.grid[inside])
+        if hi <= lo:
+            return 0.0, None
+        cands = [self.grid[(self.grid > lo) & (self.grid <= hi)]]
         if self.grid[0] <= lo < self.grid[-1]:
-            cands.append(lo)  # stands for the right limit at lo
+            cands.append([lo])  # stands for the right limit at lo
         if self.grid[0] <= hi <= self.grid[-1]:
-            cands.append(hi)
-        for x in cands:
-            v = float(np.interp(x, self.grid, self.values))
-            if v > best:
-                best, arg = v, x
-        return best, arg
+            cands.append([hi])
+        cands = np.concatenate(cands)
+        v = np.interp(cands, self.grid, self.values)
+        if not np.any(v > 0.0):
+            return 0.0, None
+        k = int(np.argmax(v))  # the first maximum
+        return float(v[k]), float(cands[k])
 
     def spec_dict(self):
         return {"family": "tabulated", "grid": [float(v) for v in self.grid],

@@ -13,10 +13,10 @@ Two routes to the frontier Lambda_t = P(absorption by t):
   the minimal solution. Assumes no time-0 jump (its value at 0 is F(0) = 0)
   and rejects a density whose stratified time-0 jump is positive. The paths
   are stored time-major, one float32 row per grid step. Each iteration sweeps
-  the steps in order, one task per contiguous run of 8192-path chunks, and
-  evaluates F only where a path's running max moves, about one (path, step)
-  in ten. Each chunk's column sums are folded path by path in order, through
-  path-major copies of 16-step blocks.
+  the steps in order, one task per contiguous run of paths, and evaluates F
+  only where a path's running max moves, about one (path, step) in ten. F is
+  summed exactly as integers of 2^-s, so each run's total is updated only
+  where a path moved and does not depend on how the paths are split.
 
 All randomness is drawn from counter-based streams (see rng), so results are
 bit-identical across runs and thread counts.
@@ -494,23 +494,23 @@ def picard_minimal(density: Density, cfg: SolverConfig):
     The same Brownian paths (common random numbers) are reused every iteration,
     which makes the iterates pointwise nondecreasing exactly: the running max
     is monotone in Lambda, F is evaluated through a monotone interpolation, and
-    the per-chunk summation order is fixed. Targets densities with no time-0
+    the mean is taken from exact integer sums. Targets densities with no time-0
     jump; the iteration pins Lambda_0 = F(0) = 0, so a density whose
     stratified time-0 jump is positive raises ValueError.
 
+    Each F value is held as the integer q = rint(F 2^s), s = 62 - M.bit_length(),
+    so that the q of all M paths sum exactly in int64, in any order. Lambda_j is
+    the sum of the q at step j over 2^s M: it lies within 2^-(63 - M.bit_length())
+    of the mean of the F values. A non-finite F raises ValueError.
+
     The float32 path store is time-major, one row of M paths per grid step,
     filled by the pool from ``_brownian_tile``s transposed on write, so it holds
-    the same numbers as a path-major store. The 8192-path chunks are split into
-    cfg.threads contiguous runs of whole chunks, and each iteration runs one
-    task per run. A task sweeps the steps j = 1..K carrying each path's running
-    max Y and F(Y): only the paths with Lambda_j - B_j > Y move, and only they
-    get a new ``cdf_fast`` value. F(Y) is kept for blocks of _TILE // _CHUNK =
-    16 steps. When a block is complete, each chunk of the run folds a path-major
-    copy of its part, row by row from a zero row, into the chunk's column sums
-    (np.add.reduce sums a single column pairwise, so a one-step block is folded
-    two columns wide). Each chunk is thus summed path by path in order, as one
-    pass over its whole path-by-step table would be, and the thread count only
-    decides how the chunks are split: the iterates are the same at any count.
+    the same numbers as a path-major store. The paths are split into
+    cfg.threads contiguous runs, and each iteration runs one task per run. A
+    task sweeps the steps j = 1..K carrying each path's running max Y and q, and
+    the run's total of q: only the paths with Lambda_j - B_j > Y move, only they
+    get a new ``cdf_fast`` value, and the total changes by their change in q.
+    The totals are exact, so the iterates are the same at any thread count.
     """
     K = cfg.n_steps
     t = cfg.t_grid()
@@ -522,61 +522,53 @@ def picard_minimal(density: Density, cfg: SolverConfig):
                          f"jump at {M} paths is {jump0:g} (use the particle solver)")
 
     sq_steps = np.full(K, math.sqrt(cfg.dt))
-    chunks = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
-    cuts = [len(chunks) * i // cfg.threads for i in range(cfg.threads + 1)]
+    cuts = [M * i // cfg.threads for i in range(cfg.threads + 1)]
     runs = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-    block = _TILE // _CHUNK
+    scale = 2.0 ** (62 - int(M).bit_length())  # M values of at most 2^s stay below 2^62
     b32 = np.empty((K + 1, M), dtype=np.float32)
 
     def fill_tile(span):
         lo, hi = span
         b32[:, lo:hi] = _brownian_tile(cfg.seed, rng.PICARD_PATHS, lo, hi, sq_steps).T
 
-    def fold(run, j1, snap, rows):
-        """Add F(Y) at the steps of the block ending before j1, snap's first
-        rows, to each chunk's column sums, in path order from a zero row."""
-        w = (j1 - 1) % block + 1
-        wide = max(w, 2)  # np.add.reduce sums one column pairwise, two or more row by row
-        off = chunks[run[0]][0]
-        for ci in range(*run):
-            lo, hi = chunks[ci]
-            part = rows[:(hi - lo + 1) * wide].reshape(-1, wide)
-            part[0] = 0.0
-            part[1:, w:] = 0.0
-            part[1:, :w] = snap[:w, lo - off:hi - off].T
-            partial[ci, j1 - w:j1] = np.add.reduce(part, axis=0)[:w]
+    def quantised_cdf(y):
+        """F(y) in integer units of 2^-s; a non-finite F raises, uncast."""
+        f = density.cdf_fast(y)
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"the density's F is not finite at Y = "
+                             f"{float(y[~np.isfinite(f)][0]):g}")
+        return np.rint(f * scale).astype(np.int64)
 
     def sweep(run):
-        """One iteration on the paths of a run of chunks."""
-        lo, hi = chunks[run[0]][0], chunks[run[1] - 1][1]
-        snap = np.empty((block, hi - lo))  # F(Y) at the steps of the current block
-        rows = np.empty((_CHUNK + 1) * block)  # a chunk's path-major copy of a block
+        """One iteration on a run of paths; returns the run's total of q per step."""
+        lo, hi = run
+        x = np.empty(hi - lo)
         y = lam[0] - b32[0, lo:hi]
-        snap[0] = density.cdf_fast(y)
+        q = quantised_cdf(y)
+        total = np.empty(K + 1, dtype=np.int64)
+        total[0] = q.sum()
         for j in range(1, K + 1):
-            f = snap[j % block]
-            np.subtract(lam[j], b32[j, lo:hi], out=f)  # -B_j + Lambda_j, for now
-            moved = np.flatnonzero(f > y)
-            x = f[moved]
-            f[...] = snap[(j - 1) % block]
+            np.subtract(lam[j], b32[j, lo:hi], out=x)  # -B_j + Lambda_j
+            moved = np.flatnonzero(x > y)
+            total[j] = total[j - 1]
             if len(moved):
-                y[moved] = x
-                f[moved] = density.cdf_fast(x)
-            if j % block == block - 1 or j == K:
-                fold(run, j + 1, snap, rows)
+                xm = x[moved]
+                y[moved] = xm
+                q_new = quantised_cdf(xm)
+                total[j] += (q_new - q[moved]).sum()
+                q[moved] = q_new
+        return total
 
     lam = np.zeros(K + 1)
     history = []
     iterates = []
     converged = False
     iterations = 0
-    partial = np.empty((len(chunks), K + 1))
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         list(pool.map(fill_tile, _row_tiles(M, K)))
         for it in range(cfg.picard.max_iters):
-            list(pool.map(sweep, runs))
-            new_lam = partial.sum(axis=0) / M
+            new_lam = sum(pool.map(sweep, runs)) / (scale * M)
             sup_change = float(np.max(np.abs(new_lam - lam)))
             history.append(sup_change)
             lam = new_lam

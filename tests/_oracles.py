@@ -313,7 +313,9 @@ def picard_minimal_negb(density, cfg, keep_iterates=False, moves=None):
     """``picard_minimal`` with its own store of -B paths, as it stood before the
     shared ``brownian_chunks`` generator; its iterates must match bit for bit.
 
-    It evaluates F at every (path, step) of its dense running max Y. Given a
+    It evaluates F at every (path, step) of its dense running max Y, rounds
+    each value to an integer q = rint(F 2^s), s = 62 - M.bit_length(), sums the
+    q of each step and divides the sum by 2^s M. Given a
     list ``moves``, each iteration appends the number of strict increases of Y
     along the paths, summed over all paths.
     """
@@ -336,14 +338,16 @@ def picard_minimal_negb(density, cfg, keep_iterates=False, moves=None):
     iterates = []
     converged = False
     iterations = 0
-    partial = np.empty((len(chunks), K + 1))
+    scale = 2.0 ** (62 - M.bit_length())
+    partial = np.empty((len(chunks), K + 1), dtype=np.int64)
     chunk_moves = np.zeros(len(chunks), dtype=np.int64)
 
     def run_chunk(ci):
         lo, hi = chunks[ci]
         z = negb32[lo:hi].astype(np.float64) + lam[None, :]
         y = np.maximum.accumulate(z, axis=1)
-        partial[ci] = np.asarray(density.cdf_fast(y)).sum(axis=0)
+        q = np.rint(np.asarray(density.cdf_fast(y)) * scale).astype(np.int64)
+        partial[ci] = q.sum(axis=0)
         chunk_moves[ci] = np.count_nonzero(y[:, 1:] > y[:, :-1])
 
     for it in range(cfg.picard.max_iters):
@@ -353,7 +357,7 @@ def picard_minimal_negb(density, cfg, keep_iterates=False, moves=None):
         else:
             for ci in range(len(chunks)):
                 run_chunk(ci)
-        new_lam = partial.sum(axis=0) / M
+        new_lam = partial.sum(axis=0) / (scale * M)
         sup_change = float(np.max(np.abs(new_lam - lam)))
         history.append(sup_change)
         lam = new_lam

@@ -25,11 +25,15 @@ from stefanlab.solver import FrontierPath, PicardConfig, SolverConfig, picard_mi
     pytest.param("pw_std", 3, 40_000, 2.5e-3, id="3"),
     pytest.param("pw_std", 2, 5_000, 2.5e-3, id="below-one-chunk"),
     pytest.param("pw_std", 2, 2 * 8192 + 1, 2.5e-3, id="one-path-past-two-chunks"),
-    # K = 16: the last block of 16 steps holds the one step K alone
+    # K = 16: a grid of a few coarse steps (the id is kept from an earlier
+    # summation order, which folded F in 16-step blocks)
     pytest.param("pw_std", 2, 20_000, 0.25 / 16, id="one-step-last-block"),
     pytest.param("sine_density", 2, 20_000, 2.5e-3, id="sine"),
     # its cdf_fast is the exact piecewise-quadratic CDF, not an interpolation
     pytest.param("gaussian_path", 2, 20_000, 2.5e-3, id="gaussian_path"),
+    # the quantum 2^-s of the integer F values: s = 47 at 2^14 paths, 48 at one fewer
+    pytest.param("pw_std", 3, 16_384, 2.5e-3, id="power-of-two"),
+    pytest.param("pw_std", 2, 16_383, 2.5e-3, id="below-power-of-two"),
 ])
 def test_picard_iterates_bit_identical_to_negb_referee(request, density, threads, n_paths, dt):
     d = (build_gaussian_path(0.5, math.sqrt(2.0), grid_size=129, seed=1)

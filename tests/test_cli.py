@@ -558,6 +558,20 @@ def test_averaging_inputs_rejected(workdir, capsys, argv):
      "nodir/b.json"),
     (["bounds", "--config", "cfg.json", "--density", "pw.json", "--out", "b.json",
       "--emit-csv", "pw.json/tables"], "pw.json/tables"),
+    # two outputs that name the same file
+    (["simulate", "--config", "cfg.json", "--density", "pw.json", "--out", "f.csv",
+      "--manifest", "f.csv"], "f.csv"),
+    (["simulate", "--config", "cfg.json", "--density", "pw.json", "--out", "f.csv",
+      "--manifest", "./f.csv"], "f.csv"),
+    (["picard", "--config", "cfg.json", "--density", "pw.json", "--out", "adir/../f.csv",
+      "--manifest", "f.csv"], "f.csv"),
+    (["simulate", "--config", "cfg.json", "--density", "pw.json",
+      "--manifest", "frontier.csv"], "frontier.csv"),
+    (["bounds", "--config", "cfg.json", "--density", "pw.json",
+      "--out", "adir/bounds_margins.csv", "--emit-csv", "adir"], "adir/bounds_margins.csv"),
+    (["bounds", "--config", "cfg.json", "--density", "pw.json",
+      "--out", "tables/bounds_margins.csv", "--emit-csv", "./tables"],
+     "tables/bounds_margins.csv"),
 ])
 def test_an_unusable_path_exits_1_naming_it(workdir, capsys, monkeypatch, argv, path):
     def never(*args, **kwargs):

@@ -520,6 +520,16 @@ def test_tabulated_sup_pdf_window_past_the_grid_end():
     assert uniform_density(0.1, 0.5).sup_pdf(0.1, 0.3) == (2.5, 0.1)
 
 
+@pytest.mark.parametrize("family", ["band_exact", "band_float", "periodic_sine",
+                                    "periodic_profile", "gaussian_path", "tabulated", "tent"])
+def test_sup_pdf_of_an_empty_window_is_zero(cdf_families, family):
+    # (lo, hi] holds no point when hi <= lo, inside the support or not
+    d = cdf_families.get(family) or make_density(
+        {"family": "tabulated", "grid": [0.0, 0.5, 1.0], "values": [0.0, 2.0, 0.0]})
+    for lo, hi in [(0.2, 0.2), (0.6, 0.4), (0.5, 0.5), (0.0, 0.0), (3.0, 2.0)]:
+        assert d.sup_pdf(lo, hi) == (0.0, None)
+
+
 # ---------------------------------------------------------------------------
 # JSON specs
 # ---------------------------------------------------------------------------

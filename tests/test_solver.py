@@ -1,5 +1,6 @@
 import math
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -278,6 +279,44 @@ def test_picard_thread_count_bit_identical(pw_std):
     res1 = picard_minimal(pw_std, SolverConfig(threads=1, **base))
     res8 = picard_minimal(pw_std, SolverConfig(threads=8, **base))
     assert np.array_equal(res1.frontier.lam, res8.frontier.lam)
+
+
+@pytest.mark.parametrize("n_paths", [8191, 8192, 16_384])
+def test_picard_sums_F_identically_one_to_exactly_one(monkeypatch, n_paths):
+    # the integer F values of all paths must sum without overflow at any M:
+    # M 2^s is the largest total, and it must come back as exactly 1
+    d = make_piecewise("1/2", "21/20", "1/2", "1/2")
+    monkeypatch.setattr(d, "cdf_fast", lambda x: np.ones_like(x))
+    cfg = SolverConfig(n_particles=10, dt=0.01, T=0.1, seed=4, threads=2,
+                       picard=PicardConfig(n_paths=n_paths, max_iters=3, tol=1e-9))
+    res = picard_minimal(d, cfg)
+    assert res.converged and res.iterations == 2
+    for it in res.iterates:
+        assert np.all(it == 1.0)
+
+
+def test_picard_raises_on_a_non_finite_F_and_leaves_no_thread(monkeypatch):
+    # the autouse fixture fails the test if a sweep's thread is left running
+    d = make_piecewise("1/2", "21/20", "1/2", "1/2")
+    cdf_fast = d.cdf_fast
+    calls = []
+    lock = threading.Lock()
+
+    def nan_at_one_point(x):
+        with lock:  # the pool's two threads call it
+            calls.append(None)
+            nth = len(calls)
+        f = np.array(cdf_fast(x), dtype=float)
+        if nth == 40:
+            f[0] = np.nan
+        return f
+
+    monkeypatch.setattr(d, "cdf_fast", nan_at_one_point)
+    cfg = SolverConfig(n_particles=10, dt=0.001, T=0.05, seed=4, threads=2,
+                       picard=PicardConfig(n_paths=20_000, max_iters=50, tol=1e-12))
+    with pytest.raises(ValueError, match="F is not finite"):
+        picard_minimal(d, cfg)
+    assert len(calls) < 2 * (cfg.n_steps + 1)  # raised in the first iteration
 
 
 def test_picard_rejects_a_time_zero_jump():
