@@ -6,8 +6,10 @@ set, the square-root envelope constants c1/c2, the increment constant c3, the
 early-time bound through the averaging envelope, the good-set occupation
 probability with its reflection/drifted-sup lower bound, and the expected
 increment-ratio contraction diagnostic delta0. These last two take running-max
-samples Y at given grid columns, which the report draws once for both. Margins
-are always reported in the direction that certifies the inequality; nothing is
+samples Y at given grid columns, which the report draws once for both. The
+drifted-sup factor of the occupation bound is a first-passage probability,
+computed by quadrature of its Volterra equation, not sampled. Margins are
+always reported in the direction that certifies the inequality; nothing is
 averaged across checks.
 """
 from __future__ import annotations
@@ -16,7 +18,8 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.special import erfc
+from scipy.linalg import solve_triangular
+from scipy.special import erfc, ndtr
 
 from . import rng
 from .conditions import ROOT_TWO_OVER_PI, EnvelopeFunction, chi_bar
@@ -37,6 +40,7 @@ __all__ = [
     "verify_frontier_envelopes",
     "simulate_drifted_sup",
     "prob_drifted_sup_below",
+    "prob_drifted_sup_quad",
     "estimate_prob_in_G",
     "estimate_delta0",
     "early_increment_check",
@@ -178,7 +182,10 @@ def verify_frontier_envelopes(frontier: FrontierPath, consts: SqrtConstants,
 
 
 def simulate_drifted_sup(c3, n_paths=20000, n_steps=2000, seed=0):
-    """Sorted samples of sup over [0, 1] of (B_s + c3 sqrt(s)), discretized."""
+    """Sorted samples of sup over [0, 1] of (B_s + c3 sqrt(s)), discretized.
+    The grid misses the sup between its times, so P(U <= x) read from these
+    samples is biased up; the tests keep it as a referee, and the report takes
+    ``prob_drifted_sup_quad`` instead."""
     _check_int(ValueError, "n_paths", n_paths, 1)
     t = np.linspace(0.0, 1.0, n_steps + 1)
     drift = c3 * np.sqrt(t)
@@ -196,13 +203,55 @@ def prob_drifted_sup_below(u_samples, x):
     return float(np.searchsorted(u_samples, x, side="right")) / len(u_samples)
 
 
+# cells of the drifted-sup quadrature; its error estimate reruns it at half as many
+_QUAD_NODES = 1000
+
+
+def _sup_cdf_quad(c3, x, n, shape=np.sqrt):
+    """P(sup over [0, 1] of (B_s + g(s)) <= x) per x, g = c3 shape, by
+    midpoint quadrature of the first-passage Volterra equation on n uniform
+    cells, clipped to [0, 1]; exactly 0 for x <= 0 and 1 for x = inf.
+
+    The time tau at which B first meets x - g solves (Durbin, J. Appl. Prob.
+    1971) P(B_t >= x - g(t)) = int_0^t P(B_t - B_s >= g(s) - g(t)) dP(tau <= s)
+    for t in (0, 1]. The law of tau is taken uniform within each cell, the
+    kernel at the cell's midpoint s_j, and the equation holds at the cells'
+    right ends t_i. The kernel depends on c3 only, so one lower-triangular
+    solve with a column per x gives the cells' masses, and P(U <= x) is one
+    minus their sum.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(np.isnan(x)):
+        raise ValueError("drifted-sup quadrature: x is NaN")
+    p = np.where(x > 0.0, 1.0, 0.0)
+    solve = (x > 0.0) & (x < np.inf)
+    if np.any(solve):
+        t = np.arange(1, n + 1) / n
+        s = t - 0.5 / n
+        g_t, g_s = c3 * shape(t), c3 * shape(s)
+        # only the lower triangle s_j < t_i is read; |t_i - s_j| keeps the rest finite
+        kernel = ndtr(np.subtract.outer(g_t, g_s) / np.sqrt(np.abs(np.subtract.outer(t, s))))
+        rhs = ndtr((g_t[:, None] - x[solve]) / np.sqrt(t)[:, None])
+        mass = solve_triangular(kernel, rhs, lower=True)
+        p[solve] = np.clip(1.0 - mass.sum(axis=0), 0.0, 1.0)
+    return p
+
+
+def prob_drifted_sup_quad(c3, x):
+    """(P(U <= x), its error estimate) per x, for U = sup over [0, 1] of
+    (B_s + c3 sqrt(s)): the quadrature at 1000 cells, and its distance from
+    the same quadrature at 500 cells. Exactly 0 for x <= 0 and 1 for x = inf."""
+    p = _sup_cdf_quad(c3, x, _QUAD_NODES)
+    return p, np.abs(p - _sup_cdf_quad(c3, x, _QUAD_NODES // 2))
+
+
 @dataclass(frozen=True)
 class ProbGReport:
     t_values: np.ndarray
     lhs: np.ndarray          # P(Y_t in G)
     lhs_se: np.ndarray
     rhs: np.ndarray          # P(|N| >= a) P(U <= b - a) per t
-    rhs_se: np.ndarray
+    rhs_se: np.ndarray       # P(|N| >= a) times the quadrature's error estimate
     a_values: np.ndarray
     b_values: np.ndarray
     threshold: float         # (alpha2 - 1)/(alpha2 - L)
@@ -216,6 +265,7 @@ class ProbGReport:
             "lhs": [float(v) for v in self.lhs],
             "lhs_se": [float(v) for v in self.lhs_se],
             "rhs": [float(v) for v in self.rhs],
+            "rhs_se": [float(v) for v in self.rhs_se],
             "a": [float(v) for v in self.a_values],
             "b": [None if math.isinf(v) else float(v) for v in self.b_values],
             "threshold": self.threshold,
@@ -259,12 +309,13 @@ def _y_columns(frontier: FrontierPath, n_paths, seed, t_indices):
 
 
 def estimate_prob_in_G(frontier: FrontierPath, d: PiecewiseGeometricDensity,
-                       consts: SqrtConstants, t_indices, cols, seed, n_bands=30):
+                       consts: SqrtConstants, t_indices, cols, n_bands=30):
     """Per-t MC estimates of P(Y_t in G) on the running-max samples
     cols = Y[:, t_indices] against the reflection/drifted-sup lower bound
-    P(|N| >= a) P(U <= b - a), with U drawn at len(cols) paths, plus the
-    occupation threshold (alpha2 - 1)/(alpha2 - L) that the contraction
-    argument needs."""
+    P(|N| >= a) P(U <= b - a), plus the occupation threshold
+    (alpha2 - 1)/(alpha2 - L) that the contraction argument needs. The bound's
+    standard error rhs_se is P(|N| >= a) times the quadrature's own error
+    estimate for P(U <= b - a)."""
     sb = compute_L(d)
     rho = float(sb.rho)
     edges = _good_set_edges(d, rho, n_bands)
@@ -276,10 +327,9 @@ def estimate_prob_in_G(frontier: FrontierPath, d: PiecewiseGeometricDensity,
     tv = frontier.t[t_indices]
     a_vals, b_vals = np.asarray([_lemma_interval(d, rho, float(t)) for t in tv]).T
     pn = erfc(a_vals / math.sqrt(2.0))  # P(|N| >= a)
-    u_samples = simulate_drifted_sup(consts.c3, n_paths=total, seed=seed)
-    pu = np.asarray([prob_drifted_sup_below(u_samples, x) for x in b_vals - a_vals])
+    pu, pu_err = prob_drifted_sup_quad(consts.c3, b_vals - a_vals)
     rhs = pn * pu
-    rhs_se = pn * _binomial_se(pu, len(u_samples))
+    rhs_se = pn * pu_err
 
     alpha2 = float(d.alpha2)
     L = float(sb.L)
@@ -410,7 +460,7 @@ def assemble_bounds_report(d: PiecewiseGeometricDensity, frontier: FrontierPath,
     union = np.union1d(ti_g, ti_d)
     cols = _y_columns(frontier, n_paths, seed, union)
     prob_g = estimate_prob_in_G(frontier, d, consts, ti_g,
-                                cols[:, np.searchsorted(union, ti_g)], seed)
+                                cols[:, np.searchsorted(union, ti_g)])
     d0 = estimate_delta0(frontier, d, ti_d, cols[:, np.searchsorted(union, ti_d)])
     early = early_increment_check(frontier, d)
     return BoundsReport(

@@ -88,17 +88,23 @@ def _build_config(args, raw, params=()):
         raise CliError(f"bad config: {exc}")
 
 
-def _check_outputs(*paths):
+def _check_outputs(args, *paths):
     """Exit 1 before any work when an output file could not be written at the
-    end: its directory must exist, the path must not be a directory, and no two
-    outputs may name the same file."""
+    end: its directory must exist, the path must not be a directory, no two
+    outputs may name the same file, and no output may name an input file
+    (--config, --density, --frontier)."""
+    inputs = {Path(p).resolve(): p for p in (getattr(args, name, None)
+                                             for name in ("config", "density", "frontier")) if p}
     seen = {}
     for path in map(Path, filter(None, paths)):
         if path.is_dir():
             raise CliError(f"{path}: Is a directory")
         if not path.parent.is_dir():
             raise CliError(f"{path}: No such directory: {path.parent}")
-        first = seen.setdefault(path.resolve(), path)
+        resolved = path.resolve()
+        if resolved in inputs:
+            raise CliError(f"{path}: names the input file {inputs[resolved]}")
+        first = seen.setdefault(resolved, path)
         if first is not path:
             raise CliError(f"{path}: names the same file as {first}")
 
@@ -146,7 +152,7 @@ def _solve(density, cfg, solver):
 def _cmd_solve(args):
     out = args.out or "frontier.csv"
     manifest = args.manifest or f"{out}.manifest.json"
-    _check_outputs(out, manifest)
+    _check_outputs(args, out, manifest)
     raw, density = _read_inputs(args)
     cfg = _build_config(args, raw)
     frontier, run, extra = _solve(density, cfg, args.solver)
@@ -158,7 +164,7 @@ def _cmd_solve(args):
 
 
 def _cmd_check(args):
-    _check_outputs(args.out)
+    _check_outputs(args, args.out)
     _, density = _read_inputs(args)
     if not 0.0 < args.lambda_min < args.lambda0 < float("inf"):
         raise CliError(f"need 0 < --lambda-min < --lambda0 < inf, got --lambda-min "
@@ -177,7 +183,7 @@ def _cmd_bounds(args):
     margins = Path(args.emit_csv) / "bounds_margins.csv" if args.emit_csv else None
     if args.emit_csv:
         Path(args.emit_csv).mkdir(parents=True, exist_ok=True)
-    _check_outputs(args.out, margins)
+    _check_outputs(args, args.out, margins)
     raw, density = _read_inputs(args)
     cfg = _build_config(args, raw)
     if getattr(density, "family", "") != "piecewise":
@@ -249,10 +255,11 @@ def _cmd_sweep(args):
     cfgs = [_build_config(args, raw, zip(names, combo)) for combo in combos]
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    cells = [outdir / f"cell_{i:03d}.csv" for i in range(len(combos))]
+    _check_outputs(args, outdir / "index.json", *cells)
     index = []
-    for i, (combo, cfg) in enumerate(zip(combos, cfgs)):
+    for i, (combo, cfg, cell_csv) in enumerate(zip(combos, cfgs, cells)):
         frontier, run, _ = _solve(density, cfg, "particle")
-        cell_csv = outdir / f"cell_{i:03d}.csv"
         frontier.write_csv(cell_csv)
         index.append({"cell": i, "params": dict(zip(names, combo)), "csv": cell_csv.name,
                       **run, "lambda_T": float(frontier.lam[-1])})

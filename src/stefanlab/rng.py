@@ -31,7 +31,7 @@ BRIDGE = 2          # bridge-crossing uniforms, block = step index, lane = survi
 PICARD_PATHS = 3    # Picard path increments, block = path-chunk index
 Y_SAMPLES = 4       # running-max sample paths, block = path-chunk index
 SLOPE_PROBE = 5     # slope-constant MC normals, block = grid index
-U_SUP = 6           # drifted running-sup samples, block = path-chunk index
+U_SUP = 6           # drifted running-sup samples, the quadrature's referee; block = chunk
 GAUSS_PATH = 7      # density path sampling, block = 0
 
 _TWO53 = float(1 << 53)

@@ -17,8 +17,10 @@ difference quotients of the band density's CDF over its good set, which
 approach the closed-form slope bound L from below. ``tabulated_profile_mass``
 integrates the periodic density of a tabulated profile between the profile's
 breaks.
-``g_tilde_inverse_bisect`` inverts s g(s) by bisection, as ``g_tilde_inverse``
-did before its closed form. ``beta_slope_table_loop`` and ``delta0_nodes_loop``
+``drifted_sup_bridge_mc`` samples the drifted running sup with the exact
+Brownian-bridge maximum in each step, the unbiased referee of the drifted-sup
+quadrature. ``g_tilde_inverse_bisect`` inverts s g(s) by bisection, as
+``g_tilde_inverse`` did before its closed form. ``beta_slope_table_loop`` and ``delta0_nodes_loop``
 evaluate the bounds estimators' CDF differences one call per (t, x) node and
 one per (chunk, h), as the bit-identity referees of their block evaluation.
 
@@ -415,6 +417,34 @@ def simulate_drifted_sup_concat(c3, n_paths=20000, n_steps=2000, seed=0):
         lo = hi
         chunk_id += 1
     return np.sort(out)
+
+
+def drifted_sup_bridge_mc(c3, x, n_paths, n_steps, seed):
+    """P(sup over [0, 1] of (B_s + c3 sqrt(s)) <= x) per x, from n_paths
+    paths on the grid s_k = (k / n_steps)^2, which is fine where sqrt(s) bends
+    most. In each step the path's maximum is drawn from its Brownian bridge,
+    (a + b + sqrt((b - a)^2 - 2 ds log V)) / 2 with V uniform, which is exact
+    when the drift is linear over the step; the chord of the concave drift lies
+    below it by at most c3 / (4 n_steps) in the first step and far less after.
+    Returns (probabilities, binomial standard errors)."""
+    chunk = 10_000
+    gen = np.random.default_rng(seed)
+    s = (np.arange(n_steps + 1) / n_steps) ** 2
+    ds = np.diff(s)
+    drift = c3 * np.sqrt(s)
+    x = np.asarray(x, dtype=float)
+    below = np.zeros(len(x))
+    for lo in range(0, n_paths, chunk):
+        m = min(chunk, n_paths - lo)
+        path = np.zeros((m, n_steps + 1))
+        np.cumsum(gen.standard_normal((m, n_steps)) * np.sqrt(ds), axis=1, out=path[:, 1:])
+        path += drift
+        a, b = path[:, :-1], path[:, 1:]
+        log_v = np.log1p(-gen.random((m, n_steps)))  # log V, V uniform on (0, 1]
+        top = 0.5 * (a + b + np.sqrt((b - a) ** 2 - 2.0 * ds * log_v))
+        below += (np.max(top, axis=1)[:, None] <= x).sum(axis=0)
+    p = below / n_paths
+    return p, np.sqrt(p * (1.0 - p) / n_paths)
 
 
 def compute_Y_samples(frontier, n_paths, seed):

@@ -209,8 +209,7 @@ def test_criterion_09_good_set_occupation(pw_std, picard_run):
     res, _ = picard_run
     t0 = time.perf_counter()
     consts = compute_sqrt_constants(pw_std, beta_slope=0.8)
-    rep = estimate_prob_in_G(res.frontier, pw_std, consts, *_samples(res.frontier, 10, 20_000),
-                             SEED)
+    rep = estimate_prob_in_G(res.frontier, pw_std, consts, *_samples(res.frontier, 10, 20_000))
     ok = True
     for lhs, rhs, sl, sr in zip(rep.lhs, rep.rhs, rep.lhs_se, rep.rhs_se):
         if lhs < rhs - 3.0 * (sl + sr):
@@ -260,7 +259,7 @@ def test_criterion_11_thread_determinism(pw_std, sine_density):
         consts = compute_sqrt_constants(pw_std, 0.8)
         fr = picard_minimal(pw_std, cfg).frontier
         d0 = estimate_delta0(fr, pw_std, *_samples(fr, 8, 8000))
-        pg = estimate_prob_in_G(fr, pw_std, consts, *_samples(fr, 10, 8000), SEED)
+        pg = estimate_prob_in_G(fr, pw_std, consts, *_samples(fr, 10, 8000))
         return (pic, par, grid, rep.psi_values, rep.margin_1_7,
                 d0.node_means, pg.lhs, pg.rhs)
 

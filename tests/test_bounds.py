@@ -4,12 +4,18 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
-from _oracles import beta_slope_table_loop, bruteforce_sup_ratio, delta0_nodes_loop
+from _oracles import (beta_slope_table_loop, bruteforce_sup_ratio, delta0_nodes_loop,
+                      drifted_sup_bridge_mc)
 from stefanlab import bounds, make_density, make_piecewise, uniform_density
 from stefanlab.bounds import (
+    _QUAD_NODES,
     _default_t_indices,
     _good_set_edges,
+    _sup_cdf_quad,
     _y_columns,
     assemble_bounds_report,
     compute_L,
@@ -19,6 +25,7 @@ from stefanlab.bounds import (
     estimate_delta0,
     estimate_prob_in_G,
     prob_drifted_sup_below,
+    prob_drifted_sup_quad,
     simulate_drifted_sup,
     verify_frontier_envelopes,
 )
@@ -228,6 +235,53 @@ def test_drifted_sup_degenerate_interval_rhs_zero():
     assert np.all(np.diff(u) >= 0.0)
 
 
+@pytest.mark.parametrize("mu", [1.0, 3.0])
+def test_drifted_sup_quad_matches_bachelier_levy_on_a_linear_boundary(mu):
+    # P(sup_{s <= 1} (B_s + mu s) <= x) = Phi(x - mu) - exp(2 mu x) Phi(-x - mu)
+    x = np.linspace(0.02, 6.0, 300)
+    want = ndtr(x - mu) - np.exp(2.0 * mu * x) * ndtr(-x - mu)
+    got = _sup_cdf_quad(mu, x, _QUAD_NODES, shape=lambda s: s)
+    assert np.max(np.abs(got - want)) < 1e-5
+
+
+def test_drifted_sup_quad_converges_in_its_node_count():
+    # the error grows as x -> 0, where the first passage crowds into the first cells
+    x = [0.5, 1.0, 2.0, 3.0]
+    fine = _sup_cdf_quad(1.3, x, 2 * _QUAD_NODES)
+    assert np.max(np.abs(prob_drifted_sup_quad(1.3, x)[0] - fine)) < 1e-6
+
+
+def test_drifted_sup_quad_agrees_with_the_exact_bridge_sampler():
+    # the grid sampler simulate_drifted_sup misses the sup between its times and
+    # fails this comparison by 6-9 SE; the bridge maximum per step does not
+    x = [0.5, 1.5, 3.0]
+    p, se = drifted_sup_bridge_mc(1.3, x, n_paths=100_000, n_steps=200, seed=7)
+    q, err = prob_drifted_sup_quad(1.3, x)
+    assert np.all(np.abs(p - q) <= 3.0 * se + err)
+
+
+@settings(max_examples=30, deadline=None)
+@given(c3=st.lists(st.floats(0.0, 8.0), min_size=2, max_size=2).map(sorted),
+       x=st.lists(st.one_of(st.floats(-1.0, 8.0), st.just(math.inf)),
+                  min_size=1, max_size=6).map(sorted))
+def test_drifted_sup_quad_is_a_cdf_monotone_in_the_drift(c3, x):
+    # monotone up to the quadrature's own error estimate, which is largest
+    # near x = 0 where the uniform cells resolve the first passage worst
+    x = np.asarray(x)
+    (p_lo, err_lo), (p_hi, err_hi) = (prob_drifted_sup_quad(c, x) for c in c3)
+    for p, err in ((p_lo, err_lo), (p_hi, err_hi)):
+        assert np.all((0.0 <= p) & (p <= 1.0))
+        assert np.all(p[x <= 0.0] == 0.0) and np.all(p[x == math.inf] == 1.0)
+        assert np.all(err[(x <= 0.0) | (x == math.inf)] == 0.0)
+        assert np.all(np.diff(p) >= -(err[1:] + err[:-1]))
+    assert np.all(p_hi <= p_lo + err_lo + err_hi)
+
+
+def test_drifted_sup_quad_rejects_a_nan_x():
+    with pytest.raises(ValueError, match="NaN"):
+        prob_drifted_sup_quad(1.3, [1.0, math.nan])
+
+
 @pytest.mark.parametrize("n_paths", [0, 1.5, True])
 def test_estimators_reject_a_bad_n_paths(pw_frontier, n_paths):
     with pytest.raises(ValueError, match="n_paths"):
@@ -257,7 +311,7 @@ def test_prob_in_G_reflection_identity(pw_std):
     fr = FrontierPath(t=t, lam=np.zeros_like(t))
     consts = compute_sqrt_constants(pw_std, 0.5)
     # restrict the good set to its tail piece [a2, inf), as in the identity
-    rep = estimate_prob_in_G(fr, pw_std, consts, [K], _y_columns(fr, 40_000, 3, [K]), 3,
+    rep = estimate_prob_in_G(fr, pw_std, consts, [K], _y_columns(fr, 40_000, 3, [K]),
                              n_bands=0)
     want = 0.3173
     # the discrete running max undershoots, biasing the estimate down a touch
@@ -268,7 +322,7 @@ def test_prob_in_G_dominates_lemma_bound(pw_std, pw_frontier):
     beta, _ = estimate_beta_slope(pw_std, pw_frontier, seed=2)
     consts = compute_sqrt_constants(pw_std, beta)
     rep = estimate_prob_in_G(pw_frontier, pw_std, consts,
-                             *_samples(pw_frontier, 10, 20_000, 4), 4)
+                             *_samples(pw_frontier, 10, 20_000, 4))
     assert len(rep.t_values) == 10
     for lhs, rhs, se_l, se_r in zip(rep.lhs, rep.rhs, rep.lhs_se, rep.rhs_se):
         assert lhs >= rhs - 3.0 * (se_l + se_r)
@@ -337,7 +391,7 @@ def test_bounds_report_one_y_pass_equals_the_standalone_estimators(pw_std, pw_fr
     rep = assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000, seed=5, n_paths=10_000)
     consts = compute_sqrt_constants(pw_std, rep.beta_slope)
     pg = estimate_prob_in_G(pw_frontier, pw_std, consts,
-                            *_samples(pw_frontier, 10, 10_000, 5), 5)
+                            *_samples(pw_frontier, 10, 10_000, 5))
     d0 = estimate_delta0(pw_frontier, pw_std, *_samples(pw_frontier, 8, 10_000, 5))
     assert rep.prob_g.to_dict() == pg.to_dict()
     assert np.array_equal(rep.prob_g.lhs_se, pg.lhs_se)
@@ -347,12 +401,15 @@ def test_bounds_report_one_y_pass_equals_the_standalone_estimators(pw_std, pw_fr
 def test_bounds_report_calls_each_estimator_once_through_the_module(pw_std, pw_frontier,
                                                                      monkeypatch):
     # the report's estimates are the public estimators' (so a wrapper of a public
-    # name sees them), and one drifted-sup sample serves the occupation bound
-    calls = {}
-    for name in ("estimate_prob_in_G", "estimate_delta0", "simulate_drifted_sup"):
+    # name sees them), and one quadrature call, with no sampling, serves the
+    # occupation bound's drifted-sup factor
+    calls = {"simulate_drifted_sup": 0}
+    for name in ("estimate_prob_in_G", "estimate_delta0", "simulate_drifted_sup",
+                 "prob_drifted_sup_quad"):
         def counted(*args, _fn=getattr(bounds, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(bounds, name, counted)
     assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000, seed=5, n_paths=2000)
-    assert calls == {"estimate_prob_in_G": 1, "estimate_delta0": 1, "simulate_drifted_sup": 1}
+    assert calls == {"estimate_prob_in_G": 1, "estimate_delta0": 1, "simulate_drifted_sup": 0,
+                     "prob_drifted_sup_quad": 1}

@@ -173,7 +173,7 @@ def test_bounds_roundtrip_bit_identical(workdir):
                         "probG_margin", "n_mc", "prob_in_G", "sqrt_lower_margin",
                         "sqrt_upper_margin", "sqrt_margin", "holder_margin", "chi_bar_margin",
                         "chi_bar_coverage", "max_se"}
-    assert set(rep["prob_in_G"]) == {"t", "lhs", "lhs_se", "rhs", "a", "b", "threshold",
+    assert set(rep["prob_in_G"]) == {"t", "lhs", "lhs_se", "rhs", "rhs_se", "a", "b", "threshold",
                                      "probG_margin", "threshold_margin", "threshold_pass"}
 
 
@@ -572,6 +572,21 @@ def test_averaging_inputs_rejected(workdir, capsys, argv):
     (["bounds", "--config", "cfg.json", "--density", "pw.json",
       "--out", "tables/bounds_margins.csv", "--emit-csv", "./tables"],
      "tables/bounds_margins.csv"),
+    # an output that names an input file
+    (["simulate", "--config", "cfg.json", "--density", "pw.json", "--out", "pw.json"],
+     "pw.json"),
+    (["picard", "--config", "cfg.json", "--density", "pw.json", "--manifest", "./cfg.json"],
+     "cfg.json"),
+    (["simulate", "--config", "cfg.json", "--density", "pw.json", "--out", "adir/../pw.json"],
+     "pw.json"),
+    (["check", "--density", "pw.json", "--n-lambda", "10", "--n-mu", "11", "--out", "pw.json"],
+     "pw.json"),
+    (["bounds", "--config", "cfg.json", "--density", "pw.json", "--frontier", "f.csv",
+      "--out", "f.csv"], "f.csv"),
+    (["bounds", "--config", "cfg.json", "--density", "pw.json",
+      "--frontier", "adir/bounds_margins.csv", "--emit-csv", "adir"], "bounds_margins.csv"),
+    (["sweep", "--config", "index.json", "--density", "pw.json", "--param", "seed=1",
+      "--out-dir", "."], "index.json"),
 ])
 def test_an_unusable_path_exits_1_naming_it(workdir, capsys, monkeypatch, argv, path):
     def never(*args, **kwargs):
@@ -581,5 +596,8 @@ def test_an_unusable_path_exits_1_naming_it(workdir, capsys, monkeypatch, argv, 
         monkeypatch.setattr(f"stefanlab.cli.{name}", never)
     (workdir / "adir").mkdir()
     (workdir / "csv.json").write_text(json.dumps({"family": "tabulated", "csv": "missing.csv"}))
+    (workdir / "index.json").write_text(json.dumps(CFG))
+    inputs = {p: p.read_bytes() for p in workdir.glob("*.json")}
     assert main(argv + ["--threads", "1"]) == 1
     assert path in _one_line_error(capsys)
+    assert {p: p.read_bytes() for p in workdir.glob("*.json")} == inputs
