@@ -275,22 +275,22 @@ class ProbGReport:
         }
 
 
-def _good_set_edges(d: PiecewiseGeometricDensity, rho, n_bands):
+def _good_set_edges(d: PiecewiseGeometricDensity, rho):
     """Ascending edges of the good set G: the bands [a_{2n+2}, rho a_{2n+1}]
-    for n = n_bands, ..., 1, then [a_2, inf)."""
+    for n = N, ..., 1, then [a_2, inf), down to the depth N of the density's
+    float band table (its sliver is cell 2N), about 1e-14 a1."""
     edges = []
-    for n in range(n_bands + 1, 1, -1):
+    for n in range(d._cell(0.0) // 2 + 1, 1, -1):
         edges += [float(d.even_endpoint(n)), rho * float(d.odd_endpoint(n))]
     return np.asarray(edges + [float(d.even_endpoint(1)), np.inf])
 
 
-def _lemma_interval(d: PiecewiseGeometricDensity, rho, t):
-    """(a, b) with [a sqrt(t), b sqrt(t)] inside the good set, per band scale."""
-    sq = math.sqrt(t)
-    n = d._band_of(sq, d._band_params_float)[3]  # a_{2n+1} <= sqrt(t) < a_{2n-1}
-    if n == 1:
-        return float(d.even_endpoint(1)) / sq, math.inf
-    return float(d.even_endpoint(n)) / sq, rho * float(d.odd_endpoint(n)) / sq
+def _lemma_interval(d: PiecewiseGeometricDensity, edges, t):
+    """(a, b) per t with [a sqrt(t), b sqrt(t)] the piece of G (ascending
+    edges) in the band a_{2n+1} <= sqrt(t) < a_{2n-1}, read from the table."""
+    sq = np.sqrt(t)
+    pieces = edges.reshape(-1, 2)  # band n's piece is row N + 1 - n
+    return pieces[len(pieces) - np.maximum(d._cell(sq), 0) // 2 - 1].T / sq
 
 
 def _default_t_indices(frontier: FrontierPath, n_t):
@@ -309,23 +309,24 @@ def _y_columns(frontier: FrontierPath, n_paths, seed, t_indices):
 
 
 def estimate_prob_in_G(frontier: FrontierPath, d: PiecewiseGeometricDensity,
-                       consts: SqrtConstants, t_indices, cols, n_bands=30):
+                       consts: SqrtConstants, t_indices, cols):
     """Per-t MC estimates of P(Y_t in G) on the running-max samples
     cols = Y[:, t_indices] against the reflection/drifted-sup lower bound
     P(|N| >= a) P(U <= b - a), plus the occupation threshold
-    (alpha2 - 1)/(alpha2 - L) that the contraction argument needs. The bound's
-    standard error rhs_se is P(|N| >= a) times the quadrature's own error
-    estimate for P(U <= b - a)."""
+    (alpha2 - 1)/(alpha2 - L) that the contraction argument needs. G holds
+    every band of the density's float table, down to about 1e-14 a1. The
+    bound's standard error rhs_se is P(|N| >= a) times the quadrature's own
+    error estimate for P(U <= b - a)."""
     sb = compute_L(d)
     rho = float(sb.rho)
-    edges = _good_set_edges(d, rho, n_bands)
+    edges = _good_set_edges(d, rho)
     total = len(cols)
     inside = np.searchsorted(edges, cols, side="right") % 2 == 1
     lhs = inside.sum(axis=0) / total
     lhs_se = _binomial_se(lhs, total)
 
     tv = frontier.t[t_indices]
-    a_vals, b_vals = np.asarray([_lemma_interval(d, rho, float(t)) for t in tv]).T
+    a_vals, b_vals = _lemma_interval(d, edges, tv)
     pn = erfc(a_vals / math.sqrt(2.0))  # P(|N| >= a)
     pu, pu_err = prob_drifted_sup_quad(consts.c3, b_vals - a_vals)
     rhs = pn * pu

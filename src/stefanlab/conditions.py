@@ -269,7 +269,8 @@ def check_averaging_condition(d: Density, lambda0_candidate=0.01, lambda_grid=No
     pairs appended, so families that defeat the condition at isolated lambdas
     are caught between grid points. The report's lambda0 is the largest grid
     lambda verified on every node below it (the largest grid lambda if all pass:
-    a grid that stops below the candidate verifies nothing past its end).
+    a grid that stops below the candidate verifies nothing past its end), for a
+    grid in any order.
     """
     _check_real(ValueError, "lambda0 candidate", lambda0_candidate)
     _check_int(ValueError, "threads", threads, 1)
@@ -298,7 +299,7 @@ def check_averaging_condition(d: Density, lambda0_candidate=0.01, lambda_grid=No
     violated = bool(np.any(bad))
     if violated:
         below = lambda_grid[lambda_grid < np.min(lam_nodes[bad])]
-        lambda0 = float(below[-1]) if len(below) else 0.0
+        lambda0 = float(np.max(below)) if len(below) else 0.0
         fit = lam_nodes <= lambda0
     else:
         lambda0, fit = float(np.max(lambda_grid)), slice(None)

@@ -276,11 +276,10 @@ class PiecewiseGeometricDensity(Density):
         self.beta2 = (alpha2 * (1 - q) + alpha1 * q * (1 - p)) / (1 - p * q)
         self.a1 = 1 / self.beta1
         self.admissible = self.beta2 < 1
-        # the band walk runs on these, exact, or on their float copies; the CDF
-        # maps the bands onto the same geometry with a1 -> 1 and p -> beta2 p a1,
-        # as F(a_{2n-1}) = r^(n-1) and F(a_{2n}) = beta2 a_{2n}
+        # the exact band walk runs on these; the CDF maps the bands onto the
+        # same geometry with a1 -> 1 and p -> beta2 p a1, as F(a_{2n-1}) = r^(n-1)
+        # and F(a_{2n}) = beta2 a_{2n}
         self._band_params = (alpha1, alpha2, p, self.r, self.a1)
-        self._band_params_float = tuple(float(v) for v in self._band_params)
         self._cdf_band_params = (alpha1, alpha2, self.beta2 * p * self.a1, self.r, 1)
         self._build_float_tables()
 
@@ -296,12 +295,9 @@ class PiecewiseGeometricDensity(Density):
 
     @staticmethod
     def _band_of(x, params):
-        """(level, lower, upper, n) of the band containing x in (0, a1].
-
-        params is (alpha1, alpha2, p, r, a1): ``_band_params`` for exact
-        arithmetic, ``_band_params_float`` for floats, ``_cdf_band_params``
-        for the bands' image under the CDF.
-        """
+        """(level, lower, upper, n) of the band containing x in (0, a1] in exact
+        arithmetic, params (alpha1, alpha2, p, r, a1) being ``_band_params``, or
+        ``_cdf_band_params`` for the CDF's image. Floats read the table (``_cell``)."""
         alpha1, alpha2, p, r, a1 = params
         n = 1
         t = r * a1  # a3
@@ -320,25 +316,30 @@ class PiecewiseGeometricDensity(Density):
         return self.beta2 if level == self.alpha1 else self.beta1
 
     def _build_float_tables(self):
-        alpha1, alpha2, p, r, a1 = self._band_params_float
+        alpha1, alpha2, p, r, a1 = (float(v) for v in self._band_params)
         b1, b2 = float(self.beta1), float(self.beta2)
         if r == 0.0:
             raise DensityError("p q underflows; parameters too extreme for float64")
         n_bands = max(2, int(math.ceil(math.log(1e-14) / math.log(r))) + 1)
-        # edges ascending: 0, a_{2N+1}, a_{2N}, a_{2N-1}, ..., a_2, a_1, level beta1
-        # on the sliver below a_{2N+1}; F is beta1 a at odd edges, beta2 a at even
-        edges, levels, F = [0.0], [b1], [0.0]
+        # edges ascending: 0, a_{2N+1}, a_{2N}, ..., a_2, a_1, F beta1 a at odd edges and
+        # beta2 a at even ones; levels from the top cell down, beta1 on the sliver
+        edges, F = [0.0], [0.0]
         for n in range(n_bands, 0, -1):
             a_odd = r ** n * a1
             a_even = p * r ** (n - 1) * a1
             edges += [a_odd, a_even]
-            levels += [alpha2, alpha1]
             F += [b1 * a_odd, b2 * a_even]
         self._edges = np.asarray(edges + [a1])
-        self._levels = np.asarray(levels)
+        self._levels = np.asarray([alpha1, alpha2] * n_bands + [b1])
         self._F_edges = np.asarray(F + [1.0])
         if not np.all(np.diff(self._edges) > 0) or not np.all(np.diff(self._F_edges) > 0):
             raise DensityError("degenerate band table; parameters too extreme for float64")
+
+    def _cell(self, x):
+        """Cell of the float band table holding each x, from the top: 2n - 2 is
+        the alpha1 band [a_{2n}, a_{2n-1}), 2n - 1 the alpha2 band [a_{2n+1}, a_{2n}),
+        2N the sliver [0, a_{2N+1}), -1 x >= a1. Every float band question reads it."""
+        return len(self._edges) - 1 - np.searchsorted(self._edges, x, side="right")
 
     # -- interface ----------------------------------------------------------
 
@@ -353,10 +354,10 @@ class PiecewiseGeometricDensity(Density):
                 return Fraction(0)
             return self._band_of(x, self._band_params)[0]
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._edges, x, side="right") - 1
-        inside = (x > 0.0) & (x < float(self.a1)) & (idx >= 0) & (idx < len(self._levels))
+        cell = self._cell(x)
+        inside = (x > 0.0) & (cell >= 0)
         out = np.zeros_like(x)
-        out[inside] = self._levels[np.clip(idx[inside], 0, len(self._levels) - 1)]
+        out[inside] = self._levels[cell[inside]]
         return out if out.shape else float(out)
 
     def cdf(self, x):
@@ -391,23 +392,19 @@ class PiecewiseGeometricDensity(Density):
         return self.a1 ** 2 * num / (2 * (1 - self.r ** 2))
 
     def sup_pdf(self, lo, hi):
-        a1 = float(self.a1)
+        """(sup, argmax) on (lo, hi]: the highest table cell of the largest level
+        that meets the window, and the midpoint of its part inside the window.
+        The sliver below a_{2N+1} stands for both levels and reads alpha2."""
         lo = max(float(lo), 0.0)
-        hi = min(float(hi), a1)
-        if hi <= lo:
+        hi = min(float(hi), float(self.a1))
+        if not hi > lo:  # an empty window, or a NaN end
             return 0.0, None
-        # walk the ideal (untruncated) band structure downward from hi
-        best, arg = 0.0, None
-        x = hi
-        while x > lo:
-            level, blo, bhi, _ = self._band_of(x * (1.0 - 1e-15), self._band_params_float)
-            if level > best:
-                best = level
-                arg = 0.5 * (max(blo, lo) + min(bhi, hi))
-            if best == self._band_params_float[1] or blo <= 0.0:
-                break
-            x = blo
-        return best, arg
+        top, bottom = self._cell([np.nextafter(hi, 0.0), lo])
+        sliver = len(self._levels) - 1
+        cell = top + int(np.argmax(self._levels[top:bottom + 1]))
+        best = float(self.alpha2) if cell == sliver else float(self._levels[cell])
+        k = sliver - cell  # the cell is [edges[k], edges[k + 1])
+        return best, 0.5 * (max(float(self._edges[k]), lo) + min(float(self._edges[k + 1]), hi))
 
     def hard_window_probes(self):
         """(lambda, mu) pairs, one for each n = 1..12, whose window exactly

@@ -24,6 +24,10 @@ quadrature. ``g_tilde_inverse_bisect`` inverts s g(s) by bisection, as
 evaluate the bounds estimators' CDF differences one call per (t, x) node and
 one per (chunk, h), as the bit-identity referees of their block evaluation.
 
+``sup_pdf_band_walk`` is the band density's windowed sup as a walk down the
+ideal float bands, one ``_band_of`` call per band, the referee of the edge
+table's ``sup_pdf``.
+
 ``compute_Y_samples`` and ``pointwise_h_at`` are helpers only the tests use:
 the materialized running-max samples and the fitted pointwise margin at a point.
 """
@@ -309,6 +313,28 @@ def bruteforce_sup_ratio(d, n_y=1000, n_h=1000):
         if np.any(ok):
             best = max(best, float(np.max((np.asarray(d.cdf(ys[ok] + h)) - Fy[ok]) / h)))
     return best
+
+
+def sup_pdf_band_walk(d, lo, hi):
+    """(sup, argmax) of the band density's pdf on (lo, hi], walking the ideal
+    (untruncated) float bands down from hi: the first band of the largest
+    level, and the midpoint of its part inside the window."""
+    params = tuple(float(v) for v in (d.alpha1, d.alpha2, d.p, d.r, d.a1))
+    lo = max(float(lo), 0.0)
+    hi = min(float(hi), params[4])
+    if hi <= lo:
+        return 0.0, None
+    best, arg = 0.0, None
+    x = hi
+    while x > lo:
+        level, blo, bhi, _ = d._band_of(x * (1.0 - 1e-15), params)
+        if level > best:
+            best = level
+            arg = 0.5 * (max(blo, lo) + min(bhi, hi))
+        if best == params[1] or blo <= 0.0:
+            break
+        x = blo
+    return best, arg
 
 
 def picard_minimal_negb(density, cfg, keep_iterates=False, moves=None):

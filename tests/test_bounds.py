@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import erfc, ndtr
 
 from _oracles import (beta_slope_table_loop, bruteforce_sup_ratio, delta0_nodes_loop,
                       drifted_sup_bridge_mc)
@@ -290,30 +290,48 @@ def test_estimators_reject_a_bad_n_paths(pw_frontier, n_paths):
         _y_columns(pw_frontier, n_paths, 0, _default_t_indices(pw_frontier, 8))
 
 
-@pytest.mark.parametrize("n_bands", [0, 30])
-def test_good_set_edges_are_the_sorted_bands_of_the_endpoints(n_bands):
-    # a non-dyadic float density: G is [a_{2n+2}, rho a_{2n+1}], n = 1..n_bands, and [a_2, inf)
-    d = make_piecewise(0.3, 1.1, 0.6, 0.7)
+@pytest.mark.parametrize("spec", [(0.3, 1.1, 0.6, 0.7), ("1/3", "3/2", "1/4", "2/3"),
+                                  (0.3, 1.01, 0.95, 0.9)],
+                         ids=["float", "exact_r_1_6", "float_r_0.855"])
+def test_good_set_edges_are_the_sorted_bands_of_the_endpoints(spec):
+    # G is [a_{2n+2}, rho a_{2n+1}], n = 1..N, and [a_2, inf), N the depth of the
+    # density's band table; the exact spec has the non-dyadic ratio r = 1/6
+    d = make_piecewise(*spec)
+    n_table = (len(d._edges) - 2) // 2  # edges 0, a_{2N+1}, ..., a_2, a_1
     rho = float(compute_L(d).rho)
     bands = sorted((float(d.even_endpoint(n + 1)), rho * float(d.odd_endpoint(n + 1)))
-                   for n in range(1, n_bands + 1))
+                   for n in range(1, n_table + 1))
     want = [x for band in bands for x in band] + [float(d.even_endpoint(1)), math.inf]
-    assert np.array_equal(_good_set_edges(d, rho, n_bands), want)
+    assert np.array_equal(_good_set_edges(d, rho), want)
+    assert want[0] < 1e-13 * float(d.a1)
+
+
+def _zero_frontier(T, K=2000):
+    t = np.linspace(0.0, T, K + 1)
+    return FrontierPath(t=t, lam=np.zeros_like(t))
+
+
+def test_good_set_reaches_the_band_table_depth():
+    # at r = 0.855 the table holds 207 bands; a running max in the good band
+    # [a_{2n+2}, rho a_{2n+1}] of n = 40, near 2e-3, lies in G
+    d = make_piecewise(0.3, 1.01, 0.95, 0.9)
+    rho = float(compute_L(d).rho)
+    y = 0.5 * (float(d.even_endpoint(41)) + rho * float(d.odd_endpoint(41)))
+    fr = _zero_frontier(0.01, K=10)
+    rep = estimate_prob_in_G(fr, d, compute_sqrt_constants(d, 0.5), [10], np.full((1, 1), y))
+    assert rep.lhs[0] == 1.0
 
 
 def test_prob_in_G_reflection_identity(pw_std):
-    # with a zero frontier, P(Y_t >= a2) = P(|N| >= a2 / sqrt(t)); pick t so the
-    # ratio is 1 and compare to the two-sided normal tail 0.3173
+    # with a zero frontier Y_t has the law of |N| sqrt(t), so P(Y_t in G) sums
+    # P(lo <= |N| sqrt(t) <= hi) over the pieces [lo, hi] of G; t puts a2 at sqrt(t)
     a2 = float(pw_std.even_endpoint(1))
-    T = a2 ** 2
     K = 2000
-    t = np.linspace(0.0, T, K + 1)
-    fr = FrontierPath(t=t, lam=np.zeros_like(t))
+    fr = _zero_frontier(a2 ** 2, K)
     consts = compute_sqrt_constants(pw_std, 0.5)
-    # restrict the good set to its tail piece [a2, inf), as in the identity
-    rep = estimate_prob_in_G(fr, pw_std, consts, [K], _y_columns(fr, 40_000, 3, [K]),
-                             n_bands=0)
-    want = 0.3173
+    rep = estimate_prob_in_G(fr, pw_std, consts, [K], _y_columns(fr, 40_000, 3, [K]))
+    lo, hi = _good_set_edges(pw_std, float(compute_L(pw_std).rho)).reshape(-1, 2).T / a2
+    want = float(np.sum(erfc(lo / math.sqrt(2.0)) - erfc(hi / math.sqrt(2.0))))
     # the discrete running max undershoots, biasing the estimate down a touch
     assert rep.lhs[0] == pytest.approx(want, abs=3.0 * rep.lhs_se[0] + 0.012)
 

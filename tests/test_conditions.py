@@ -215,6 +215,21 @@ def test_averaging_lambda0_is_no_larger_than_the_grid(sine_density):
     assert rep.lambda0 == 1e-5
 
 
+def test_averaging_report_does_not_depend_on_the_order_of_the_lambda_grid():
+    # windows over the 1.6 plateau violate the condition from lambda near 0.54
+    # up; lambda0 is the largest grid lambda below them, however the grid runs
+    d = make_density({"family": "tabulated", "grid": [0.0, 0.6, 0.9, 1.1, 1.4],
+                      "values": [0.5, 0.5, 1.6, 1.6, 0.0]})
+    lam = np.geomspace(1e-6, 2.0, 200)
+    shuffled = lam[np.random.default_rng(1).permutation(len(lam))]
+    reps = [check_averaging_condition(d, 2.0, lambda_grid=g) for g in (lam, lam[::-1], shuffled)]
+    assert reps[0].lambda0 == pytest.approx(0.538, abs=1e-3)
+    for rep in reps[1:]:
+        assert rep.to_json_dict() == reps[0].to_json_dict()
+        assert np.array_equal(rep.g_envelope.s_grid, reps[0].g_envelope.s_grid)
+        assert np.array_equal(rep.g_envelope.g_values, reps[0].g_envelope.g_values)
+
+
 def test_averaging_linear_density_passes():
     rep = check_averaging_condition(linear_density(), 0.1)
     assert rep.holds_1_7 and rep.holds_1_5

@@ -23,7 +23,7 @@ from stefanlab.densities import (
     TabulatedProfile,
 )
 
-from _oracles import simpson_scalar, sine_window_mass, tabulated_profile_mass
+from _oracles import simpson_scalar, sine_window_mass, sup_pdf_band_walk, tabulated_profile_mass
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +143,49 @@ def test_piecewise_float_mode():
     # one float parameter puts the "num/den" strings on the float path too
     mixed = make_piecewise(0.5, "21/20", "1/2", "1/2")
     assert not mixed.exact and mixed.cdf(0.3) == d.cdf(0.3)
+
+
+#: the benchmark spec, its float twin, a non-dyadic float spec, an exact spec
+#: with the non-dyadic ratio r = 1/6, and a float spec with r = 0.855
+BAND_SPECS = [("1/2", "21/20", "1/2", "1/2"), (0.5, 1.05, 0.5, 0.5), (0.3, 1.1, 0.6, 0.7),
+              ("1/3", "3/2", "1/4", "2/3"), (0.3, 1.01, 0.95, 0.9)]
+_exact_band_specs = st.tuples(
+    st.fractions(0, 1, **_RATIONAL).filter(lambda v: 0 < v < 1),
+    st.fractions(1, 4, **_RATIONAL).filter(lambda v: v > 1),
+    st.fractions(F(1, 20), F(19, 20), **_RATIONAL),
+    st.fractions(F(1, 20), F(19, 20), **_RATIONAL)).filter(lambda v: v[2] * v[3] <= F(171, 200))
+
+
+def _assert_sup_pdf_is_the_walk(d, lo, hi):
+    got, want = d.sup_pdf(lo, hi), sup_pdf_band_walk(d, lo, hi)
+    assert got == want
+    assert all(type(v) is float for v in got + want if v is not None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=st.one_of(st.sampled_from(BAND_SPECS), _exact_band_specs,
+                      _exact_band_specs.map(lambda v: tuple(map(float, v)))),
+       u=st.floats(0.0, 1.0), w=st.floats(0.0, 1.0))
+def test_piecewise_sup_pdf_table_equals_the_band_walk(spec, u, w):
+    # windows from the table's lowest band edge a_{2N+1} up to past a1, from
+    # empty to 1000 times as wide as they are far from 0
+    d = make_piecewise(*spec)
+    floor, a1 = float(d._edges[1]), float(d.a1)
+    lo = floor * (a1 / floor) ** u
+    _assert_sup_pdf_is_the_walk(d, lo, lo * 1000.0 ** w)
+
+
+@pytest.mark.parametrize("spec", BAND_SPECS)
+def test_piecewise_sup_pdf_on_the_pointwise_windows_and_below_the_table(spec):
+    d = make_piecewise(*spec)
+    for k in range(1, 25):
+        _assert_sup_pdf_is_the_walk(d, 2.0 ** (-k - 1), 2.0 ** (-k))
+    _assert_sup_pdf_is_the_walk(d, 0.0, float(d.a1))
+    for lo, hi in [(math.nan, 0.5), (0.25, math.nan)]:  # no point lies in a NaN window
+        _assert_sup_pdf_is_the_walk(d, lo, hi)
+    # the sliver below a_{2N+1} stands for both levels: it reads alpha2
+    floor = float(d._edges[1])
+    assert d.sup_pdf(0.0, 0.5 * floor) == (float(d.alpha2), 0.25 * floor)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ def and class is referenced somewhere in the repository's code, every optional
 parameter is passed by some call, numbers from outside are type-checked
 only by the two checkers in ``densities``, each kind of random stream is
 drawn by one function of ``rng``, no method of a density takes a matrix
-product, and no subclass of a concrete density family reimplements it."""
+product, no subclass of a concrete density family reimplements it, and a
+module reads no private name of another beyond a short allowlist."""
 import ast
 from pathlib import Path
 
@@ -325,3 +326,32 @@ def test_no_subclass_of_a_concrete_density_redefines_its_methods():
             todo += parents(base)
         found += [f"{cls.name}.{name}" for name in sorted(_methods(cls) & inherited - REDEFINABLE)]
     assert not found, f"inherited density methods redefined: {found}"
+
+
+#: the private names one module of the package may read from another: the two
+#: number checkers, the path chunk size and the band density's one float lookup
+SHARED_PRIVATE = {"_check_int", "_check_real", "_CHUNK", "_cell"}
+
+
+def _private_reads(tree):
+    """(name, line) of every private name the module imports from the package
+    or reads as an attribute of an object other than ``self``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("stefanlab")):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and not (
+                isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names = [node.attr]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def test_modules_share_only_the_allowed_private_names():
+    # a private name read across modules is an interface nobody declared
+    found = [f"{path.name} line {line}: {name}" for path in MODULES
+             for name, line in _private_reads(_tree(path)) if name not in SHARED_PRIVATE]
+    assert not found, f"private names read across modules: {found}"
