@@ -293,7 +293,7 @@ def test_estimators_reject_a_bad_n_paths(pw_frontier, n_paths):
 @pytest.mark.parametrize("spec", [(0.3, 1.1, 0.6, 0.7), ("1/3", "3/2", "1/4", "2/3"),
                                   (0.3, 1.01, 0.95, 0.9)],
                          ids=["float", "exact_r_1_6", "float_r_0.855"])
-def test_good_set_edges_are_the_sorted_bands_of_the_endpoints(spec):
+def test_good_set_edges_span_the_band_table(spec):
     # G is [a_{2n+2}, rho a_{2n+1}], n = 1..N, and [a_2, inf), N the depth of the
     # density's band table; the exact spec has the non-dyadic ratio r = 1/6
     d = make_piecewise(*spec)
@@ -304,6 +304,18 @@ def test_good_set_edges_are_the_sorted_bands_of_the_endpoints(spec):
     want = [x for band in bands for x in band] + [float(d.even_endpoint(1)), math.inf]
     assert np.array_equal(_good_set_edges(d, rho), want)
     assert want[0] < 1e-13 * float(d.a1)
+
+
+@pytest.mark.parametrize("n_bands", [0, 30])
+def test_good_set_edges_are_the_sorted_bands_of_the_endpoints(n_bands):
+    # a non-dyadic float density: the top 2 n_bands + 2 edges of G are the bands
+    # [a_{2n+2}, rho a_{2n+1}], n = 1..n_bands, and [a_2, inf)
+    d = make_piecewise(0.3, 1.1, 0.6, 0.7)
+    rho = float(compute_L(d).rho)
+    bands = sorted((float(d.even_endpoint(n + 1)), rho * float(d.odd_endpoint(n + 1)))
+                   for n in range(1, n_bands + 1))
+    want = [x for band in bands for x in band] + [float(d.even_endpoint(1)), math.inf]
+    assert np.array_equal(_good_set_edges(d, rho)[-len(want):], want)
 
 
 def _zero_frontier(T, K=2000):
