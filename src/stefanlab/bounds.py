@@ -5,8 +5,9 @@ Everything here is checked against simulation: the slope bound L on the good
 set, the square-root envelope constants c1/c2, the increment constant c3, the
 early-time bound through the averaging envelope, the good-set occupation
 probability with its reflection/drifted-sup lower bound, and the expected
-increment-ratio contraction diagnostic delta0. These last two take running-max
-samples Y at given grid columns, which the report draws once for both. The
+increment-ratio contraction diagnostic delta0. The slope constant behind c3
+(on the paths X = Lambda - B) and delta0 (on their running max Y) are one
+estimator; it and the occupation estimate take sample columns of one pass. The
 drifted-sup factor of the occupation bound is a first-passage probability,
 computed by quadrature of its Volterra equation, not sampled. Margins are
 always reported in the direction that certifies the inequality; nothing is
@@ -88,24 +89,28 @@ def compute_sqrt_constants(d: PiecewiseGeometricDensity, beta_slope):
     return SqrtConstants(c1=c1, c2=c2, c3=c3, beta_slope=beta_slope)
 
 
-def estimate_beta_slope(d: Density, frontier: FrontierPath, seed=0):
-    """Monte Carlo surrogate for the uniform slope constant: the max over a
-    12 x 24 (t, x) grid of E[F(Lambda_t - B_t + x) - F(Lambda_t - B_t)] / x,
-    each node averaged over 20000 normals.
+def _increment_ratios(d: Density, cols, h):
+    """(means, standard errors) of (F(Z + h) - F(Z)) / h per (column, h) over
+    the rows of the samples cols = Z[:, t_indices]: one ``cdf_fast`` call per
+    column and 8192-row block, the sums taken per block, then across blocks."""
+    shifts = np.concatenate([[0.0], h])[:, None]
+    sums = np.zeros((2, cols.shape[1], len(h)))  # of the ratios and of their squares
+    for c, z in enumerate(cols.T):
+        for lo in range(0, len(z), _CHUNK):
+            F = np.asarray(d.cdf_fast(z[lo:lo + _CHUNK] + shifts))  # row j is F(Z + h_j), h_0 = 0
+            ratio = (F[1:] - F[0]) / shifts[1:]
+            sums[:, c] += ratio.sum(axis=1), (ratio * ratio).sum(axis=1)
+    means, sq_means = sums / len(cols)
+    return means, np.sqrt(np.clip(sq_means - means ** 2, 0.0, None) / len(cols))
 
-    No closed form exists; this is the numeric stand-in used to build c3.
-    Returns (beta_slope, table of per-node ratios).
-    """
-    K = len(frontier.t) - 1
-    t_idx = np.unique(np.clip(np.geomspace(max(1, K // 200), K, 12).astype(int), 1, K))
+
+def estimate_beta_slope(d: Density, cols):
+    """(beta_slope, table): the Monte Carlo stand-in for the uniform slope
+    constant behind c3, which has no closed form. The table holds the means of
+    (F(Lambda_t - B_t + x) - F(Lambda_t - B_t)) / x on the samples
+    cols = (Lambda - B)[:, t_indices] at 24 log-spaced x; beta_slope is its max."""
     xs = np.geomspace(1e-3 * d.support_upper, 2.0 * d.support_upper, 24)
-    shifts = np.concatenate([[0.0], xs])[:, None]
-    table = np.zeros((len(t_idx), len(xs)))
-    for bi, ti in enumerate(t_idx):
-        xi = rng.normal_block(seed, rng.SLOPE_PROBE, int(ti), 20000)
-        w = frontier.lam[ti] + math.sqrt(frontier.t[ti]) * xi  # -B_t has the law of B_t
-        F = np.asarray(d.cdf_fast(w + shifts))  # row 0 is F(w), row j F(w + x_j)
-        table[bi] = np.mean(F[1:] - F[0], axis=1) / xs
+    table, _ = _increment_ratios(d, cols, xs)
     return float(np.max(table)), table
 
 
@@ -147,9 +152,10 @@ def _binomial_se(p, n):
 def verify_frontier_envelopes(frontier: FrontierPath, consts: SqrtConstants,
                               n_mc, g: EnvelopeFunction | None = None):
     """Margins of the square-root, increment, and (optionally) averaging-envelope
-    bounds on a simulated frontier. n_mc is the sample count behind the frontier
-    (particles or paths), used only for the reported standard error. Negative
-    margins are findings, not errors."""
+    bounds on a simulated frontier. n_mc, an integer >= 1, is the sample count
+    behind the frontier (particles or paths), used only for the reported
+    standard error. Negative margins are findings, not errors."""
+    _check_int(ValueError, "n_mc", n_mc, 1)
     t_pos, lam_pos, lower, upper, mean_sup = sqrt_envelopes(frontier, consts.c1, consts.c2,
                                                             ROOT_TWO_OVER_PI)
     sqrt_lower = float(np.min(lam_pos - lower))
@@ -293,19 +299,22 @@ def _lemma_interval(d: PiecewiseGeometricDensity, edges, t):
     return pieces[len(pieces) - np.maximum(d._cell(sq), 0) // 2 - 1].T / sq
 
 
-def _default_t_indices(frontier: FrontierPath, n_t):
+def _default_t_indices(frontier: FrontierPath, n_t, per=100):
     K = len(frontier.t) - 1
-    return np.unique(np.clip(np.geomspace(max(1, K // 100), K, n_t).astype(int), 1, K))
+    return np.unique(np.clip(np.geomspace(max(1, K // per), K, n_t).astype(int), 1, K))
 
 
-def _y_columns(frontier: FrontierPath, n_paths, seed, t_indices):
-    """Running-max samples Y at the grid columns t_indices, one row per path
-    (n_paths x len(t_indices) numbers; the full paths are never kept)."""
+def _path_columns(frontier: FrontierPath, n_paths, seed, t_indices):
+    """(X, Y) at the grid columns t_indices of one pass of n_paths sample
+    paths: X = Lambda - B and its running max Y, one row per path (the full
+    paths are never kept). seed is an integer in [0, 2^64)."""
     _check_int(ValueError, "n_paths", n_paths, 1)
-    out = np.empty((n_paths, len(t_indices)))
-    for (lo, hi), y in iter_y_chunks(frontier, n_paths, seed):
-        out[lo:hi] = y[:, t_indices]
-    return out
+    _check_int(ValueError, "seed", seed, 0, 2**64)
+    x, y = np.empty((2, n_paths, len(t_indices)))
+    for (lo, hi), x_tile, y_tile in iter_y_chunks(frontier, n_paths, seed):
+        x[lo:hi] = x_tile[:, t_indices]
+        y[lo:hi] = y_tile[:, t_indices]
+    return x, y
 
 
 def estimate_prob_in_G(frontier: FrontierPath, d: PiecewiseGeometricDensity,
@@ -316,7 +325,10 @@ def estimate_prob_in_G(frontier: FrontierPath, d: PiecewiseGeometricDensity,
     (alpha2 - 1)/(alpha2 - L) that the contraction argument needs. G holds
     every band of the density's float table, down to about 1e-14 a1. The
     bound's standard error rhs_se is P(|N| >= a) times the quadrature's own
-    error estimate for P(U <= b - a)."""
+    error estimate for P(U <= b - a). A grid running max of exactly 0 counts
+    as outside G, though the continuous one is positive for t > 0: on the
+    reference frontier at seed 2026 that is 6.3 %, 3.7 % and 2.0 % of Y at
+    t = 0.0025, 0.004 and 0.0065, so lhs is biased low at the earliest times."""
     sb = compute_L(d)
     rho = float(sb.rho)
     edges = _good_set_edges(d, rho)
@@ -364,23 +376,9 @@ def estimate_delta0(frontier: FrontierPath, d: Density, t_indices, cols):
     """MC estimate of the double sup of E[(F(Y_t + h) - F(Y_t)) / h] over the
     running-max samples cols = Y[:, t_indices] and 16 log-spaced increments h;
     the per-node means double as the expected-increment-ratio probe (increment
-    h playing the role of the window size). The sums are reduced per 8192-path
-    chunk in row order, then across chunks."""
+    h playing the role of the window size)."""
     h_grid = np.geomspace(1e-4 * d.support_upper, d.support_upper, 16)
-    shifts = np.concatenate([[0.0], h_grid])[:, None, None]
-
-    sums = np.zeros((len(t_indices), len(h_grid)))
-    sq_sums = np.zeros_like(sums)
-    total = len(cols)
-    for lo in range(0, total, _CHUNK):
-        # (h, m, n_t): block 0 is F(Y), block j F(Y + h_j)
-        F = np.asarray(d.cdf_fast(cols[lo:lo + _CHUNK] + shifts))
-        ratio = (F[1:] - F[0]) / shifts[1:]
-        sums += ratio.sum(axis=1).T
-        sq_sums += (ratio * ratio).sum(axis=1).T
-    means = sums / total
-    var = np.clip(sq_sums / total - means ** 2, 0.0, None)
-    ses = np.sqrt(var / total)
+    means, ses = _increment_ratios(d, cols, h_grid)
     flat = int(np.argmax(means))
     return Delta0Report(
         delta0_hat=float(means.ravel()[flat]),
@@ -448,21 +446,22 @@ def assemble_bounds_report(d: PiecewiseGeometricDensity, frontier: FrontierPath,
                            n_mc, seed=0, n_paths=20000,
                            g: EnvelopeFunction | None = None):
     """Compute every constant and run every estimator against one frontier."""
+    _check_int(ValueError, "n_mc", n_mc, 1)
     if not d.admissible:
         raise ValueError("band density is inadmissible (beta2 >= 1); "
                          "the envelope constants are undefined")
     sb = compute_L(d)
-    beta_slope, _ = estimate_beta_slope(d, frontier, seed=seed)
-    consts = compute_sqrt_constants(d, beta_slope)
-    margins = verify_frontier_envelopes(frontier, consts, n_mc=n_mc, g=g)
-    # one pass of Y paths serves both estimators, on the union of their columns
+    # one pass of n_paths paths serves every estimator, on the union of their columns
+    ti_b = _default_t_indices(frontier, 12, per=200)
     ti_g = _default_t_indices(frontier, 10)
     ti_d = _default_t_indices(frontier, 8)
-    union = np.union1d(ti_g, ti_d)
-    cols = _y_columns(frontier, n_paths, seed, union)
-    prob_g = estimate_prob_in_G(frontier, d, consts, ti_g,
-                                cols[:, np.searchsorted(union, ti_g)])
-    d0 = estimate_delta0(frontier, d, ti_d, cols[:, np.searchsorted(union, ti_d)])
+    union = np.unique(np.concatenate((ti_b, ti_g, ti_d)))
+    x, y = _path_columns(frontier, n_paths, seed, union)
+    beta_slope, _ = estimate_beta_slope(d, x[:, np.searchsorted(union, ti_b)])
+    consts = compute_sqrt_constants(d, beta_slope)
+    margins = verify_frontier_envelopes(frontier, consts, n_mc=n_mc, g=g)
+    prob_g = estimate_prob_in_G(frontier, d, consts, ti_g, y[:, np.searchsorted(union, ti_g)])
+    d0 = estimate_delta0(frontier, d, ti_d, y[:, np.searchsorted(union, ti_d)])
     early = early_increment_check(frontier, d)
     return BoundsReport(
         beta1=float(d.beta1), beta2=float(d.beta2), admissible=bool(d.admissible),

@@ -25,12 +25,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-# stream kinds (counter word 3)
+# stream kinds (counter word 3); a retired kind's number is never reused
 GAUSS_STEP = 1      # particle-step increments, block = step index, lane = survivor rank
 BRIDGE = 2          # bridge-crossing uniforms, block = step index, lane = survivor rank
 PICARD_PATHS = 3    # Picard path increments, block = path-chunk index
-Y_SAMPLES = 4       # running-max sample paths, block = path-chunk index
-SLOPE_PROBE = 5     # slope-constant MC normals, block = grid index
+Y_SAMPLES = 4       # the bounds report's sample paths, block = path-chunk index
 U_SUP = 6           # drifted running-sup samples, the quadrature's referee; block = chunk
 GAUSS_PATH = 7      # density path sampling, block = 0
 

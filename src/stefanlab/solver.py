@@ -472,15 +472,13 @@ def brownian_chunks(seed, stream, n_paths, sq_steps):
 
 
 def iter_y_chunks(frontier: FrontierPath, n_paths, seed):
-    """Yield ((lo, hi), Y_tile) running-max samples against the frontier.
-
-    Tiles come from ``brownian_chunks`` and have a fixed layout, so any
-    consumer that reduces in tile order is deterministic regardless of how
-    the tiles are processed.
-    """
+    """Yield ((lo, hi), X_tile, Y_tile): the paths X = Lambda - B and their
+    running max Y, in the fixed tiles of ``brownian_chunks``, so a consumer
+    that reduces in tile order is deterministic however the tiles are processed."""
     sq_steps = np.sqrt(np.diff(frontier.t))
     for span, B in brownian_chunks(seed, rng.Y_SAMPLES, n_paths, sq_steps):
-        yield span, np.maximum.accumulate(np.subtract(frontier.lam, B, out=B), axis=1)
+        x = np.subtract(frontier.lam, B, out=B)
+        yield span, x, np.maximum.accumulate(x, axis=1)
 
 
 # ---------------------------------------------------------------------------

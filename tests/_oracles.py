@@ -20,9 +20,10 @@ breaks.
 ``drifted_sup_bridge_mc`` samples the drifted running sup with the exact
 Brownian-bridge maximum in each step, the unbiased referee of the drifted-sup
 quadrature. ``g_tilde_inverse_bisect`` inverts s g(s) by bisection, as
-``g_tilde_inverse`` did before its closed form. ``beta_slope_table_loop`` and ``delta0_nodes_loop``
-evaluate the bounds estimators' CDF differences one call per (t, x) node and
-one per (chunk, h), as the bit-identity referees of their block evaluation.
+``g_tilde_inverse`` did before its closed form. ``increment_ratios_loop``
+evaluates the increment ratios behind the slope constant and delta0 one
+``cdf_fast`` call per (column, 8192-row block, h), the bit-identity referee of
+their shared block evaluation.
 
 ``sup_pdf_band_walk`` is the band density's windowed sup as a walk down the
 ideal float bands, one ``_band_of`` call per band, the referee of the edge
@@ -476,7 +477,7 @@ def drifted_sup_bridge_mc(c3, x, n_paths, n_steps, seed):
 def compute_Y_samples(frontier, n_paths, seed):
     """Materialized (n_paths, K+1) running-max samples from ``iter_y_chunks``."""
     out = np.empty((n_paths, len(frontier.t)))
-    for (lo, hi), y in iter_y_chunks(frontier, n_paths, seed):
+    for (lo, hi), _, y in iter_y_chunks(frontier, n_paths, seed):
         out[lo:hi] = y
     return out
 
@@ -498,39 +499,21 @@ def g_tilde_inverse_bisect(g, y):
                                 xtol=1e-12)
 
 
-def beta_slope_table_loop(d, frontier, seed):
-    """``estimate_beta_slope``'s table, one ``cdf_fast`` call per (t, x) node."""
-    K = len(frontier.t) - 1
-    t_idx = np.unique(np.clip(np.geomspace(max(1, K // 200), K, 12).astype(int), 1, K))
-    upper = d.support_upper
-    scale = float(upper) if math.isfinite(upper) else 2.0
-    xs = np.geomspace(1e-3 * scale, 2.0 * scale, 24)
-    table = np.zeros((len(t_idx), len(xs)))
-    for bi, ti in enumerate(t_idx):
-        xi = rng.normal_block(seed, rng.SLOPE_PROBE, int(ti), 20000)
-        w = float(frontier.lam[ti]) + math.sqrt(float(frontier.t[ti])) * xi
-        Fw = np.asarray(d.cdf_fast(w))
-        for xj, x in enumerate(xs):
-            table[bi, xj] = float(np.mean(np.asarray(d.cdf_fast(w + x)) - Fw)) / x
-    return table
-
-
-def delta0_nodes_loop(d, cols):
-    """(node means, node standard errors) of ``estimate_delta0`` on the samples
-    cols = Y[:, t_indices], one ``cdf_fast`` call per (8192-path chunk, h)."""
-    upper = d.support_upper
-    scale = float(upper) if math.isfinite(upper) else 2.0
-    h_grid = np.geomspace(1e-4 * scale, scale, 16)
+def increment_ratios_loop(d, cols, h_grid):
+    """(means, standard errors) of (F(Z + h) - F(Z)) / h per (column, h) on the
+    samples cols = Z[:, t_indices], one ``cdf_fast`` call per (column,
+    8192-row block, h)."""
     sums = np.zeros((cols.shape[1], len(h_grid)))
     sq_sums = np.zeros_like(sums)
     total = len(cols)
-    for lo in range(0, total, 8192):
-        chunk = cols[lo:lo + 8192]
-        Fy = np.asarray(d.cdf_fast(chunk))
-        for hj, h in enumerate(h_grid):
-            ratio = (np.asarray(d.cdf_fast(chunk + h)) - Fy) / h
-            sums[:, hj] += ratio.sum(axis=0)
-            sq_sums[:, hj] += (ratio * ratio).sum(axis=0)
+    for c in range(cols.shape[1]):
+        for lo in range(0, total, 8192):
+            z = cols[lo:lo + 8192, c]
+            Fz = np.asarray(d.cdf_fast(z))
+            for hj, h in enumerate(h_grid):
+                ratio = (np.asarray(d.cdf_fast(z + h)) - Fz) / h
+                sums[c, hj] += ratio.sum()
+                sq_sums[c, hj] += (ratio * ratio).sum()
     means = sums / total
     var = np.clip(sq_sums / total - means ** 2, 0.0, None)
     return means, np.sqrt(var / total)

@@ -15,7 +15,7 @@ from _oracles import bruteforce_sup_ratio, physical_jump_bruteforce
 from stefanlab import make_piecewise, uniform_density
 from stefanlab.bounds import (
     _default_t_indices,
-    _y_columns,
+    _path_columns,
     compute_L,
     compute_sqrt_constants,
     estimate_delta0,
@@ -49,7 +49,7 @@ M_PATHS = 100_000
 def _samples(frontier, n_t, n_paths):
     """The bounds report's default grid of n_t times and the running-max samples there."""
     t_indices = _default_t_indices(frontier, n_t)
-    return t_indices, _y_columns(frontier, n_paths, SEED, t_indices)
+    return t_indices, _path_columns(frontier, n_paths, SEED, t_indices)[1]
 
 
 def _line(num, name, ok, detail=""):

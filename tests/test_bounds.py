@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, ndtr
 
-from _oracles import (beta_slope_table_loop, bruteforce_sup_ratio, delta0_nodes_loop,
-                      drifted_sup_bridge_mc)
+from _oracles import bruteforce_sup_ratio, drifted_sup_bridge_mc, increment_ratios_loop
 from stefanlab import bounds, make_density, make_piecewise, uniform_density
+from stefanlab import rng as streams
 from stefanlab.bounds import (
     _QUAD_NODES,
     _default_t_indices,
     _good_set_edges,
+    _path_columns,
     _sup_cdf_quad,
-    _y_columns,
     assemble_bounds_report,
     compute_L,
     compute_sqrt_constants,
@@ -37,7 +37,12 @@ ROOT_2_PI = math.sqrt(2.0 / math.pi)
 def _samples(frontier, n_t, n_paths, seed):
     """The report's default grid of n_t times and the running-max samples there."""
     t_indices = _default_t_indices(frontier, n_t)
-    return t_indices, _y_columns(frontier, n_paths, seed, t_indices)
+    return t_indices, _path_columns(frontier, n_paths, seed, t_indices)[1]
+
+
+def _slope_samples(frontier, n_paths, seed):
+    """The samples Lambda - B at the slope constant's 12 report times."""
+    return _path_columns(frontier, n_paths, seed, _default_t_indices(frontier, 12, per=200))[0]
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +158,7 @@ def test_sqrt_constants_errors():
 
 
 def test_beta_slope_estimate_in_contract_range(pw_std, pw_frontier):
-    beta, table = estimate_beta_slope(pw_std, pw_frontier, seed=2)
+    beta, table = estimate_beta_slope(pw_std, _slope_samples(pw_frontier, 20_000, 2))
     assert 0.0 < beta < 1.0
     assert table.shape[0] > 0 and np.all(table >= 0.0)
 
@@ -164,7 +169,7 @@ def test_beta_slope_estimate_in_contract_range(pw_std, pw_frontier):
 
 
 def test_envelopes_on_minimal_frontier(pw_std, pw_frontier):
-    beta, _ = estimate_beta_slope(pw_std, pw_frontier, seed=2)
+    beta, _ = estimate_beta_slope(pw_std, _slope_samples(pw_frontier, 20_000, 2))
     consts = compute_sqrt_constants(pw_std, beta)
     m = verify_frontier_envelopes(pw_frontier, consts, n_mc=20_000)
     assert m.sqrt_lower_margin >= -3.0 * m.max_se
@@ -287,7 +292,7 @@ def test_estimators_reject_a_bad_n_paths(pw_frontier, n_paths):
     with pytest.raises(ValueError, match="n_paths"):
         simulate_drifted_sup(3.0, n_paths=n_paths, n_steps=10)
     with pytest.raises(ValueError, match="n_paths"):
-        _y_columns(pw_frontier, n_paths, 0, _default_t_indices(pw_frontier, 8))
+        _path_columns(pw_frontier, n_paths, 0, _default_t_indices(pw_frontier, 8))
 
 
 @pytest.mark.parametrize("spec", [(0.3, 1.1, 0.6, 0.7), ("1/3", "3/2", "1/4", "2/3"),
@@ -341,7 +346,7 @@ def test_prob_in_G_reflection_identity(pw_std):
     K = 2000
     fr = _zero_frontier(a2 ** 2, K)
     consts = compute_sqrt_constants(pw_std, 0.5)
-    rep = estimate_prob_in_G(fr, pw_std, consts, [K], _y_columns(fr, 40_000, 3, [K]))
+    rep = estimate_prob_in_G(fr, pw_std, consts, [K], _path_columns(fr, 40_000, 3, [K])[1])
     lo, hi = _good_set_edges(pw_std, float(compute_L(pw_std).rho)).reshape(-1, 2).T / a2
     want = float(np.sum(erfc(lo / math.sqrt(2.0)) - erfc(hi / math.sqrt(2.0))))
     # the discrete running max undershoots, biasing the estimate down a touch
@@ -349,7 +354,7 @@ def test_prob_in_G_reflection_identity(pw_std):
 
 
 def test_prob_in_G_dominates_lemma_bound(pw_std, pw_frontier):
-    beta, _ = estimate_beta_slope(pw_std, pw_frontier, seed=2)
+    beta, _ = estimate_beta_slope(pw_std, _slope_samples(pw_frontier, 20_000, 2))
     consts = compute_sqrt_constants(pw_std, beta)
     rep = estimate_prob_in_G(pw_frontier, pw_std, consts,
                              *_samples(pw_frontier, 10, 20_000, 4))
@@ -394,13 +399,16 @@ def test_delta0_piecewise_below_one(pw_std, pw_frontier):
 @pytest.mark.parametrize("seed", [5, 314])
 def test_estimators_block_evaluation_equals_the_node_loop(pw_std, sine_density, pw_frontier,
                                                           seed):
-    # 10_000 paths span two 8192-path chunks of the delta0 sums
+    # 10_000 paths span two 8192-row blocks of the sums
     t_indices, cols = _samples(pw_frontier, 8, 10_000, seed)
+    x_cols = _slope_samples(pw_frontier, 10_000, seed)
     for d in (pw_std, sine_density):
-        _, table = estimate_beta_slope(d, pw_frontier, seed=seed)
-        assert np.array_equal(table, beta_slope_table_loop(d, pw_frontier, seed))
+        u = d.support_upper
+        beta, table = estimate_beta_slope(d, x_cols)
+        means, _ = increment_ratios_loop(d, x_cols, np.geomspace(1e-3 * u, 2.0 * u, 24))
+        assert np.array_equal(table, means) and beta == np.max(means)
         rep = estimate_delta0(pw_frontier, d, t_indices, cols)
-        means, ses = delta0_nodes_loop(d, cols)
+        means, ses = increment_ratios_loop(d, cols, np.geomspace(1e-4 * u, u, 16))
         assert np.array_equal(rep.node_means, means) and np.array_equal(rep.node_ses, ses)
 
 
@@ -416,9 +424,10 @@ def test_early_increment_margin(pw_std, pw_frontier):
 
 
 def test_bounds_report_one_y_pass_equals_the_standalone_estimators(pw_std, pw_frontier):
-    # 10_000 paths span two 8192-path chunks, so the per-chunk sums of delta0 matter;
-    # each estimator here is fed by its own Y pass on its own grid
+    # 10_000 paths span two 8192-row blocks, so the per-block sums matter;
+    # each estimator here is fed by its own pass on its own grid
     rep = assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000, seed=5, n_paths=10_000)
+    assert rep.beta_slope == estimate_beta_slope(pw_std, _slope_samples(pw_frontier, 10_000, 5))[0]
     consts = compute_sqrt_constants(pw_std, rep.beta_slope)
     pg = estimate_prob_in_G(pw_frontier, pw_std, consts,
                             *_samples(pw_frontier, 10, 10_000, 5))
@@ -434,12 +443,49 @@ def test_bounds_report_calls_each_estimator_once_through_the_module(pw_std, pw_f
     # name sees them), and one quadrature call, with no sampling, serves the
     # occupation bound's drifted-sup factor
     calls = {"simulate_drifted_sup": 0}
-    for name in ("estimate_prob_in_G", "estimate_delta0", "simulate_drifted_sup",
-                 "prob_drifted_sup_quad"):
+    for name in ("estimate_beta_slope", "estimate_prob_in_G", "estimate_delta0",
+                 "simulate_drifted_sup", "prob_drifted_sup_quad"):
         def counted(*args, _fn=getattr(bounds, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(bounds, name, counted)
     assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000, seed=5, n_paths=2000)
-    assert calls == {"estimate_prob_in_G": 1, "estimate_delta0": 1, "simulate_drifted_sup": 0,
-                     "prob_drifted_sup_quad": 1}
+    assert calls == {"estimate_beta_slope": 1, "estimate_prob_in_G": 1, "estimate_delta0": 1,
+                     "simulate_drifted_sup": 0, "prob_drifted_sup_quad": 1}
+
+
+def test_bounds_report_draws_every_number_from_its_one_pass(pw_std, pw_frontier, monkeypatch):
+    # the slope constant reads the report's pass, so every normal is a Y_SAMPLES lane
+    kinds = []
+
+    def normal_block(seed, kind, *args, _fn=streams.normal_block, **kwargs):
+        kinds.append(kind)
+        return _fn(seed, kind, *args, **kwargs)
+    monkeypatch.setattr(streams, "normal_block", normal_block)
+    assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000, seed=5, n_paths=2000)
+    assert kinds and set(kinds) == {streams.Y_SAMPLES}
+
+
+@pytest.mark.parametrize("n_mc", [0, -5, math.nan, 2.5, True])
+def test_envelopes_and_report_reject_a_bad_n_mc(pw_std, pw_frontier, n_mc):
+    # a count below 1 gave max_se = NaN in the JSON, and 2.5 was taken as a count
+    consts = compute_sqrt_constants(pw_std, 0.5)
+    with pytest.raises(ValueError, match="n_mc"):
+        verify_frontier_envelopes(pw_frontier, consts, n_mc=n_mc)
+    with pytest.raises(ValueError, match="n_mc"):
+        assemble_bounds_report(pw_std, pw_frontier, n_mc=n_mc, n_paths=100)
+
+
+@pytest.mark.parametrize("seed", [2.5, True, -1, 2**64, "1"])
+def test_report_sampler_rejects_a_bad_seed(pw_std, pw_frontier, seed):
+    # 2.5 and True were truncated to a seed; -1 and 2^64 raised OverflowError
+    with pytest.raises(ValueError, match="seed"):
+        _path_columns(pw_frontier, 100, seed, [1])
+    with pytest.raises(ValueError, match="seed"):
+        assemble_bounds_report(pw_std, pw_frontier, n_mc=1000, seed=seed, n_paths=100)
+
+
+def test_report_sampler_takes_the_seed_range_ends(pw_frontier):
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        x, y = _path_columns(pw_frontier, 3, seed, [1, 2])
+        assert x.shape == y.shape == (3, 2) and np.all(y >= x)

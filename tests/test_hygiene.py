@@ -3,9 +3,10 @@ is used, every ``__all__`` entry names something the module defines, every
 def and class is referenced somewhere in the repository's code, every optional
 parameter is passed by some call, numbers from outside are type-checked
 only by the two checkers in ``densities``, each kind of random stream is
-drawn by one function of ``rng``, no method of a density takes a matrix
-product, no subclass of a concrete density family reimplements it, and a
-module reads no private name of another beyond a short allowlist."""
+drawn by one function of ``rng`` and keeps its counter word, no method of a
+density takes a matrix product, no subclass of a concrete density family
+reimplements it, and a module reads no private name of another beyond a short
+allowlist."""
 import ast
 from pathlib import Path
 
@@ -238,8 +239,9 @@ def _stream_parameters(trees, draws):
     return known
 
 
-def test_each_stream_kind_has_one_generator():
-    # a second way to draw one stream would give two sets of numbers for one seed
+def _stream_generators():
+    """{stream kind: the draw functions that draw it} over the package source,
+    from every ``rng.<KIND>`` argument of a call."""
     trees = {path.name: _tree(path) for path in MODULES}
     draws = _draw_functions()
     forwards = _stream_parameters(trees.values(), draws)
@@ -260,8 +262,32 @@ def test_each_stream_kind_has_one_generator():
                         f"{where}: rng.{arg.attr} passed to {callee}, which draws no stream")
                     generators.setdefault(arg.attr, set()).add(forwards[callee][1])
     assert generators, "no stream kind found"
-    several = {kind: sorted(fns) for kind, fns in generators.items() if len(fns) > 1}
+    return generators
+
+
+def test_each_stream_kind_has_one_generator():
+    # a second way to draw one stream would give two sets of numbers for one seed
+    several = {kind: sorted(fns) for kind, fns in _stream_generators().items() if len(fns) > 1}
     assert not several, f"stream kinds drawn by more than one function: {several}"
+
+
+#: the counter word of every stream kind; a retired kind's number stays unused
+STREAM_KINDS = {"GAUSS_STEP": 1, "BRIDGE": 2, "PICARD_PATHS": 3, "Y_SAMPLES": 4, "U_SUP": 6,
+                "GAUSS_PATH": 7}
+
+
+def test_stream_kinds_keep_their_numbers_and_are_all_drawn():
+    # a renumbered kind would change every number drawn from it for the same seed
+    kinds = {}
+    for node in _tree(SRC / "rng.py").body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                and type(node.value.value) is int):
+            kinds.update((t.id, node.value.value) for t in node.targets
+                         if isinstance(t, ast.Name) and t.id.isupper()
+                         and not t.id.startswith("_"))
+    assert kinds == STREAM_KINDS
+    undrawn = sorted(set(kinds) - set(_stream_generators()))
+    assert not undrawn, f"stream kinds drawn nowhere in the package: {undrawn}"
 
 
 #: products whose summation order BLAS may pick by the size of the whole call
