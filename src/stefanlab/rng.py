@@ -52,8 +52,15 @@ def _uniforms(seed, kind, block, n, start=0):
     """
     skip = start % 4
     g = _philox(seed, kind, block, start // 4)
-    bits = g.integers(0, 1 << 53, size=skip + n, dtype=np.uint64)[skip:]
-    return (bits.astype(np.float64) + 0.5) / _TWO53
+    return _unit(g.integers(0, 1 << 53, size=skip + n, dtype=np.uint64)[skip:])
+
+
+def _unit(bits):
+    """The uniforms (bits + 1/2) / 2^53 of 53-bit integers, in the open interval
+    (0, 1): bits = 2^53 - 1 rounds to 1.0, whose ``ndtri`` is +inf, and is
+    moved to the largest double below 1."""
+    u = (bits.astype(np.float64) + 0.5) / _TWO53
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
 
 def uniform_block(seed, kind, block, n):

@@ -295,6 +295,8 @@ def simulate_particles(density: Density, cfg: SolverConfig):
     With cfg.bridge_correction, survivors are additionally killed with the
     within-step barrier-crossing probability exp(-2 z_old z_new / dt) and the
     cascade reruns once, removing the O(sqrt(dt)) endpoint-monitoring bias.
+    The probability's exponent is clamped at -40: exp(-40) is below 2^-54, the
+    smallest bridge uniform, so no kill decision changes.
 
     The survivors live in a compact pair: ascending particle ids and their
     positions. A cascade sorts only the particles near the barrier
@@ -401,7 +403,8 @@ def simulate_particles(density: Density, cfg: SolverConfig):
         keep, step_delta = cascade(t[k])
         if bridge and len(ids):
             zo = z_old if keep is None else z_old[keep]
-            p_hit = np.exp(-2.0 * zo * p / cfg.dt)
+            # exp(-40) < 2^-54, the least uniform_block value: no clamped lane is killed
+            p_hit = np.exp(np.maximum(-2.0 * zo * p / cfg.dt, -40.0))
             crossed = ub[:len(p)] < p_hit
             if np.any(crossed):
                 p[crossed] = 0.0

@@ -32,11 +32,15 @@ _REFEREE_CASES = {
 }
 
 
-# one thread keeps the bare case id; 2 and 3 threads run the draw-ahead worker
+# one thread keeps the bare case id; 2 and 3 threads run the draw-ahead worker; the
+# sine_bridge benchmark workload's own config runs once, at its 2 threads
 @pytest.mark.parametrize("density_name, kw", [
     pytest.param(name, dict(kw, threads=threads),
                  id=case if threads == 1 else f"{case}-threads{threads}")
-    for case, (name, kw) in _REFEREE_CASES.items() for threads in (1, 2, 3)])
+    for case, (name, kw) in _REFEREE_CASES.items() for threads in (1, 2, 3)] + [
+    pytest.param("sine", dict(n_particles=20_000, dt=5e-4, T=0.25, seed=2026,
+                              bridge_correction=True, threads=2),
+                 id="sine_bridge_benchmark-threads2")])
 def test_simulate_bit_identical_to_argsort_referee(density_name, kw, request):
     density = {
         "band": lambda: request.getfixturevalue("pw_std"),
@@ -52,6 +56,18 @@ def test_simulate_bit_identical_to_argsort_referee(density_name, kw, request):
     assert np.array_equal(ens.positions, ens_ref.positions)
     assert np.array_equal(ens.alive, ens_ref.alive)
     assert np.array_equal(ens.death_time, ens_ref.death_time)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zo=st.floats(0.0, 1e300, exclude_min=True), p=st.floats(0.0, 1e300, exclude_min=True),
+       dt=st.floats(1e-8, 1.0), k=st.integers(0, 2**53 - 1))
+def test_bridge_kill_clamp_changes_no_decision(zo, p, dt, k):
+    # simulate_particles clamps the kill exponent at -40; its referee does not
+    assert np.exp(-40.0) < 2.0**-54
+    ub = rng._unit(np.array([k], dtype=np.uint64))[0]
+    with np.errstate(over="ignore"):
+        arg = -2.0 * np.float64(zo) * p / dt
+    assert (ub < np.exp(max(arg, -40.0))) == (ub < np.exp(arg))
 
 
 _triples = st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 7), st.integers(0, 2**20))

@@ -1,5 +1,6 @@
-"""Brownian paths drawn in row tiles: lane offsets into a Philox block, the
-tile layout, the memory the tiles save, and the Picard iteration built on them.
+"""Brownian paths drawn in row tiles: the uniforms under their normals, lane
+offsets into a Philox block, the tile layout, the memory the tiles save, and
+the Picard iteration built on them.
 
 ``tests/test_brownian_paths.py`` referees the tiled consumers against the
 whole-chunk loops bit for bit; these tests cover the pieces underneath.
@@ -9,6 +10,7 @@ import tracemalloc
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from stefanlab import make_piecewise, rng
 from stefanlab.bounds import simulate_drifted_sup
@@ -22,6 +24,14 @@ def test_normal_block_lane_offset_equals_sliced_block(seed, block, start, n):
     got = rng.normal_block(seed, rng.Y_SAMPLES, block, n, start=start)
     want = rng.normal_block(seed, rng.Y_SAMPLES, block, start + n)[start:]
     assert got.tobytes() == want.tobytes()
+
+
+def test_uniform_map_stays_inside_the_unit_interval():
+    # (2^53 - 1/2) / 2^53 rounds to 1.0, whose ndtri would be a silent +inf increment
+    bits = np.array([0, 1, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    u = rng._unit(bits)
+    assert np.all((0.0 < u) & (u < 1.0)) and np.all(np.diff(u) > 0)
+    assert np.all(np.isfinite(ndtri(u)))
 
 
 @settings(max_examples=200, deadline=None)
