@@ -25,9 +25,9 @@ for values in ([0.3, 0.5, 0.7, 0.9], [-0.05, 0.3, 0.6, 0.9], [-0.05, 0.1, 0.4, 0
 # so the time-0 cascade removes the whole ensemble.
 cfg_small = SolverConfig(n_particles=10_000, dt=0.001, T=0.01, seed=1)
 fr, _ = simulate_particles(uniform_density(0.0, 0.5), cfg_small)
-print(f"\nuniform[0, 1/2]: time-0 jump = {fr.lam[0]} (total freeze)")
+print(f"\nuniform[0, 1/2]: jumps (t, size) = {fr.jumps(cfg_small.n_particles)} (total freeze)")
 fr, _ = simulate_particles(uniform_density(0.0, 2.0), cfg_small)
-print(f"uniform[0, 2]:   time-0 jump = {fr.lam[0]} (no initial jump)")
+print(f"uniform[0, 2]:   jumps (t, size) = {fr.jumps(cfg_small.n_particles)} (no jump)")
 
 # --- two routes to the frontier ----------------------------------------------
 pw = make_piecewise("1/2", "21/20", "1/2", "1/2")
@@ -36,7 +36,7 @@ cfg = SolverConfig(n_particles=40_000, dt=0.0005, T=0.25, seed=11,
 
 frontier, ensemble = simulate_particles(pw, cfg)
 print(f"\nparticle solver: Lambda(T) = {frontier.lam[-1]:.4f}, "
-      f"{len(frontier.jumps)} recorded jumps")
+      f"{len(frontier.jumps(cfg.n_particles))} jumps")
 
 res = picard_minimal(pw, cfg)
 print(f"fixed-point iteration: converged={res.converged} in {res.iterations} "

@@ -434,6 +434,9 @@ class BoundsReport:
 
     @property
     def worst_margin(self):
+        """The least of the margins that decide ``bounds``' exit 2: sqrt_lower, sqrt_upper,
+        holder, probG, early_increment and, with a fitted envelope, chi_bar. The report's
+        threshold_margin and threshold_pass decide nothing."""
         vals = [self.margins.sqrt_lower_margin, self.margins.sqrt_upper_margin,
                 self.margins.holder_margin, self.prob_g.probG_margin,
                 self.early_increment_margin]

@@ -2,8 +2,8 @@
 bounds verification, and report emission.
 
 Exit codes: 0 success; 1 usage or configuration error (one-line diagnostic
-naming the offending field or path); 2 when a requested verification produced
-a negative margin (a finding, not a crash).
+naming the offending field or path) or a run too large to allocate; 2 on a
+failed verification: check's margin_1_7 <= 0 or bounds' worst_margin < 0.
 """
 from __future__ import annotations
 
@@ -131,7 +131,7 @@ def _solve(density, cfg, solver):
     if solver == "particle":
         frontier, _ = simulate_particles(density, cfg)
         timings = {"simulate_s": time.perf_counter() - t0}
-        extra = {"jumps": [[t, dl] for t, dl in frontier.jumps]}
+        extra = {"jumps": [[t, dl] for t, dl in frontier.jumps(cfg.n_particles)]}
     else:
         res = picard_minimal(density, cfg)
         timings = {"picard_s": time.perf_counter() - t0}
@@ -304,7 +304,7 @@ def build_parser():
     pic.add_argument("--manifest", help="run manifest path")
     pic.set_defaults(fn=_cmd_solve, solver="picard")
 
-    chk = subs.add_parser("check", help="admission-condition report (exit 2 on failure)")
+    chk = subs.add_parser("check", help="admission-condition report (exit 2 iff margin_1_7 <= 0)")
     _add_common(chk, config=False)
     chk.add_argument("--lambda0", type=float, default=0.01)
     chk.add_argument("--lambda-min", type=float, default=1e-6, dest="lambda_min")
@@ -313,7 +313,8 @@ def build_parser():
     chk.add_argument("--out", help="report JSON path (default stdout)")
     chk.set_defaults(fn=_cmd_check)
 
-    bnd = subs.add_parser("bounds", help="bounds report (exit 2 on negative margin)")
+    bnd = subs.add_parser("bounds", help="bounds report (exit 2 iff worst_margin < 0; "
+                                         "threshold_margin and threshold_pass decide nothing)")
     _add_common(bnd)
     bnd.add_argument("--frontier", help="frontier CSV to verify (else one is simulated)")
     bnd.add_argument("--solver", choices=("particle", "picard"), default="particle")
@@ -351,6 +352,9 @@ def main(argv=None):
         return 1
     except OSError as exc:  # a path that cannot be read or written
         sys.stderr.write(f"error: {exc.filename}: {exc.strerror}\n")
+        return 1
+    except MemoryError as exc:  # a grid or path store too large to allocate
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 1
 
 

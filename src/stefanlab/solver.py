@@ -81,7 +81,6 @@ class SolverConfig:
     T: float = 0.25
     seed: int = 0
     bridge_correction: bool = False
-    jump_threshold: float | None = None
     threads: int = 1
     picard: PicardConfig = field(default_factory=PicardConfig)
 
@@ -94,8 +93,7 @@ class SolverConfig:
         if self.bridge_correction is not True and self.bridge_correction is not False:
             raise SolverConfigError(
                 f"bridge_correction must be true or false, got {self.bridge_correction!r}")
-        if self.jump_threshold is not None:
-            _check_real(SolverConfigError, "jump_threshold", self.jump_threshold, positive=False)
+        _check_real(SolverConfigError, "T/dt", self.T / self.dt)
         k = round(self.T / self.dt)
         if k < 1 or abs(k * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
             raise SolverConfigError(f"dt={self.dt} does not divide T={self.T} evenly")
@@ -106,11 +104,6 @@ class SolverConfig:
 
     def t_grid(self):
         return np.linspace(0.0, self.T, self.n_steps + 1)
-
-    def effective_jump_threshold(self):
-        if self.jump_threshold is not None:
-            return float(self.jump_threshold)
-        return max(5.0 / self.n_particles, 10.0 * math.sqrt(self.dt))
 
     def to_dict(self):
         return asdict(self)
@@ -133,11 +126,10 @@ class SolverConfig:
 @dataclass
 class FrontierPath:
     """Nondecreasing frontier on a uniform time grid that starts at t = 0 and
-    holds at least two times, plus detected jumps."""
+    holds at least two times."""
 
     t: np.ndarray
     lam: np.ndarray
-    jumps: list = field(default_factory=list)  # (t, delta) with delta > threshold
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -154,6 +146,15 @@ class FrontierPath:
             raise ValueError("frontier must be nondecreasing")
         if self.lam[0] < 0.0 or self.lam[-1] > 1.0 + 1e-12:
             raise ValueError("frontier values must lie in [0, 1]")
+
+    def jumps(self, n):
+        """[(t_k, delta_k)] of the jumps of a frontier of n samples (particles or paths):
+        delta_0 = lam_0 and delta_k = lam_k - lam_{k-1}, kept when above max(5/n,
+        10 sqrt(t_1 - t_0)), which sets a cascade apart from one step's attrition."""
+        _check_int(ValueError, "n", n, 1)
+        delta = np.diff(self.lam, prepend=0.0)
+        threshold = max(5.0 / n, 10.0 * math.sqrt(self.t[1] - self.t[0]))
+        return [(float(self.t[k]), float(delta[k])) for k in np.flatnonzero(delta > threshold)]
 
     def write_csv(self, path):
         write_numeric_rows(path, ("t", "lambda", "alive_fraction"),
@@ -324,7 +325,6 @@ def simulate_particles(density: Density, cfg: SolverConfig):
     K = cfg.n_steps
     t = cfg.t_grid()
     sqdt = math.sqrt(cfg.dt)
-    threshold = cfg.effective_jump_threshold()
 
     u = (np.arange(n) + 0.5) / n
     pos = np.asarray(density.sample(u), dtype=float)
@@ -337,25 +337,21 @@ def simulate_particles(density: Density, cfg: SolverConfig):
 
     lam = np.empty(K + 1)
     lam[0] = lam0
-    jumps = []
-    if lam0 > threshold:
-        jumps.append((0.0, lam0))
 
     def cascade(tk):
-        """Kill the cascade on p at time tk; returns the survivors' mask and the jump."""
+        """Kill the cascade on p at time tk; returns the survivors' mask, None if none die."""
         nonlocal ids, p
         dead = _near_barrier_cascade(p, n)
         if len(dead) == 0:
-            return None, 0.0
+            return None
         gone = ids[dead]
         pos[gone] = p[dead]
         death_time[gone] = tk
         keep = np.ones(len(ids), dtype=bool)
         keep[dead] = False
-        delta = len(dead) / n
         ids = ids[keep]
-        p = p[keep] - delta
-        return keep, delta
+        p = p[keep] - len(dead) / n
+        return keep
 
     bridge = cfg.bridge_correction
     per_batch = max(1, _AHEAD // (n * (2 if bridge else 1)))
@@ -396,11 +392,11 @@ def simulate_particles(density: Density, cfg: SolverConfig):
                 worker.result()
 
     def advance(k, dz, ub):
-        """Step k on the survivors from its blocks; returns the step's jump."""
+        """Step k on the survivors from its blocks."""
         nonlocal p
         z_old = p.copy() if bridge else None
         p += dz[:len(p)]
-        keep, step_delta = cascade(t[k])
+        keep = cascade(t[k])
         if bridge and len(ids):
             zo = z_old if keep is None else z_old[keep]
             # exp(-40) < 2^-54, the least uniform_block value: no clamped lane is killed
@@ -408,8 +404,7 @@ def simulate_particles(density: Density, cfg: SolverConfig):
             crossed = ub[:len(p)] < p_hit
             if np.any(crossed):
                 p[crossed] = 0.0
-                step_delta += cascade(t[k])[1]
-        return step_delta
+                cascade(t[k])
 
     with ThreadPoolExecutor(max_workers=1) if cfg.threads > 1 else nullcontext() as pool:
         ahead = None
@@ -418,16 +413,14 @@ def simulate_particles(density: Density, cfg: SolverConfig):
             batch = collect(*ahead) if ahead else collect(*request(lo)) if len(ids) else None
             ahead = request(lo + per_batch) if pool and len(ids) and lo + per_batch <= K else None
             for k in range(lo, min(lo + per_batch, K + 1)):
-                # popped, so a step's blocks are freed as soon as it is done
-                step_delta = advance(k, *batch.pop(k)) if len(ids) else 0.0
+                if len(ids):  # popped, so a step's blocks are freed as soon as it is done
+                    advance(k, *batch.pop(k))
                 lam[k] = (n - len(ids)) / n
-                if step_delta > threshold:
-                    jumps.append((float(t[k]), step_delta))
 
     pos[ids] = p
     alive = np.zeros(n, dtype=bool)
     alive[ids] = True
-    frontier = FrontierPath(t=t, lam=lam, jumps=jumps)
+    frontier = FrontierPath(t=t, lam=lam)
     ensemble = ParticleEnsemble(n=n, positions=pos, alive=alive,
                                 death_time=death_time, seed=cfg.seed)
     return frontier, ensemble
@@ -579,8 +572,7 @@ def picard_minimal(density: Density, cfg: SolverConfig):
                 converged = True
                 break
 
-    frontier = FrontierPath(t=t, lam=lam, jumps=[])
-    return PicardResult(frontier=frontier, iterations=iterations,
+    return PicardResult(frontier=FrontierPath(t=t, lam=lam), iterations=iterations,
                         history=history, converged=converged, iterates=iterates)
 
 
@@ -590,7 +582,7 @@ def picard_minimal(density: Density, cfg: SolverConfig):
 
 #: the config fields each solver reads; threads changes no result, so neither lists it
 SOLVER_FIELDS = {
-    "particle": ("n_particles", "dt", "T", "seed", "bridge_correction", "jump_threshold"),
+    "particle": ("n_particles", "dt", "T", "seed", "bridge_correction"),
     "picard": ("dt", "T", "seed", "picard"),
 }
 

@@ -210,7 +210,6 @@ def simulate_particles_argsort(density, cfg):
     K = cfg.n_steps
     t = cfg.t_grid()
     sqdt = math.sqrt(cfg.dt)
-    threshold = cfg.effective_jump_threshold()
 
     u = (np.arange(n) + 0.5) / n
     pos = np.asarray(density.sample(u), dtype=float)
@@ -225,12 +224,8 @@ def simulate_particles_argsort(density, cfg):
 
     lam = np.empty(K + 1)
     lam[0] = lam0
-    jumps = []
-    if lam0 > threshold:
-        jumps.append((0.0, lam0))
 
     for k in range(1, K + 1):
-        step_delta = 0.0
         if np.any(alive):
             aidx = np.nonzero(alive)[0]
             xi = rng.ziggurat_block(cfg.seed, rng.GAUSS_STEP, k, len(aidx))
@@ -243,9 +238,7 @@ def simulate_particles_argsort(density, cfg):
                 dead = aidx[order[:kstar]]
                 alive[dead] = False
                 death_time[dead] = t[k]
-                delta = kstar / n
-                pos[alive] -= delta
-                step_delta += delta
+                pos[alive] -= kstar / n
 
             if cfg.bridge_correction and np.any(alive):
                 aidx2 = np.nonzero(alive)[0]
@@ -262,15 +255,11 @@ def simulate_particles_argsort(density, cfg):
                     dead2 = aidx2[order2[:kstar2]]
                     alive[dead2] = False
                     death_time[dead2] = t[k]
-                    delta2 = kstar2 / n
-                    pos[alive] -= delta2
-                    step_delta += delta2
+                    pos[alive] -= kstar2 / n
 
         lam[k] = (n - int(np.count_nonzero(alive))) / n
-        if step_delta > threshold:
-            jumps.append((float(t[k]), step_delta))
 
-    frontier = FrontierPath(t=t, lam=lam, jumps=jumps)
+    frontier = FrontierPath(t=t, lam=lam)
     ensemble = ParticleEnsemble(n=n, positions=pos, alive=alive,
                                 death_time=death_time, seed=cfg.seed)
     return frontier, ensemble
@@ -399,7 +388,7 @@ def picard_minimal_negb(density, cfg, keep_iterates=False, moves=None):
             converged = True
             break
 
-    frontier = FrontierPath(t=t, lam=lam, jumps=[])
+    frontier = FrontierPath(t=t, lam=lam)
     return PicardResult(frontier=frontier, iterations=iterations,
                         history=history, converged=converged, iterates=iterates)
 

@@ -281,7 +281,7 @@ def test_manifest_hash_names_the_density(workdir):
     ("simulate", {"threads": 3}),
     ("picard", {"n_particles": 10}),
     ("picard", {"bridge_correction": True}),
-    ("picard", {"jump_threshold": 0.5}),
+    ("picard", {"n_particles": 10, "bridge_correction": True}),
     ("picard", {"threads": 3}),
 ])
 def test_manifest_hash_ignores_fields_the_solver_does_not_read(workdir, command, change):
@@ -443,7 +443,7 @@ def test_manifest_and_index_keys(workdir):
     assert set(man) == common | {"iterations", "converged", "sup_changes", "tail_estimate"}
     assert set(man["timings"]) == {"picard_s"}
     assert set(man["config"]) == {"n_particles", "dt", "T", "seed", "bridge_correction",
-                                  "jump_threshold", "threads", "picard"}
+                                  "threads", "picard"}
     main(["sweep", "--config", "cfg.json", "--density", "pw.json", "--param", "seed=1",
           "--out-dir", "sw", "--threads", "1"])
     index = json.loads((workdir / "sw" / "index.json").read_text())
@@ -475,8 +475,9 @@ def test_bounds_rejects_a_non_numeric_frontier_column(workdir, capsys):
     ({"seed": -1}, "seed"),
     ({"n_particles": 1.5}, "n_particles"),
     ({"threads": 0}, "threads"),
-    ({"jump_threshold": -1}, "jump_threshold"),
+    ({"jump_threshold": 0.5}, "jump_threshold"),  # no field any more: unknown
     ({"bridge_correction": 1}, "bridge_correction"),
+    ({"dt": 1e-10, "T": 1e300}, "T/dt must be a finite number, got inf"),
 ])
 @pytest.mark.parametrize("command", ["simulate", "picard"])
 def test_solve_rejects_a_bad_config_field(workdir, capsys, fields, name, command):
@@ -484,6 +485,31 @@ def test_solve_rejects_a_bad_config_field(workdir, capsys, fields, name, command
     assert main([command, "--config", "bad.json", "--density", "pw.json"]) == 1
     assert name in _one_line_error(capsys)
     assert not (workdir / "frontier.csv").exists()
+
+
+@pytest.mark.parametrize("command, solver", [("simulate", "simulate_particles"),
+                                             ("picard", "picard_minimal")])
+def test_a_run_too_large_to_allocate_exits_1_in_one_line(workdir, capsys, monkeypatch,
+                                                         command, solver):
+    # a stand-in for numpy's allocation error: a real oversize array may be an OOM kill
+    def oversize(*_):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array with shape "
+                          "(10000000000001,) and data type float64")
+    monkeypatch.setattr(f"stefanlab.cli.{solver}", oversize)
+    assert main([command, "--config", "cfg.json", "--density", "pw.json"]) == 1
+    assert "out of memory: Unable to allocate 72.8 TiB" in _one_line_error(capsys)
+    assert not (workdir / "frontier.csv").exists()
+
+
+def test_simulate_manifest_jumps_are_the_frontier_files_jumps(workdir):
+    # uniform[0, 1/2] freezes at t = 0; the CSV read back reports the manifest's jumps
+    (workdir / "u.json").write_text(json.dumps({"family": "tabulated", "grid": [0.0, 0.5],
+                                                "values": [2.0, 2.0]}))
+    assert main(["simulate", "--config", "cfg.json", "--density", "u.json", "--out", "u.csv",
+                 "--n-particles", "1000", "--threads", "1"]) == 0
+    manifest = json.loads((workdir / "u.csv.manifest.json").read_text())
+    assert manifest["jumps"] == [[0.0, 1.0]]
+    assert FrontierPath.read_csv(workdir / "u.csv").jumps(1000) == [(0.0, 1.0)]
 
 
 @pytest.mark.parametrize("spec", [

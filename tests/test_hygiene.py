@@ -5,8 +5,8 @@ parameter is passed by some call, numbers from outside are type-checked
 only by the two checkers in ``densities``, each kind of random stream is
 drawn by one function of ``rng`` and keeps its counter word, no method of a
 density takes a matrix product, no subclass of a concrete density family
-reimplements it, and a module reads no private name of another beyond a short
-allowlist."""
+reimplements it, a module reads no private name of another beyond a short
+allowlist, and every solver config field but ``threads`` is hashed."""
 import ast
 from pathlib import Path
 
@@ -288,6 +288,20 @@ def test_stream_kinds_keep_their_numbers_and_are_all_drawn():
     assert kinds == STREAM_KINDS
     undrawn = sorted(set(kinds) - set(_stream_generators()))
     assert not undrawn, f"stream kinds drawn nowhere in the package: {undrawn}"
+
+
+def test_every_config_field_but_threads_is_hashed():
+    # config_hash names a result by the fields its solver reads (SOLVER_FIELDS); threads
+    # is the one field that changes no result, so it is the one left out
+    tree = _tree(SRC / "solver.py")
+    config = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "SolverConfig")
+    fields = {node.target.id for node in config.body if isinstance(node, ast.AnnAssign)}
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["SOLVER_FIELDS"])
+    hashed = set().union(*ast.literal_eval(table).values())
+    assert hashed <= fields, f"SOLVER_FIELDS names no config field: {sorted(hashed - fields)}"
+    assert fields - hashed == {"threads"}
 
 
 #: products whose summation order BLAS may pick by the size of the whole call

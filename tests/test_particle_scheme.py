@@ -52,7 +52,6 @@ def test_simulate_bit_identical_to_argsort_referee(density_name, kw, request):
     fr, ens = simulate_particles(density, cfg)
     fr_ref, ens_ref = simulate_particles_argsort(density, cfg)
     assert np.array_equal(fr.lam, fr_ref.lam)
-    assert fr.jumps == fr_ref.jumps
     assert np.array_equal(ens.positions, ens_ref.positions)
     assert np.array_equal(ens.alive, ens_ref.alive)
     assert np.array_equal(ens.death_time, ens_ref.death_time)

@@ -132,7 +132,7 @@ def test_simulate_total_freeze_at_zero():
     frontier, ens = simulate_particles(uniform_density(0.0, 0.5), cfg)
     assert frontier.lam[0] == 1.0
     assert np.all(frontier.lam == 1.0)
-    assert frontier.jumps and frontier.jumps[0] == (0.0, 1.0)
+    assert frontier.jumps(cfg.n_particles) == [(0.0, 1.0)]
     assert not np.any(ens.alive)
     assert np.all(ens.death_time == 0.0)
 
@@ -182,10 +182,59 @@ def test_simulate_reproducible(pw_std):
     assert np.array_equal(a.lam, b.lam)
 
 
-def test_jump_threshold_records():
-    cfg = SolverConfig(n_particles=100, dt=0.0004, T=0.02, seed=2, jump_threshold=0.5)
+def test_frontier_jumps_survive_a_csv_round_trip(tmp_path):
+    # the jumps are read off lam, so a frontier read back bit for bit keeps them
+    cfg = SolverConfig(n_particles=1000, dt=1e-3, T=0.05, seed=1)
     frontier, _ = simulate_particles(uniform_density(0.0, 0.5), cfg)
-    assert frontier.jumps == [(0.0, 1.0)]
+    assert frontier.jumps(1000) == [(0.0, 1.0)]
+    frontier.write_csv(tmp_path / "f.csv")
+    back = FrontierPath.read_csv(tmp_path / "f.csv")
+    assert back.lam.tobytes() == frontier.lam.tobytes()
+    assert back.jumps(1000) == [(0.0, 1.0)]
+
+
+def test_frontier_jumps_of_a_hand_built_frontier():
+    # threshold max(5/100, 10 sqrt(1e-4)) = 0.1; dyadic steps subtract exactly
+    t = np.linspace(0.0, 4e-4, 5)
+    fr = FrontierPath(t=t, lam=[0.25, 0.3125, 0.5, 0.5625, 1.0])
+    assert fr.jumps(100) == [(0.0, 0.25), (float(t[2]), 0.1875), (float(t[4]), 0.4375)]
+    assert FrontierPath(t=t, lam=np.zeros(5)).jumps(100) == []
+
+
+def test_frontier_jumps_keep_only_a_step_above_the_threshold():
+    # at n = 8 the threshold is 5/8 exactly: a step of 5/8 is not a jump, one above it is
+    t = np.linspace(0.0, 0.003, 4)
+    assert FrontierPath(t=t, lam=[0.0, 0.625, 0.625, 0.625]).jumps(8) == []
+    assert FrontierPath(t=t, lam=[0.625, 0.625, 0.625, 0.625]).jumps(8) == []
+    assert FrontierPath(t=t, lam=[0.0, 0.0, 0.75, 0.75]).jumps(8) == [(float(t[2]), 0.75)]
+
+
+def test_frontier_jumps_threshold_is_the_larger_of_5_over_n_and_10_sqrt_dt():
+    # 10 sqrt(1e-4) = 0.1 decides at large n: the step of 0.0625 is above 5/1000 but no
+    # jump. 5/n decides at small n: the step of 0.25 is no jump at n = 16 (5/16 = 0.3125)
+    # or n = 20 (5/20 = 0.25, equal), and one at n = 21
+    t = np.linspace(0.0, 3e-4, 4)
+    fr = FrontierPath(t=t, lam=[0.0, 0.0625, 0.3125, 0.3125])
+    assert fr.jumps(1000) == fr.jumps(10**9) == [(float(t[2]), 0.25)]
+    assert fr.jumps(16) == fr.jumps(20) == []
+    assert fr.jumps(21) == [(float(t[2]), 0.25)]
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, True, None])
+def test_frontier_jumps_reject_a_bad_sample_count(n):
+    fr = FrontierPath(t=[0.0, 0.1], lam=[0.0, 0.5])
+    with pytest.raises(ValueError, match="n must be"):
+        fr.jumps(n)
+
+
+def test_benchmark_particle_configs_record_no_jumps(pw_std, sine_density):
+    # the particle_band and sine_bridge workloads at their seed, 2026
+    band = SolverConfig(n_particles=100_000, dt=5e-4, T=0.25, seed=2026, threads=2)
+    sine = SolverConfig(n_particles=20_000, dt=5e-4, T=0.25, seed=2026,
+                        bridge_correction=True, threads=2)
+    for density, cfg in ((pw_std, band), (sine_density, sine)):
+        frontier, _ = simulate_particles(density, cfg)
+        assert frontier.lam[-1] > 0.0 and frontier.jumps(cfg.n_particles) == []
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +427,11 @@ def test_config_validation(pw_std):
     ({"n_particles": 1.5}, "n_particles"),
     ({"n_particles": True}, "n_particles"),
     ({"threads": 0}, "threads"),
-    ({"jump_threshold": -1}, "jump_threshold"),
-    ({"jump_threshold": math.inf}, "jump_threshold"),
+    # jump_threshold is no field: even its old valid values are unknown
+    ({"jump_threshold": 0.5}, "jump_threshold"),
+    ({"jump_threshold": None}, "jump_threshold"),
+    ({"dt": 1e-10, "T": 1e300}, "T/dt must be a finite number, got inf"),
+    ({"dt": 5e-324}, "T/dt must be a finite number, got inf"),
 ])
 def test_config_rejects_a_bad_field_type_or_value(fields, name):
     with pytest.raises(SolverConfigError, match=name):
@@ -388,15 +440,8 @@ def test_config_rejects_a_bad_field_type_or_value(fields, name):
 
 def test_config_accepts_integral_numbers_for_real_fields():
     cfg = SolverConfig(n_particles=np.int64(10), dt=0.25, T=1, seed=2**64 - 1,
-                       jump_threshold=0, picard=PicardConfig(tol=1))
-    assert cfg.n_steps == 4 and cfg.effective_jump_threshold() == 0.0
-
-
-def test_effective_jump_threshold():
-    cfg = SolverConfig(n_particles=100, dt=0.0001, T=0.01)
-    assert cfg.effective_jump_threshold() == pytest.approx(max(0.05, 10 * 0.01))
-    cfg2 = SolverConfig(n_particles=100, dt=0.0001, T=0.01, jump_threshold=0.2)
-    assert cfg2.effective_jump_threshold() == 0.2
+                       picard=PicardConfig(tol=1))
+    assert cfg.n_steps == 4
 
 
 def test_frontier_csv_roundtrip(tmp_path):
@@ -452,13 +497,13 @@ def test_result_hash_names_the_density_and_the_solver(pw_std, sine_density):
 
 
 _CHANGED = {"n_particles": 200, "dt": 0.002, "T": 0.2, "seed": 1, "bridge_correction": True,
-            "jump_threshold": 0.5, "picard": PicardConfig(n_paths=7)}
+            "picard": PicardConfig(n_paths=7)}
 
 
 @pytest.mark.parametrize("solver, name", [(s, n) for s in SOLVER_FIELDS for n in _CHANGED])
 def test_result_hash_reads_exactly_the_solvers_fields(pw_std, solver, name):
     # particle runs that differ only in picard.*, and picard runs that differ only
-    # in n_particles, bridge_correction or jump_threshold, compute one frontier
+    # in n_particles or bridge_correction, compute one frontier
     cfg = SolverConfig(n_particles=100, dt=0.001, T=0.1)
     same = result_hash(pw_std, cfg, solver) == result_hash(
         pw_std, replace(cfg, **{name: _CHANGED[name]}), solver)
