@@ -88,18 +88,20 @@ def _build_config(args, raw, params=()):
         raise CliError(f"bad config: {exc}")
 
 
-def _check_outputs(args, *paths):
+def _check_outputs(args, *paths, made=None):
     """Exit 1 before any work when an output file could not be written at the
-    end: its directory must exist, the path must not be a directory, no two
+    end: its directory must exist or be ``made`` (the directory the command
+    makes once its inputs are read), the path must not be a directory, no two
     outputs may name the same file, and no output may name an input file
     (--config, --density, --frontier)."""
     inputs = {Path(p).resolve(): p for p in (getattr(args, name, None)
                                              for name in ("config", "density", "frontier")) if p}
+    made = Path(made).resolve() if made else None
     seen = {}
     for path in map(Path, filter(None, paths)):
         if path.is_dir():
             raise CliError(f"{path}: Is a directory")
-        if not path.parent.is_dir():
+        if not path.parent.is_dir() and path.parent.resolve() != made:
             raise CliError(f"{path}: No such directory: {path.parent}")
         resolved = path.resolve()
         if resolved in inputs:
@@ -181,16 +183,15 @@ def _cmd_check(args):
 
 def _cmd_bounds(args):
     margins = Path(args.emit_csv) / "bounds_margins.csv" if args.emit_csv else None
-    if args.emit_csv:
-        Path(args.emit_csv).mkdir(parents=True, exist_ok=True)
-    _check_outputs(args, args.out, margins)
+    _check_outputs(args, args.out, margins, made=args.emit_csv)
     raw, density = _read_inputs(args)
     cfg = _build_config(args, raw)
     if getattr(density, "family", "") != "piecewise":
         raise CliError("bounds requires a piecewise density (field 'family')")
-    if args.frontier:
-        frontier = FrontierPath.read_csv(args.frontier)
-    else:
+    frontier = FrontierPath.read_csv(args.frontier) if args.frontier else None
+    if args.emit_csv:  # made once every input is read, before anything is solved
+        Path(args.emit_csv).mkdir(parents=True, exist_ok=True)
+    if frontier is None:
         frontier = _solve(density, cfg, args.solver)[0]
     n_mc = cfg.n_particles if args.solver == "particle" else cfg.picard.n_paths
 
@@ -254,9 +255,9 @@ def _cmd_sweep(args):
     combos = list(itertools.product(*value_lists))
     cfgs = [_build_config(args, raw, zip(names, combo)) for combo in combos]
     outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     cells = [outdir / f"cell_{i:03d}.csv" for i in range(len(combos))]
-    _check_outputs(args, outdir / "index.json", *cells)
+    _check_outputs(args, outdir / "index.json", *cells, made=outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     index = []
     for i, (combo, cfg, cell_csv) in enumerate(zip(combos, cfgs, cells)):
         frontier, run, _ = _solve(density, cfg, "particle")

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import Density, _check_int, _check_real
-from .numerics import golden_section_max
 
 __all__ = [
     "EnvelopeFunction",
@@ -80,20 +79,27 @@ def psi_grid(d: Density, lambdas, mus, threads=1):
 def sup_psi(d: Density, lam, xtol=1e-9):
     """(sup over mu in [0,1] of psi(lambda, .), argmax mu).
 
-    Seeded by a 256-point grid, refined by golden section around the best
-    seed. psi(lambda, .) is Lipschitz with constant 2 lambda max f, which
-    bounds what the seeding can miss between neighbors.
+    psi(lambda, .) is evaluated on linspace(0, 1, 256), then, level by level,
+    on 257 evenly spaced mus between the two neighbors of the last grid's best
+    point, until that bracket is at most xtol wide or stops narrowing (its mus
+    an ulp apart); the best (value, mu) evaluated at any level is returned.
+    psi(lambda, .) is Lipschitz with constant 2 lambda max f, which bounds
+    what a grid can miss between neighbors.
     """
+    _check_real(ValueError, "lambda", lam, positive=False)
+    _check_real(ValueError, "xtol", xtol)
     lam = float(lam)
     mus = np.linspace(0.0, 1.0, 256)
-    vals = psi(d, lam, mus)
-    j = int(np.argmax(vals))
-    lo = mus[max(j - 1, 0)]
-    hi = mus[min(j + 1, len(mus) - 1)]
-    mu_star, val = golden_section_max(lambda m: psi(d, lam, m), lo, hi, xtol=xtol)
-    if vals[j] >= val:
-        return float(vals[j]), float(mus[j])
-    return float(val), float(mu_star)
+    width, best = math.inf, (-math.inf, 0.0)
+    while True:
+        vals = psi(d, lam, mus)
+        j = int(np.argmax(vals))
+        if vals[j] > best[0]:
+            best = (float(vals[j]), float(mus[j]))
+        lo, hi = mus[max(j - 1, 0)], mus[min(j + 1, len(mus) - 1)]
+        if hi - lo <= xtol or hi - lo >= width:
+            return best
+        mus, width = np.linspace(lo, hi, 257), hi - lo
 
 
 # ---------------------------------------------------------------------------

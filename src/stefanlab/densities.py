@@ -54,6 +54,8 @@ class DensityError(ValueError):
 
 #: 8-point Gauss-Legendre rule on [-1, 1], the periodic family's cell quadrature
 _GL_NODES, _GL_WEIGHTS = roots_legendre(8)
+#: most profile cell edges one periodic table may hold (about 16 per period below v0)
+_MAX_CELL_EDGES = 1 << 20
 
 
 def _as_fraction(name, v):
@@ -556,9 +558,12 @@ class PeriodicOscillatoryDensity(Density):
         """Nodes on [x0, hi]: every cell edge (in u = x^(-alpha)), a uniform grid
         where f oscillates slowly, and past the last edge a geometric one, which
         keeps each interval short next to its distance from the singularity at 0."""
-        step = self.g.cell
-        u_hi = self._u(np.float64(hi))
-        us = np.arange(math.floor(u_hi / step), math.ceil(self.v0 / step) + 1) * step
+        step, u_hi = self.g.cell, self._u(np.float64(hi))
+        first, stop = math.floor(u_hi / step), math.ceil(self.v0 / step) + 1
+        if stop - first > _MAX_CELL_EDGES:
+            raise DensityError(f"profile period {self.g.period:g} needs {stop - first} cell "
+                               f"edges below v0 = {self.v0:g}, more than {_MAX_CELL_EDGES}")
+        us = np.arange(first, stop) * step
         us = us[(us > u_hi) & (us < self.v0)]
         x_cell = float(self._x(np.float64(step)))
         n_geo = math.ceil(math.log(hi / x_cell, 1.25)) + 1 if hi > x_cell else 0

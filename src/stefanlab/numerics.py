@@ -1,10 +1,5 @@
-"""Small numerical building blocks: adaptive Simpson quadrature, bisection, golden section."""
+"""Small numerical building blocks: adaptive Simpson quadrature and bisection."""
 from __future__ import annotations
-
-import math
-
-#: invariant golden-section ratio
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class QuadratureError(RuntimeError):
@@ -68,24 +63,3 @@ def bisect_nondecreasing(f, lo, hi, target, xtol=1e-12):
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def golden_section_max(f, lo, hi, xtol=1e-10):
-    """Maximize a unimodal f on [lo, hi]; returns (argmax, max value)."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if b - a <= xtol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)

@@ -18,7 +18,8 @@ the functions below, in one of two ways:
   position in the block's sequence: the first m values of a draw of any length
   equal a draw of m, and no other lane range can be drawn on its own. numpy
   promises no stability of a ``Generator`` method's stream across its versions,
-  so this stream's numbers are pinned only for one numpy version.
+  so this stream's numbers hold for one numpy version; the tests pin the first
+  lanes of every kind at the numpy and scipy versions they were recorded at.
 """
 from __future__ import annotations
 

@@ -182,7 +182,9 @@ class FrontierPath:
 @dataclass
 class ParticleEnsemble:
     n: int
-    positions: np.ndarray  # full-length; entries of dead particles are stale
+    # full-length; a dead particle's entry is its position when it died: its
+    # initial position after a time-0 death, 0 after a bridge kill
+    positions: np.ndarray
     alive: np.ndarray
     death_time: np.ndarray  # +inf while alive
     seed: int

@@ -542,6 +542,16 @@ def test_check_rejects_a_non_finite_density_spec(workdir, capsys, spec):
     assert "bad density spec" in _one_line_error(capsys)
 
 
+def test_check_rejects_a_periodic_table_past_the_cell_edge_cap(workdir, capsys, monkeypatch):
+    # the cap is lowered here (9441 cell edges at period 0.1): a real one needs gigabytes
+    monkeypatch.setattr("stefanlab.densities._MAX_CELL_EDGES", 9_000)
+    (workdir / "d.json").write_text(json.dumps({
+        "family": "periodic", "alpha": 1.0,
+        "psi": {"period": 0.1, "values": [0.0, -0.5, 0.5, 0.2]}}))
+    assert main(["check", "--density", "d.json", "--n-lambda", "10", "--n-mu", "11"]) == 1
+    assert "period 0.1 needs 9441 cell edges" in _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--density", "pw.json", "--lambda0", "inf"],
     ["check", "--density", "pw.json", "--lambda0", "nan"],
@@ -613,6 +623,15 @@ def test_averaging_inputs_rejected(workdir, capsys, argv):
       "--frontier", "adir/bounds_margins.csv", "--emit-csv", "adir"], "bounds_margins.csv"),
     (["sweep", "--config", "index.json", "--density", "pw.json", "--param", "seed=1",
       "--out-dir", "."], "index.json"),
+    # a failed command makes no --emit-csv or --out-dir directory
+    (["bounds", "--config", "cfg.json", "--density", "missing.json", "--emit-csv", "new"],
+     "missing.json"),
+    (["bounds", "--config", "cfg.json", "--density", "pw.json", "--out", "pw.json",
+      "--emit-csv", "new"], "pw.json"),
+    (["bounds", "--config", "cfg.json", "--density", "csv.json", "--emit-csv", "new"],
+     "missing.csv"),
+    (["sweep", "--config", "cfg.json", "--density", "missing.json", "--param", "seed=1",
+      "--out-dir", "new"], "missing.json"),
 ])
 def test_an_unusable_path_exits_1_naming_it(workdir, capsys, monkeypatch, argv, path):
     def never(*args, **kwargs):
@@ -624,6 +643,8 @@ def test_an_unusable_path_exits_1_naming_it(workdir, capsys, monkeypatch, argv, 
     (workdir / "csv.json").write_text(json.dumps({"family": "tabulated", "csv": "missing.csv"}))
     (workdir / "index.json").write_text(json.dumps(CFG))
     inputs = {p: p.read_bytes() for p in workdir.glob("*.json")}
+    entries = sorted(workdir.rglob("*"))
     assert main(argv + ["--threads", "1"]) == 1
     assert path in _one_line_error(capsys)
     assert {p: p.read_bytes() for p in workdir.glob("*.json")} == inputs
+    assert sorted(workdir.rglob("*")) == entries

@@ -88,14 +88,18 @@ def test_psi_grid_thread_determinism(pw_std, sine_density):
                 assert np.array_equal(a, psi_grid(d, lams, mus, threads=threads))
 
 
-def test_psi_grid_equals_psi_row_by_row(pw_std, sine_density):
+@pytest.fixture(scope="module")
+def profile_density():
+    return make_density({"family": "periodic", "alpha": 1.0,
+                         "psi": {"period": 2.0 * math.pi, "values": [0.0, -0.5, 0.5, 0.2]}})
+
+
+def test_psi_grid_equals_psi_row_by_row(pw_std, sine_density, profile_density):
     # rows of all four kinds of density, a zero lambda among them, across blocks
-    profile = make_density({"family": "periodic", "alpha": 1.0,
-                            "psi": {"period": 2.0 * math.pi, "values": [0.0, -0.5, 0.5, 0.2]}})
     path = build_gaussian_path(0.5, math.sqrt(2.0), grid_size=257, seed=3)
     lams = np.concatenate([[0.0], np.geomspace(1e-6, 2.0, 199)])
     mus = np.linspace(0.0, 1.0, 101)
-    for d in (pw_std, sine_density, profile, path):
+    for d in (pw_std, sine_density, profile_density, path):
         want = np.array([psi(d, lam, mus) for lam in lams])
         assert np.array_equal(psi_grid(d, lams, mus, threads=2), want)
 
@@ -135,6 +139,40 @@ def test_sup_psi_sine_below_three_quarters(sine_density):
     for lam in (1e-2, 1e-3, 1e-4):
         val, _ = sup_psi(sine_density, lam)
         assert val < 0.75
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["sine", "profile", "band"]), log_lam=st.floats(-6.0, 0.0))
+def test_sup_psi_is_a_psi_value_at_least_the_first_grid_max(pw_std, sine_density,
+                                                            profile_density, kind, log_lam):
+    d = {"sine": sine_density, "profile": profile_density, "band": pw_std}[kind]
+    lam = 10.0 ** log_lam
+    val, mu = sup_psi(d, lam)
+    assert val >= np.max(psi(d, lam, np.linspace(0.0, 1.0, 256)))
+    assert 0.0 <= mu <= 1.0
+    assert val == pytest.approx(psi(d, lam, mu), abs=1e-15)
+
+
+def test_sup_psi_ends_at_the_least_and_at_a_wide_xtol(pw_std, sine_density):
+    # uniform[0, 1] at lambda 0.5 and a zero lambda are flat in mu: the search
+    # keeps the left end and narrows towards 0 until its mus are an ulp apart
+    cases = [(sine_density, 1e-4), (sine_density, 0.3), (pw_std, 0.01),
+             (uniform_density(0.0, 1.0), 0.5), (pw_std, 0.0)]
+    for d, lam in cases:
+        grid_max = np.max(psi(d, lam, np.linspace(0.0, 1.0, 256)))
+        for xtol in (1.0, 3.0):
+            assert sup_psi(d, lam, xtol=xtol)[0] == grid_max
+        val, mu = sup_psi(d, lam, xtol=5e-324)
+        assert val >= sup_psi(d, lam)[0] and 0.0 <= mu <= 1.0
+
+
+@pytest.mark.parametrize("lam, xtol, name", [
+    (0.01, 0.0, "xtol"), (0.01, -1e-9, "xtol"), (0.01, math.nan, "xtol"),
+    (0.01, math.inf, "xtol"), (-1e-3, 1e-9, "lambda"), (math.nan, 1e-9, "lambda"),
+])
+def test_sup_psi_rejects_a_bad_lambda_or_xtol(sine_density, lam, xtol, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        sup_psi(sine_density, lam, xtol=xtol)
 
 
 # ---------------------------------------------------------------------------

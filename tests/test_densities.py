@@ -11,6 +11,7 @@ from scipy.stats import ks_2samp
 from stefanlab import (
     DensityError,
     build_gaussian_path,
+    densities,
     make_density,
     make_piecewise,
     tabulated_from_csv,
@@ -284,6 +285,12 @@ def test_periodic_rejects_bad_profiles():
         PeriodicOscillatoryDensity(1.0, -1.0)      # zero mass
     with pytest.raises(DensityError):
         PeriodicOscillatoryDensity(-1.0, "sin")
+    # g = 0 for u = x^(-alpha) in [0, 3/4 period]: f vanishes for x above
+    # (3 pi / 2)^(-1/alpha), so no support endpoint gives mass 1
+    for alpha in (0.5, 1.0, 2.0):
+        with pytest.raises(DensityError, match="normalization"):
+            PeriodicOscillatoryDensity(alpha, {"period": 2.0 * math.pi,
+                                               "values": [-1.0, -1.0, -1.0, 1.0]})
 
 
 def test_periodic_tabulated_profile_mass_matches_break_aligned_oracle():
@@ -370,6 +377,19 @@ def test_periodic_slowly_decaying_profile_is_normalized():
     assert abs(d.total_mass - 1.0) < 1e-12
     xs = np.geomspace(1e-3, d.a, 3001)
     assert np.all(np.diff(np.asarray(d.cdf(xs))) >= 0.0)
+
+
+def test_periodic_table_past_the_cell_edge_cap_is_rejected(monkeypatch):
+    # the cap is lowered here: a real oversize table needs gigabytes; at period
+    # 0.1 the first table (x in [1/60, 1]) has 9441 cell edges below v0 = 60
+    spec = {"family": "periodic", "alpha": 1.0,
+            "psi": {"period": 0.1, "values": [0.0, -0.5, 0.5, 0.2]}}
+    monkeypatch.setattr(densities, "_MAX_CELL_EDGES", 10_000)
+    assert abs(make_density(spec).total_mass - 1.0) < 1e-9
+    monkeypatch.setattr(densities, "_MAX_CELL_EDGES", 9_000)
+    with pytest.raises(DensityError, match=r"^profile period 0\.1 needs 9441 cell edges "
+                                           r"below v0 = 60, more than 9000$"):
+        make_density(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -825,12 +845,14 @@ def test_cdf_fast_nondecreasing(cdf_families, family, xs):
     assert np.all(np.diff(F) >= 0.0)
 
 
-# psi values with a run of -1 samples: f vanishes on a stretch of every period
+# psi values with a run of -1 samples: f vanishes on a stretch of every period;
+# psi(0) > -1 keeps f(x) -> g(0) > 0 as x grows, so a support endpoint with mass
+# 1 exists (test_periodic_rejects_bad_profiles covers a psi(0) = -1 that has none)
 _zero_stretch_values = st.tuples(
     st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
     st.integers(2, 5),
     st.lists(st.floats(-1.0, 1.0), max_size=6),
-).map(lambda t: t[0] + [-1.0] * t[1] + t[2]).filter(lambda v: sum(v) > 1.0 - len(v))
+).map(lambda t: t[0] + [-1.0] * t[1] + t[2]).filter(lambda v: v[0] > -1.0)
 
 
 @settings(max_examples=30, deadline=None)
