@@ -49,9 +49,9 @@ _PSI_BLOCK = 8192  # windows per psi_grid block; independent of thread count by 
 def psi(d: Density, lam, mu):
     """Window average psi(lambda, mu) = integral_mu^{mu+1} f(lambda x) dx, elementwise.
 
-    Equal to (F(lambda (mu+1)) - F(lambda mu)) / lambda for lambda > 0; exact
-    in rational arithmetic for the piecewise family when lambda and mu are
-    Fractions. psi(0, mu) degenerates to f(0).
+    Equal to (F(lambda (mu+1)) - F(lambda mu)) / lambda for lambda > 0; exact in rational
+    arithmetic for the piecewise family when lambda and mu are Fractions. psi(0, mu)
+    reads f(0), which is not the lambda -> 0 limit for the band or the periodic families.
     """
     if np.ndim(lam) == 0 and lam == 0:
         return d.pdf(lam) if np.ndim(mu) == 0 else np.full(np.shape(mu), d.pdf(0.0))
@@ -84,9 +84,9 @@ def sup_psi(d: Density, lam, xtol=1e-9):
     point, until that bracket is at most xtol wide or stops narrowing (its mus
     an ulp apart); the best (value, mu) evaluated at any level is returned.
     psi(lambda, .) is Lipschitz with constant 2 lambda max f, which bounds
-    what a grid can miss between neighbors.
+    what a grid can miss between neighbors. lambda must be positive (see psi).
     """
-    _check_real(ValueError, "lambda", lam, positive=False)
+    _check_real(ValueError, "lambda", lam)
     _check_real(ValueError, "xtol", xtol)
     lam = float(lam)
     mus = np.linspace(0.0, 1.0, 256)

@@ -93,6 +93,7 @@ class SinusoidProfile:
         self.cell = self.period / 16.0
         self.mean = self.c
         self.sup_abs = math.hypot(self.a, self.b) + abs(self.c)
+        self.zero_until = 0.0  # 0 on [0, zero_until); a nonzero one vanishes at points only
 
     def eval(self, u):
         # a zero coefficient's term is skipped: adding it would not change a bit
@@ -147,6 +148,8 @@ class TabulatedProfile:
         #: integral of each piece over its own width
         self._integrals = np.sum(self._coeffs * np.diff(self._breaks)[:, None] ** k / k, axis=1)
         self.mean = float(np.sum(self._integrals)) / self.period
+        # 0 on [0, zero_until), up to the first nonzero piece; an all-zero profile reads 0
+        self.zero_until = float(self._breaks[np.argmax(np.any(self._coeffs != 0.0, axis=1))])
         # quadrature cells: about a sixteenth of the period, with every break on an edge
         self.cell = self.period / (m * math.ceil(16 / m))
         if deg == 2:  # piecewise-linear extremes sit at the nodes, so this sup is exact
@@ -576,6 +579,12 @@ class PeriodicOscillatoryDensity(Density):
         return np.cumsum(np.concatenate([[self._F_x0], self._cell_integral(xs[:-1], xs[1:])]))
 
     def _build_table(self):
+        # g = 0 on [0, u*) makes f = 0 above x* = u*^(-1/alpha): a table to x* holds all the mass
+        x_star = float(self._x(np.float64(self.g.zero_until)))  # inf at u* = 0
+        mass = self._cumulative(self._nodes(max(x_star, self.x0)))[-1] if x_star < math.inf else 1
+        if mass < 1.0:
+            raise DensityError(f"normalization impossible: g = 0 on [0, {self.g.zero_until:g}), so "
+                               f"f = 0 above x = {x_star:g}, and the total mass is {mass:.6g} < 1")
         hi = max(2.0 * self.x0, 1.0)
         for _ in range(61):
             xs = self._nodes(hi)

@@ -28,7 +28,8 @@ from scipy.special import ndtri
 
 # stream kinds (counter word 3); a retired kind's number is never reused
 GAUSS_STEP = 1      # particle-step increments, block = step index, lane = survivor rank
-BRIDGE = 2          # bridge-crossing uniforms, block = step index, lane = survivor rank
+BRIDGE = 2          # bridge-crossing uniforms, block = step index, lane = rank among the
+                    # step's at-risk survivors (kill exponent > -40); no other draws
 PICARD_PATHS = 3    # Picard path increments, block = path-chunk index
 Y_SAMPLES = 4       # the bounds report's sample paths, block = path-chunk index
 U_SUP = 6           # drifted running-sup samples, the quadrature's referee; block = chunk

@@ -289,6 +289,18 @@ def initial_jump_stratified(y0_sorted, n):
 # ---------------------------------------------------------------------------
 
 
+def _bridge_kills(seed, k, z_old, z_new, dt):
+    """Indices of step k's survivors that the bridge kills: those at risk, with
+    exponent -2 z_old z_new / dt above -40, read the lanes of ``BRIDGE`` block k
+    in order and die when their uniform is below exp(exponent). The rest draw
+    nothing: exp(-40) < 2^-54, the least uniform, so no uniform could kill them."""
+    expo = -2.0 * z_old * z_new / dt
+    at_risk = np.flatnonzero(expo > -40.0)
+    if len(at_risk) == 0:
+        return at_risk
+    return at_risk[rng.uniform_block(seed, rng.BRIDGE, k, len(at_risk)) < np.exp(expo[at_risk])]
+
+
 def simulate_particles(density: Density, cfg: SolverConfig):
     """Run the cascade-resolving Euler scheme; returns (FrontierPath, ParticleEnsemble).
 
@@ -298,30 +310,26 @@ def simulate_particles(density: Density, cfg: SolverConfig):
     With cfg.bridge_correction, survivors are additionally killed with the
     within-step barrier-crossing probability exp(-2 z_old z_new / dt) and the
     cascade reruns once, removing the O(sqrt(dt)) endpoint-monitoring bias.
-    The probability's exponent is clamped at -40: exp(-40) is below 2^-54, the
-    smallest bridge uniform, so no kill decision changes.
 
     The survivors live in a compact pair: ascending particle ids and their
     positions. A cascade sorts only the particles near the barrier
     (``_near_barrier_cascade``); the dead are scattered into the full-length
-    outputs and dropped from the pair. A survivor's Gaussian and bridge lanes
-    are its rank in the ascending ids: step k reads the first len(ids) lanes of
-    its ``GAUSS_STEP`` block (``rng.ziggurat_block``) and, after the first
-    cascade, of its ``BRIDGE`` block.
+    outputs and dropped from the pair. A survivor's Gaussian lane is its rank
+    in the ascending ids: step k reads the first len(ids) lanes of its
+    ``GAUSS_STEP`` block (``rng.ziggurat_block``). After the first cascade the
+    main thread draws step k's ``BRIDGE`` lanes, one per survivor at risk of a
+    kill and none for the rest, which no uniform could kill (``_bridge_kills``).
 
-    The blocks are drawn, as scaled normals, in batches of a fixed _AHEAD // n
-    steps, each block with as many lanes as there are survivors when its batch
-    is requested, never fewer than the survivors who read it. A batch's steps
-    wait in a deque. With cfg.threads >= 2 the next batch is requested at the
-    current one's first step, and one worker draws its steps from the front
-    while the current batch is worked through; the main thread, once done with
-    that, draws from the back the steps the worker has not started, and then
-    waits for the worker. With one thread a batch is requested at its own first
-    step and the main thread draws every step. A block's first m lanes do not
-    depend on how many are drawn, so the result is bit-identical at any thread
-    count and any split of a batch. At most two batches (8 MB) exist at once, a
-    step's blocks are freed once it is done, and no batch is requested once
-    every particle is dead.
+    The Gaussian blocks are drawn, as scaled normals, in batches of a fixed
+    _AHEAD // n steps, each block with one lane per survivor of when its batch
+    is requested (``request``), never fewer than the survivors who read it.
+    With cfg.threads >= 2 one worker draws the next batch from the front while
+    the current one is worked through, and the main thread then draws from the
+    back what the worker has not started (``collect``). A block's first m lanes
+    do not depend on how many are drawn, so the result is bit-identical at any
+    thread count and any split of a batch. At most two batches (8 MB) exist at
+    once, a step's block is freed once it is done, and no batch is requested
+    once every particle is dead.
     """
     n = cfg.n_particles
     K = cfg.n_steps
@@ -356,12 +364,11 @@ def simulate_particles(density: Density, cfg: SolverConfig):
         return keep
 
     bridge = cfg.bridge_correction
-    per_batch = max(1, _AHEAD // (n * (2 if bridge else 1)))
+    per_batch = max(1, _AHEAD // n)
 
     def take(pop, drawn, m):
         """Draw the steps pop() hands out until none is left: step k's
-        increments (its normals times sqrt(dt)) and, with the bridge, its
-        uniforms, m lanes each."""
+        increments, its normals times sqrt(dt), m lanes."""
         while True:
             try:
                 k = pop()
@@ -369,7 +376,7 @@ def simulate_particles(density: Density, cfg: SolverConfig):
                 return drawn
             dz = rng.ziggurat_block(cfg.seed, rng.GAUSS_STEP, k, m)
             dz *= sqdt
-            drawn[k] = dz, rng.uniform_block(cfg.seed, rng.BRIDGE, k, m) if bridge else None
+            drawn[k] = dz
 
     def request(lo):
         """The batch of steps from lo, with one lane per survivor of now:
@@ -393,21 +400,6 @@ def simulate_particles(density: Density, cfg: SolverConfig):
             if worker:
                 worker.result()
 
-    def advance(k, dz, ub):
-        """Step k on the survivors from its blocks."""
-        nonlocal p
-        z_old = p.copy() if bridge else None
-        p += dz[:len(p)]
-        keep = cascade(t[k])
-        if bridge and len(ids):
-            zo = z_old if keep is None else z_old[keep]
-            # exp(-40) < 2^-54, the least uniform_block value: no clamped lane is killed
-            p_hit = np.exp(np.maximum(-2.0 * zo * p / cfg.dt, -40.0))
-            crossed = ub[:len(p)] < p_hit
-            if np.any(crossed):
-                p[crossed] = 0.0
-                cascade(t[k])
-
     with ThreadPoolExecutor(max_workers=1) if cfg.threads > 1 else nullcontext() as pool:
         ahead = None
         for lo in range(1, K + 1, per_batch):
@@ -415,8 +407,16 @@ def simulate_particles(density: Density, cfg: SolverConfig):
             batch = collect(*ahead) if ahead else collect(*request(lo)) if len(ids) else None
             ahead = request(lo + per_batch) if pool and len(ids) and lo + per_batch <= K else None
             for k in range(lo, min(lo + per_batch, K + 1)):
-                if len(ids):  # popped, so a step's blocks are freed as soon as it is done
-                    advance(k, *batch.pop(k))
+                if len(ids):  # popped, so a step's block is freed as soon as it is done
+                    z_old = p.copy() if bridge else None
+                    p += batch.pop(k)[:len(p)]
+                    keep = cascade(t[k])
+                    if bridge and len(ids):
+                        zo = z_old if keep is None else z_old[keep]
+                        crossed = _bridge_kills(cfg.seed, k, zo, p, cfg.dt)
+                        if len(crossed):
+                            p[crossed] = 0.0
+                            cascade(t[k])
                 lam[k] = (n - len(ids)) / n
 
     pos[ids] = p

@@ -196,8 +196,10 @@ def simulate_particles_argsort(density, cfg):
 
     Referee for ``simulate_particles``: the step loop as it stood before the
     near-barrier cascade and the compact survivors, which must reproduce it
-    bit for bit. Each step draws exactly as many Gaussian (and bridge) lanes as
-    it has survivors, lane j for the j-th alive particle in id order.
+    bit for bit. Each step draws exactly as many Gaussian lanes as it has
+    survivors, lane j for the j-th alive particle in id order, and, with the
+    bridge, one bridge lane for each survivor whose kill exponent exceeds -40,
+    in id order.
 
     Initialization is stratified (X_i = F^{-1}((i - 1/2)/n)), which makes the
     time-0 jump deterministic. Each step: Gaussian increments for the alive
@@ -245,9 +247,11 @@ def simulate_particles_argsort(density, cfg):
                 keep = np.isin(aidx, aidx2)
                 zo = z_old[keep]
                 zn = pos[aidx2]
-                ub = rng.uniform_block(cfg.seed, rng.BRIDGE, k, len(aidx2))
-                p_hit = np.exp(-2.0 * zo * zn / cfg.dt)
-                crossed = ub < p_hit
+                expo = -2.0 * zo * zn / cfg.dt
+                at_risk = np.nonzero(expo > -40.0)[0]
+                ub = rng.uniform_block(cfg.seed, rng.BRIDGE, k, len(at_risk))
+                crossed = np.zeros(len(aidx2), dtype=bool)
+                crossed[at_risk] = ub < np.exp(expo[at_risk])
                 if np.any(crossed):
                     pos[aidx2[crossed]] = 0.0
                     order2 = np.argsort(pos[aidx2], kind="stable")

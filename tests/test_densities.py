@@ -285,12 +285,34 @@ def test_periodic_rejects_bad_profiles():
         PeriodicOscillatoryDensity(1.0, -1.0)      # zero mass
     with pytest.raises(DensityError):
         PeriodicOscillatoryDensity(-1.0, "sin")
-    # g = 0 for u = x^(-alpha) in [0, 3/4 period]: f vanishes for x above
-    # (3 pi / 2)^(-1/alpha), so no support endpoint gives mass 1
+    # g = 0 for u = x^(-alpha) in [0, period / 2]: f vanishes for x above
+    # pi^(-1/alpha), so no support endpoint gives mass 1
     for alpha in (0.5, 1.0, 2.0):
         with pytest.raises(DensityError, match="normalization"):
             PeriodicOscillatoryDensity(alpha, {"period": 2.0 * math.pi,
                                                "values": [-1.0, -1.0, -1.0, 1.0]})
+
+
+@pytest.mark.parametrize("alpha, period, x_star", [
+    (1.0, 2.0 * math.pi, 1.0 / math.pi), (2.0, 2.0 * math.pi, math.pi ** -0.5),
+    (1.0, 1000.0, 0.002)], ids=["alpha1", "alpha2", "period1000"])
+def test_periodic_profile_zero_near_u_0_is_rejected_after_one_table(monkeypatch, alpha, period,
+                                                                     x_star):
+    # psi = -1 on the first half period (its last sample rises to 1 only after
+    # it): f = 0 above x* = (period / 2)^(-1/alpha), so the mass is that of (0, x*]
+    nodes = PeriodicOscillatoryDensity._nodes
+    calls = []
+
+    def counted(self, hi):
+        calls.append(hi)
+        return nodes(self, hi)
+    monkeypatch.setattr(PeriodicOscillatoryDensity, "_nodes", counted)
+    with pytest.raises(DensityError, match="normalization") as exc:
+        PeriodicOscillatoryDensity(alpha, {"period": period, "values": [-1.0, -1.0, -1.0, 1.0]})
+    assert len(calls) == 1
+    head, mass = str(exc.value).split(f"above x = {x_star:g}, and the total mass is ")
+    assert head.endswith(f"[0, {period / 2:g}), so f = 0 ")
+    assert 0.0 < float(mass.removesuffix(" < 1")) < 1.0
 
 
 def test_periodic_tabulated_profile_mass_matches_break_aligned_oracle():

@@ -61,12 +61,42 @@ def test_simulate_bit_identical_to_argsort_referee(density_name, kw, request):
 @given(zo=st.floats(0.0, 1e300, exclude_min=True), p=st.floats(0.0, 1e300, exclude_min=True),
        dt=st.floats(1e-8, 1.0), k=st.integers(0, 2**53 - 1))
 def test_bridge_kill_clamp_changes_no_decision(zo, p, dt, k):
-    # simulate_particles clamps the kill exponent at -40; its referee does not
+    # no uniform kills a lane whose exponent is clamped at -40, so the bridge
+    # draws no uniform for such a lane
     assert np.exp(-40.0) < 2.0**-54
     ub = rng._unit(np.array([k], dtype=np.uint64))[0]
     with np.errstate(over="ignore"):
         arg = -2.0 * np.float64(zo) * p / dt
     assert (ub < np.exp(max(arg, -40.0))) == (ub < np.exp(arg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(zp=st.lists(st.tuples(st.floats(0.0, 0.5, exclude_min=True),
+                             st.floats(0.0, 0.5, exclude_min=True)), max_size=60),
+       dt=st.floats(1e-4, 1e-2), k=st.integers(1, 10**6), seed=st.integers(0, 2**64 - 1))
+def test_bridge_kills_the_lanes_the_clamped_rule_kills(zp, dt, k, seed):
+    # the clamped rule read one uniform per survivor; give it the new draws on
+    # the at-risk lanes and the least uniform, 2^-54, on every other lane
+    assert rng._unit(np.zeros(1, dtype=np.uint64))[0] == 2.0**-54
+    zo, p = np.array(zp, dtype=float).reshape(-1, 2).T
+    expo = -2.0 * zo * p / dt
+    at_risk = np.flatnonzero(expo > -40.0)
+    u = np.full(len(zo), 2.0**-54)
+    u[at_risk] = rng.uniform_block(seed, rng.BRIDGE, k, len(at_risk))
+    clamped = np.flatnonzero(u < np.exp(np.maximum(expo, -40.0)))
+    assert np.array_equal(solver._bridge_kills(seed, k, zo, p, dt), clamped)
+
+
+def test_sine_bridge_draws_few_uniforms(monkeypatch, sine_density):
+    # one bridge uniform per survivor and step would equal the Gaussian lanes
+    calls = _count_draws(monkeypatch)
+    cfg = SolverConfig(n_particles=2000, dt=5e-4, T=0.05, seed=2026, bridge_correction=True)
+    simulate_particles(sine_density, cfg)
+    lanes = Counter()
+    for _, kind, _, n in calls:
+        lanes[kind] += n
+    assert set(lanes) == {rng.GAUSS_STEP, rng.BRIDGE}
+    assert 0 < lanes[rng.BRIDGE] < 0.1 * lanes[rng.GAUSS_STEP]
 
 
 _triples = st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 7), st.integers(0, 2**20))
@@ -124,50 +154,95 @@ def test_draws_stop_with_the_last_particle(monkeypatch, threads, wasted):
     assert extinct <= len(drawn) <= extinct + wasted
 
 
+def _on_main():
+    return threading.current_thread() is threading.main_thread()
+
+
+def _referee_bridge_lanes(density, cfg):
+    """{step k: lanes of BRIDGE block k} that the argsort referee draws, one
+    per at-risk survivor, for the steps that have one."""
+    lanes = {}
+    draw = rng.uniform_block
+
+    def recorded(seed, kind, block, n):
+        assert kind == rng.BRIDGE
+        if n:
+            lanes[block] = n
+        return draw(seed, kind, block, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "uniform_block", recorded)
+        simulate_particles_argsort(density, cfg)
+    return lanes
+
+
+def _uniform_draws_on_main(monkeypatch):
+    """Whether each rng.uniform_block call from now on runs on the main thread."""
+    on_main = []
+    draw = rng.uniform_block
+
+    def recorded(*args):
+        on_main.append(_on_main())
+        return draw(*args)
+    monkeypatch.setattr(rng, "uniform_block", recorded)
+    return on_main
+
+
+def _bridge_draws(calls):
+    """(block, lanes) of the BRIDGE draws among the counted calls, sorted."""
+    return sorted((block, lanes) for _, kind, block, lanes in calls if kind == rng.BRIDGE)
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_step_blocks_have_a_lane_for_every_survivor_who_reads_them(monkeypatch, pw_std,
                                                                    threads):
-    # four steps per batch (two blocks a step with the bridge); a batch gets
-    # one lane per survivor when it is requested: at its first step inline,
-    # at the previous batch's first step on the worker
+    # four steps per batch; a batch gets one Gaussian lane per survivor when it
+    # is requested: at its first step inline, at the previous batch's first
+    # step on the worker. A step's bridge block is drawn on the main thread,
+    # one lane per at-risk survivor, and not at all when none is at risk
     n = 1000
-    monkeypatch.setattr(solver, "_AHEAD", 4 * 2 * n)
-    calls = _count_draws(monkeypatch)
+    monkeypatch.setattr(solver, "_AHEAD", 4 * n)
     cfg = SolverConfig(n_particles=n, dt=1e-3, T=0.05, seed=5, threads=threads,
                        bridge_correction=True)
+    at_risk = _referee_bridge_lanes(pw_std, cfg)
+    calls = _count_draws(monkeypatch)
+    on_main = _uniform_draws_on_main(monkeypatch)
     fr, _ = simulate_particles(pw_std, cfg)
     survivors = np.rint(n * (1.0 - fr.lam)).astype(int)  # after each step
-    drawn = {(kind, block): lanes for _, kind, block, lanes in calls}
-    assert len(drawn) == len(calls) == 2 * cfg.n_steps
-    for (kind, block), lanes in drawn.items():
-        assert kind in (rng.GAUSS_STEP, rng.BRIDGE)
+    steps = [call for call in calls if call[1] == rng.GAUSS_STEP]
+    drawn = {block: lanes for _, _, block, lanes in steps}
+    assert len(drawn) == len(steps) == cfg.n_steps
+    for block, lanes in drawn.items():
         first = block - (block - 1) % 4
         requested = first if threads == 1 else max(1, first - 4)
         assert lanes == survivors[requested - 1] >= survivors[block - 1]
     assert survivors[-1] < survivors[0]
+    assert len(calls) == len(steps) + len(on_main)
+    assert _bridge_draws(calls) == sorted(at_risk.items()) and all(on_main) and at_risk
 
 
 @pytest.mark.parametrize("bridge", [False, True])
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_every_step_block_is_drawn_exactly_once(monkeypatch, threads, bridge):
-    # four steps per batch; every step's blocks up to extinction are drawn once,
-    # and after it only those of the batches requested while particles lived:
-    # the rest of the last one's batch and, with a worker, the batch after it
-    monkeypatch.setattr(solver, "_AHEAD", 4 * 500 * (2 if bridge else 1))
-    calls = _count_draws(monkeypatch)
+    # four steps per batch; every step's Gaussian block up to extinction is
+    # drawn once, and after it only those of the batches requested while
+    # particles lived: the rest of the last one's batch and, with a worker, the
+    # batch after it. A bridge block is drawn at most once, on the main thread,
+    # with one lane per at-risk survivor of its step
+    monkeypatch.setattr(solver, "_AHEAD", 4 * 500)
     cfg = SolverConfig(n_particles=500, dt=1e-3, T=0.25, seed=3, threads=threads,
                        bridge_correction=bridge)
-    fr, _ = simulate_particles(uniform_density(0.1, 0.7), cfg)
+    density = uniform_density(0.1, 0.7)
+    at_risk = _referee_bridge_lanes(density, cfg)
+    calls = _count_draws(monkeypatch)
+    on_main = _uniform_draws_on_main(monkeypatch)
+    fr, _ = simulate_particles(density, cfg)
     extinct = int(np.argmax(fr.lam == 1.0))
     assert 0 < extinct < cfg.n_steps - 8
     last = -(-extinct // 4) * 4 + (4 if threads > 1 else 0)
-    kinds = (rng.GAUSS_STEP, rng.BRIDGE) if bridge else (rng.GAUSS_STEP,)
-    assert Counter((kind, block) for _, kind, block, _ in calls) == Counter(
-        (kind, block) for kind in kinds for block in range(1, last + 1))
-
-
-def _on_main():
-    return threading.current_thread() is threading.main_thread()
+    assert Counter((kind, block) for _, kind, block, _ in calls if kind != rng.BRIDGE) == Counter(
+        (rng.GAUSS_STEP, block) for block in range(1, last + 1))
+    assert _bridge_draws(calls) == sorted(at_risk.items()) and all(on_main)
+    assert bool(at_risk) == bridge
 
 
 class _MainWaitsDeque(deque):
@@ -187,7 +262,7 @@ def test_any_split_of_the_draws_gives_the_one_thread_run(monkeypatch, pw_std, sp
     # a slow worker leaves the main thread the back of every batch; a main
     # thread that waits leaves every step to the worker
     n = 1000
-    monkeypatch.setattr(solver, "_AHEAD", 4 * 2 * n)
+    monkeypatch.setattr(solver, "_AHEAD", 4 * n)
     cfg = SolverConfig(n_particles=n, dt=1e-3, T=0.05, seed=5, bridge_correction=bridge)
     fr_ref, ens_ref = simulate_particles(pw_std, cfg)
     draw = rng.ziggurat_block
@@ -215,12 +290,13 @@ def test_a_short_switch_interval_keeps_every_draw_once_and_the_result(monkeypatc
     # the main thread and the worker pop the same deque; switching threads as
     # often as the interpreter allows must still draw each block once
     n = 1000
-    monkeypatch.setattr(solver, "_AHEAD", 2 * 2 * n)  # two steps per batch
+    monkeypatch.setattr(solver, "_AHEAD", 2 * n)  # two steps per batch
     cfg = SolverConfig(n_particles=n, dt=1e-3, T=0.05, seed=5, bridge_correction=True)
     fr_ref, ens_ref = simulate_particles(pw_std, cfg)
+    at_risk = _referee_bridge_lanes(pw_std, cfg)
     calls = _count_draws(monkeypatch)
-    every_block_once = Counter((kind, block) for kind in (rng.GAUSS_STEP, rng.BRIDGE)
-                               for block in range(1, cfg.n_steps + 1))
+    every_block_once = Counter([(rng.GAUSS_STEP, block) for block in range(1, cfg.n_steps + 1)]
+                               + [(rng.BRIDGE, block) for block in at_risk])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
