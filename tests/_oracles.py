@@ -26,8 +26,8 @@ evaluates the increment ratios behind the slope constant and delta0 one
 their shared block evaluation.
 
 ``sup_pdf_band_walk`` is the band density's windowed sup as a walk down the
-ideal float bands, one ``_band_of`` call per band, the referee of the edge
-table's ``sup_pdf``.
+ideal float bands, each band's edges recomputed from (p, r, a1), the referee
+of the edge table's ``sup_pdf``.
 
 ``compute_Y_samples`` and ``pointwise_h_at`` are helpers only the tests use:
 the materialized running-max samples and the fitted pointwise margin at a point.
@@ -312,20 +312,33 @@ def bruteforce_sup_ratio(d, n_y=1000, n_h=1000):
 def sup_pdf_band_walk(d, lo, hi):
     """(sup, argmax) of the band density's pdf on (lo, hi], walking the ideal
     (untruncated) float bands down from hi: the first band of the largest
-    level, and the midpoint of its part inside the window."""
-    params = tuple(float(v) for v in (d.alpha1, d.alpha2, d.p, d.r, d.a1))
+    level, and the midpoint of its part inside the window.
+
+    Band n is [a_{2n+1}, a_{2n-1}) with a_{2n-1} = r^(n-1) a1 and a_{2n} =
+    p r^(n-1) a1 in float powers; each step reads the band of the largest
+    float below the current edge, so a window a few ulps wide reads only the
+    band its inside lies in."""
+    alpha1, alpha2, p, r, a1 = (float(v) for v in (d.alpha1, d.alpha2, d.p, d.r, d.a1))
     lo = max(float(lo), 0.0)
-    hi = min(float(hi), params[4])
-    if hi <= lo:
+    hi = min(float(hi), a1)
+    if not hi > lo:
         return 0.0, None
     best, arg = 0.0, None
     x = hi
     while x > lo:
-        level, blo, bhi, _ = d._band_of(x * (1.0 - 1e-15), params)
+        y = float(np.nextafter(x, 0.0))
+        n = 1
+        while y < r ** n * a1:
+            n += 1
+        a_even = p * r ** (n - 1) * a1
+        if y >= a_even:
+            level, blo, bhi = alpha1, a_even, r ** (n - 1) * a1
+        else:
+            level, blo, bhi = alpha2, r ** n * a1, a_even
         if level > best:
             best = level
             arg = 0.5 * (max(blo, lo) + min(bhi, hi))
-        if best == params[1] or blo <= 0.0:
+        if best == alpha2 or blo <= 0.0:
             break
         x = blo
     return best, arg

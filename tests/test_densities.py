@@ -167,6 +167,7 @@ def _assert_sup_pdf_is_the_walk(d, lo, hi):
 @given(spec=st.one_of(st.sampled_from(BAND_SPECS), _exact_band_specs,
                       _exact_band_specs.map(lambda v: tuple(map(float, v)))),
        u=st.floats(0.0, 1.0), w=st.floats(0.0, 1.0))
+@example(spec=BAND_SPECS[0], u=0.0, w=3.834151464431936e-17)  # (a_{2N+1}, a_{2N+1} + 1 ulp]
 def test_piecewise_sup_pdf_table_equals_the_band_walk(spec, u, w):
     # windows from the table's lowest band edge a_{2N+1} up to past a1, from
     # empty to 1000 times as wide as they are far from 0
