@@ -1,5 +1,5 @@
 """Compute the closed-form constants of the band density and verify every
-frontier inequality against simulation.
+frontier inequality against a simulated minimal frontier.
 
 Run: python demos/04_bounds_verification.py
 """
@@ -24,7 +24,7 @@ cfg = SolverConfig(n_particles=10, dt=0.0005, T=0.25, seed=11,
                    picard=PicardConfig(n_paths=40_000, max_iters=50, tol=5e-4))
 frontier = picard_minimal(pw, cfg).frontier
 
-report = assemble_bounds_report(pw, frontier, n_mc=40_000, seed=11, n_paths=20_000)
+report = assemble_bounds_report(pw, frontier, n_mc=40_000)
 print("\nbounds report:")
 print(f"  c1 = {report.c1:.5f}, c2 = {report.c2:.4f}, "
       f"c3 = {report.c3:.4f} (slope surrogate beta = {report.beta_slope:.4f})")

@@ -1,17 +1,19 @@
 """Closed-form constants of the band density and verification of the frontier
 inequalities they imply.
 
-Everything here is checked against simulation: the slope bound L on the good
-set, the square-root envelope constants c1/c2, the increment constant c3, the
-early-time bound through the averaging envelope, the good-set occupation
+Everything here is checked against one frontier: the slope bound L on the
+good set, the square-root envelope constants c1/c2, the increment constant c3,
+the early-time bound through the averaging envelope, the good-set occupation
 probability with its reflection/drifted-sup lower bound, and the expected
-increment-ratio contraction diagnostic delta0. The slope constant behind c3
-(on the paths X = Lambda - B) and delta0 (on their running max Y) are one
-estimator; it and the occupation estimate take sample columns of one pass. The
-drifted-sup factor of the occupation bound is a first-passage probability,
-computed by quadrature of its Volterra equation, not sampled. Margins are
-always reported in the direction that certifies the inequality; nothing is
-averaged across checks.
+increment-ratio contraction diagnostic delta0. Nothing is sampled. The slope
+constant behind c3 is a Gaussian integral over X_t = Lambda_t - B_t. The
+occupation probability and delta0 read the law of the continuous running max
+Y_t = sup_{s<=t} X_s, and the drifted-sup factor of the occupation bound is a
+law of the same kind: each is a first-passage law, computed by quadrature of
+its Volterra equation (``numerics.first_passage_masses``). Each estimate's
+error is its distance from the same quadrature at half the cells or nodes.
+Margins are always reported in the direction that certifies the inequality;
+nothing is averaged across checks.
 """
 from __future__ import annotations
 
@@ -19,13 +21,13 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import erfc, ndtr
+from scipy.special import erfc
 
 from . import rng
 from .conditions import ROOT_TWO_OVER_PI, EnvelopeFunction, chi_bar
 from .densities import Density, PiecewiseGeometricDensity, _check_int
-from .solver import _CHUNK, FrontierPath, brownian_chunks, iter_y_chunks
+from .numerics import first_passage_masses
+from .solver import FrontierPath, brownian_chunks
 
 __all__ = [
     "SlopeBound",
@@ -89,28 +91,25 @@ def compute_sqrt_constants(d: PiecewiseGeometricDensity, beta_slope):
     return SqrtConstants(c1=c1, c2=c2, c3=c3, beta_slope=beta_slope)
 
 
-def _increment_ratios(d: Density, cols, h):
-    """(means, standard errors) of (F(Z + h) - F(Z)) / h per (column, h) over
-    the rows of the samples cols = Z[:, t_indices]: one ``cdf_fast`` call per
-    column and 8192-row block, the sums taken per block, then across blocks."""
-    shifts = np.concatenate([[0.0], h])[:, None]
-    sums = np.zeros((2, cols.shape[1], len(h)))  # of the ratios and of their squares
-    for c, z in enumerate(cols.T):
-        for lo in range(0, len(z), _CHUNK):
-            F = np.asarray(d.cdf_fast(z[lo:lo + _CHUNK] + shifts))  # row j is F(Z + h_j), h_0 = 0
-            ratio = (F[1:] - F[0]) / shifts[1:]
-            sums[:, c] += ratio.sum(axis=1), (ratio * ratio).sum(axis=1)
-    means, sq_means = sums / len(cols)
-    return means, np.sqrt(np.clip(sq_means - means ** 2, 0.0, None) / len(cols))
+#: nodes of the slope constant's Gaussian integral, over +-9 standard deviations
+_BETA_NODES = 20001
 
 
-def estimate_beta_slope(d: Density, cols):
-    """(beta_slope, table): the Monte Carlo stand-in for the uniform slope
-    constant behind c3, which has no closed form. The table holds the means of
-    (F(Lambda_t - B_t + x) - F(Lambda_t - B_t)) / x on the samples
-    cols = (Lambda - B)[:, t_indices] at 24 log-spaced x; beta_slope is its max."""
+def estimate_beta_slope(frontier: FrontierPath, d: Density, t_indices):
+    """(beta_slope, table): the stand-in for the uniform slope constant behind
+    c3, which has no closed form. The table holds E[(F(X_t + x) - F(X_t)) / x]
+    for X_t = Lambda_t - B_t, which is N(Lambda_t, t), at the grid times
+    t_indices and 24 log-spaced x: each a trapezoid sum on 20001 nodes over
+    +-9 standard deviations. beta_slope is the table's max."""
     xs = np.geomspace(1e-3 * d.support_upper, 2.0 * d.support_upper, 24)
-    table, _ = _increment_ratios(d, cols, xs)
+    shifts = np.concatenate([[0.0], xs])[:, None]
+    u = np.linspace(-9.0, 9.0, _BETA_NODES)
+    w = np.exp(-0.5 * u * u) * ((u[1] - u[0]) / math.sqrt(2.0 * math.pi))
+    w[[0, -1]] *= 0.5
+    table = np.empty((len(t_indices), len(xs)))
+    for c, k in enumerate(t_indices):
+        F = np.asarray(d.cdf_fast(frontier.lam[k] + math.sqrt(frontier.t[k]) * u + shifts))
+        table[c] = ((F[1:] - F[0]) * w).sum(axis=1) / xs  # row j is F(X + x_j), x_0 = 0
     return float(np.max(table)), table
 
 
@@ -144,11 +143,6 @@ def sqrt_envelopes(frontier: FrontierPath, *consts):
     return (t, frontier.lam[1:], *(c * sq for c in consts))
 
 
-def _binomial_se(p, n):
-    """Standard error sqrt(p (1 - p) / n) of a frequency p over n samples."""
-    return np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / n)
-
-
 def verify_frontier_envelopes(frontier: FrontierPath, consts: SqrtConstants,
                               n_mc, g: EnvelopeFunction | None = None):
     """Margins of the square-root, increment, and (optionally) averaging-envelope
@@ -176,7 +170,7 @@ def verify_frontier_envelopes(frontier: FrontierPath, consts: SqrtConstants,
         if covered:
             chi_margin = float(np.min(covered))
 
-    se = float(np.max(_binomial_se(lam, n_mc)))
+    se = float(np.max(np.sqrt(np.clip(lam * (1.0 - lam), 0.0, None) / n_mc)))
     return EnvelopeMargins(sqrt_lower_margin=sqrt_lower, sqrt_upper_margin=sqrt_upper,
                            holder_margin=holder, chi_bar_margin=chi_margin,
                            chi_bar_coverage=coverage, max_se=se)
@@ -191,8 +185,9 @@ def simulate_drifted_sup(c3, n_paths=20000, n_steps=2000, seed=0):
     """Sorted samples of sup over [0, 1] of (B_s + c3 sqrt(s)), discretized.
     The grid misses the sup between its times, so P(U <= x) read from these
     samples is biased up; the tests keep it as a referee, and the report takes
-    ``prob_drifted_sup_quad`` instead."""
+    ``prob_drifted_sup_quad`` instead. seed is an integer in [0, 2^64)."""
     _check_int(ValueError, "n_paths", n_paths, 1)
+    _check_int(ValueError, "seed", seed, 0, 2**64)
     t = np.linspace(0.0, 1.0, n_steps + 1)
     drift = c3 * np.sqrt(t)
     out = np.empty(n_paths)
@@ -214,32 +209,16 @@ _QUAD_NODES = 1000
 
 
 def _sup_cdf_quad(c3, x, n, shape=np.sqrt):
-    """P(sup over [0, 1] of (B_s + g(s)) <= x) per x, g = c3 shape, by
-    midpoint quadrature of the first-passage Volterra equation on n uniform
-    cells, clipped to [0, 1]; exactly 0 for x <= 0 and 1 for x = inf.
-
-    The time tau at which B first meets x - g solves (Durbin, J. Appl. Prob.
-    1971) P(B_t >= x - g(t)) = int_0^t P(B_t - B_s >= g(s) - g(t)) dP(tau <= s)
-    for t in (0, 1]. The law of tau is taken uniform within each cell, the
-    kernel at the cell's midpoint s_j, and the equation holds at the cells'
-    right ends t_i. The kernel depends on c3 only, so one lower-triangular
-    solve with a column per x gives the cells' masses, and P(U <= x) is one
-    minus their sum.
-    """
+    """P(sup over [0, 1] of (B_s + g(s)) <= x) per x, g = c3 shape: one minus
+    the first-passage masses of n uniform cells, clipped to [0, 1]; exactly 0
+    for x <= 0 and 1 for x = inf."""
     x = np.asarray(x, dtype=float)
-    if np.any(np.isnan(x)):
-        raise ValueError("drifted-sup quadrature: x is NaN")
+    t = np.arange(n + 1) / n
+    s = t[1:] - 0.5 / n
+    mass = first_passage_masses(t, c3 * shape(t), s, c3 * shape(s), x)
     p = np.where(x > 0.0, 1.0, 0.0)
     solve = (x > 0.0) & (x < np.inf)
-    if np.any(solve):
-        t = np.arange(1, n + 1) / n
-        s = t - 0.5 / n
-        g_t, g_s = c3 * shape(t), c3 * shape(s)
-        # only the lower triangle s_j < t_i is read; |t_i - s_j| keeps the rest finite
-        kernel = ndtr(np.subtract.outer(g_t, g_s) / np.sqrt(np.abs(np.subtract.outer(t, s))))
-        rhs = ndtr((g_t[:, None] - x[solve]) / np.sqrt(t)[:, None])
-        mass = solve_triangular(kernel, rhs, lower=True)
-        p[solve] = np.clip(1.0 - mass.sum(axis=0), 0.0, 1.0)
+    p[solve] = np.clip(1.0 - mass[:, solve].sum(axis=0), 0.0, 1.0)
     return p
 
 
@@ -304,38 +283,53 @@ def _default_t_indices(frontier: FrontierPath, n_t, per=100):
     return np.unique(np.clip(np.geomspace(max(1, K // per), K, n_t).astype(int), 1, K))
 
 
-def _path_columns(frontier: FrontierPath, n_paths, seed, t_indices):
-    """(X, Y) at the grid columns t_indices of one pass of n_paths sample
-    paths: X = Lambda - B and its running max Y, one row per path (the full
-    paths are never kept). seed is an integer in [0, 2^64)."""
-    _check_int(ValueError, "n_paths", n_paths, 1)
-    _check_int(ValueError, "seed", seed, 0, 2**64)
-    x, y = np.empty((2, n_paths, len(t_indices)))
-    for (lo, hi), x_tile, y_tile in iter_y_chunks(frontier, n_paths, seed):
-        x[lo:hi] = x_tile[:, t_indices]
-        y[lo:hi] = y_tile[:, t_indices]
-    return x, y
+#: each grid cell of a frontier is cut into this many cells of the running
+#: max's first-passage quadrature
+_CUTS = 4
+
+
+def _frontier_cells(frontier: FrontierPath, k, cuts):
+    """(cell ends, Lambda there, midpoints, Lambda there) of the grid cells up
+    to grid index k, each cut into `cuts` equal cells, Lambda linear between
+    the grid times. The grid times are cell ends exactly."""
+    u = np.arange(2 * cuts) / (2 * cuts)
+    t, lam = frontier.t[:k + 1], frontier.lam[:k + 1]
+    fine_t = np.append((t[:-1, None] + np.diff(t)[:, None] * u).ravel(), t[-1])
+    fine_lam = np.append((lam[:-1, None] + np.diff(lam)[:, None] * u).ravel(), lam[-1])
+    return fine_t[::2], fine_lam[::2], fine_t[1::2], fine_lam[1::2]
+
+
+def _running_max_cdf(frontier: FrontierPath, t_indices, x, cuts):
+    """P(Y_t <= x) per (t in t_indices, x), clipped to [0, 1], for the
+    continuous running max Y_t = sup_{s<=t} (Lambda_s - B_s): one first-passage
+    solve, with -B as the Brownian motion and Lambda as the boundary, on the
+    grid cells up to the last t, each cut into `cuts`."""
+    t_indices = np.asarray(t_indices)
+    mass = first_passage_masses(*_frontier_cells(frontier, int(t_indices.max()), cuts), x)
+    return np.clip(1.0 - np.cumsum(mass, axis=0)[cuts * t_indices - 1], 0.0, 1.0)
 
 
 def estimate_prob_in_G(frontier: FrontierPath, d: PiecewiseGeometricDensity,
-                       consts: SqrtConstants, t_indices, cols):
-    """Per-t MC estimates of P(Y_t in G) on the running-max samples
-    cols = Y[:, t_indices] against the reflection/drifted-sup lower bound
-    P(|N| >= a) P(U <= b - a), plus the occupation threshold
+                       consts: SqrtConstants, t_indices):
+    """Per-t values of P(Y_t in G) for the continuous running max Y, with
+    Lambda linear between the grid times, against the reflection/drifted-sup
+    lower bound P(|N| >= a) P(U <= b - a), plus the occupation threshold
     (alpha2 - 1)/(alpha2 - L) that the contraction argument needs. G holds
-    every band of the density's float table, down to about 1e-14 a1. The
-    bound's standard error rhs_se is P(|N| >= a) times the quadrature's own
-    error estimate for P(U <= b - a). A grid running max of exactly 0 counts
-    as outside G, though the continuous one is positive for t > 0: on the
-    reference frontier at seed 2026 that is 6.3 %, 3.7 % and 2.0 % of Y at
-    t = 0.0025, 0.004 and 0.0065, so lhs is biased low at the earliest times."""
+    every band of the density's float table, down to about 1e-14 a1, and
+    P(Y_t in G) sums P(Y_t <= hi) - P(Y_t <= lo) over its pieces [lo, hi]: one
+    first-passage solve with a column per edge of G gives every t. lhs_se is
+    the distance from the same solve at half the cells. rhs_se is P(|N| >= a)
+    times the quadrature's own error estimate for P(U <= b - a)."""
     sb = compute_L(d)
     rho = float(sb.rho)
     edges = _good_set_edges(d, rho)
-    total = len(cols)
-    inside = np.searchsorted(edges, cols, side="right") % 2 == 1
-    lhs = inside.sum(axis=0) / total
-    lhs_se = _binomial_se(lhs, total)
+
+    def occupation(cuts):
+        cdf = _running_max_cdf(frontier, t_indices, edges, cuts)
+        return (cdf[:, 1::2] - cdf[:, ::2]).sum(axis=1)
+
+    lhs = occupation(_CUTS)
+    lhs_se = np.abs(lhs - occupation(_CUTS // 2))
 
     tv = frontier.t[t_indices]
     a_vals, b_vals = _lemma_interval(d, edges, tv)
@@ -372,13 +366,37 @@ class Delta0Report:
     node_ses: np.ndarray
 
 
-def estimate_delta0(frontier: FrontierPath, d: Density, t_indices, cols):
-    """MC estimate of the double sup of E[(F(Y_t + h) - F(Y_t)) / h] over the
-    running-max samples cols = Y[:, t_indices] and 16 log-spaced increments h;
-    the per-node means double as the expected-increment-ratio probe (increment
-    h playing the role of the window size)."""
-    h_grid = np.geomspace(1e-4 * d.support_upper, d.support_upper, 16)
-    means, ses = _increment_ratios(d, cols, h_grid)
+def _y_edges(a):
+    """Edges of delta0's y cells on [0, a]: 0, then 500 geometric nodes from
+    1e-10 a to 0.02 a, then 1000 even steps to a."""
+    return np.concatenate(([0.0], np.geomspace(1e-10 * a, 0.02 * a, 500),
+                           np.linspace(0.02 * a, a, 1001)[1:]))
+
+
+def estimate_delta0(frontier: FrontierPath, d: Density, t_indices):
+    """The double sup of E[(F(Y_t + h) - F(Y_t)) / h] over the grid times
+    t_indices and 16 log-spaced increments h; the per-node means double as the
+    expected-increment-ratio probe (increment h playing the role of the window
+    size). A mean sums, over the y cells of ``_y_edges``, P(Y_t in the cell)
+    times the ratio at the cell's midpoint; the mass above the top edge takes
+    the top cell's ratio. The cells' masses come from one first-passage solve
+    with a column per y edge, on the grid cells each cut in two (1000 cells on
+    500 steps); node_ses is the distance from the same sum on the uncut cells."""
+    a = d.support_upper
+    h_grid = np.geomspace(1e-4 * a, a, 16)
+    y = _y_edges(a)
+    mid = 0.5 * (y[:-1] + y[1:])
+    F = np.asarray(d.cdf_fast(mid + np.concatenate([[0.0], h_grid])[:, None]))
+    ratio = ((F[1:] - F[0]) / h_grid[:, None]).T  # (y cell, h)
+    ratio = np.vstack([ratio, ratio[-1]])
+
+    def node_means(cuts):
+        cdf = _running_max_cdf(frontier, t_indices, y, cuts)
+        cell_mass = np.diff(cdf, axis=1, append=1.0)  # the last column is the mass above a
+        return (cell_mass[:, :, None] * ratio).sum(axis=1)
+
+    means = node_means(_CUTS // 2)
+    ses = np.abs(means - node_means(_CUTS // 4))
     flat = int(np.argmax(means))
     return Delta0Report(
         delta0_hat=float(means.ravel()[flat]),
@@ -448,23 +466,18 @@ class BoundsReport:
 def assemble_bounds_report(d: PiecewiseGeometricDensity, frontier: FrontierPath,
                            n_mc, seed=0, n_paths=20000,
                            g: EnvelopeFunction | None = None):
-    """Compute every constant and run every estimator against one frontier."""
+    """Compute every constant and run every estimator against one frontier.
+    No random number is drawn: seed and n_paths are accepted and ignored."""
     _check_int(ValueError, "n_mc", n_mc, 1)
     if not d.admissible:
         raise ValueError("band density is inadmissible (beta2 >= 1); "
                          "the envelope constants are undefined")
     sb = compute_L(d)
-    # one pass of n_paths paths serves every estimator, on the union of their columns
-    ti_b = _default_t_indices(frontier, 12, per=200)
-    ti_g = _default_t_indices(frontier, 10)
-    ti_d = _default_t_indices(frontier, 8)
-    union = np.unique(np.concatenate((ti_b, ti_g, ti_d)))
-    x, y = _path_columns(frontier, n_paths, seed, union)
-    beta_slope, _ = estimate_beta_slope(d, x[:, np.searchsorted(union, ti_b)])
+    beta_slope, _ = estimate_beta_slope(frontier, d, _default_t_indices(frontier, 12, per=200))
     consts = compute_sqrt_constants(d, beta_slope)
     margins = verify_frontier_envelopes(frontier, consts, n_mc=n_mc, g=g)
-    prob_g = estimate_prob_in_G(frontier, d, consts, ti_g, y[:, np.searchsorted(union, ti_g)])
-    d0 = estimate_delta0(frontier, d, ti_d, y[:, np.searchsorted(union, ti_d)])
+    prob_g = estimate_prob_in_G(frontier, d, consts, _default_t_indices(frontier, 10))
+    d0 = estimate_delta0(frontier, d, _default_t_indices(frontier, 8))
     early = early_increment_check(frontier, d)
     return BoundsReport(
         beta1=float(d.beta1), beta2=float(d.beta2), admissible=bool(d.admissible),

@@ -201,8 +201,7 @@ def _cmd_bounds(args):
                                         threads=cfg.threads)
         if rep.holds_1_7:
             g = rep.g_envelope
-    report = assemble_bounds_report(density, frontier, n_mc=n_mc, seed=cfg.seed,
-                                    n_paths=args.n_paths, g=g)
+    report = assemble_bounds_report(density, frontier, n_mc=n_mc, g=g)
     _emit(report.to_json_dict(), args.out)
     if args.emit_csv:
         t, lam, lower, upper = sqrt_envelopes(frontier, report.c1, report.c2)
@@ -319,8 +318,6 @@ def build_parser():
     _add_common(bnd)
     bnd.add_argument("--frontier", help="frontier CSV to verify (else one is simulated)")
     bnd.add_argument("--solver", choices=("particle", "picard"), default="particle")
-    bnd.add_argument("--n-paths", type=int, default=20000, dest="n_paths",
-                     help="MC paths for the estimators")
     bnd.add_argument("--fit-envelope", action="store_true",
                      help="fit the averaging envelope and include its margin")
     bnd.add_argument("--envelope-lambda0", type=float, default=2.0)

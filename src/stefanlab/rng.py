@@ -31,7 +31,7 @@ GAUSS_STEP = 1      # particle-step increments, block = step index, lane = survi
 BRIDGE = 2          # bridge-crossing uniforms, block = step index, lane = rank among the
                     # step's at-risk survivors (kill exponent > -40); no other draws
 PICARD_PATHS = 3    # Picard path increments, block = path-chunk index
-Y_SAMPLES = 4       # the bounds report's sample paths, block = path-chunk index
+Y_SAMPLES = 4       # running-max sample paths, the bounds report's referee; block = chunk
 U_SUP = 6           # drifted running-sup samples, the quadrature's referee; block = chunk
 GAUSS_PATH = 7      # density path sampling, block = 0
 

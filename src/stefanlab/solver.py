@@ -472,7 +472,8 @@ def brownian_chunks(seed, stream, n_paths, sq_steps):
 def iter_y_chunks(frontier: FrontierPath, n_paths, seed):
     """Yield ((lo, hi), X_tile, Y_tile): the paths X = Lambda - B and their
     running max Y, in the fixed tiles of ``brownian_chunks``, so a consumer
-    that reduces in tile order is deterministic however the tiles are processed."""
+    that reduces in tile order is deterministic however the tiles are processed.
+    The bounds report samples nothing; the tests read its referee from these."""
     sq_steps = np.sqrt(np.diff(frontier.t))
     for span, B in brownian_chunks(seed, rng.Y_SAMPLES, n_paths, sq_steps):
         x = np.subtract(frontier.lam, B, out=B)

@@ -23,7 +23,7 @@ quadrature. ``g_tilde_inverse_bisect`` inverts s g(s) by bisection, as
 ``g_tilde_inverse`` did before its closed form. ``increment_ratios_loop``
 evaluates the increment ratios behind the slope constant and delta0 one
 ``cdf_fast`` call per (column, 8192-row block, h), the bit-identity referee of
-their shared block evaluation.
+the block evaluation of ``increment_ratios``.
 
 ``sup_pdf_band_walk`` is the band density's windowed sup as a walk down the
 ideal float bands, each band's edges recomputed from (p, r, a1), the referee
@@ -31,6 +31,15 @@ of the edge table's ``sup_pdf``.
 
 ``compute_Y_samples`` and ``pointwise_h_at`` are helpers only the tests use:
 the materialized running-max samples and the fitted pointwise margin at a point.
+
+The bounds report's three estimates are quadratures; their Monte Carlo
+referees are here. ``path_columns`` reads X = Lambda - B and its grid running
+max Y at a few grid columns from one ``iter_y_chunks`` pass, and
+``bridge_path_columns`` replaces the grid running max by the continuous one of
+the path that is Brownian between the grid times, the law the quadrature
+computes. ``prob_in_G_mc`` counts the samples in the good set, and
+``increment_ratios`` averages the increment ratios behind the slope constant
+and delta0 over samples in 8192-row blocks.
 """
 import bisect
 import math
@@ -40,7 +49,8 @@ from fractions import Fraction
 import numpy as np
 
 from stefanlab import rng
-from stefanlab.bounds import compute_L
+from stefanlab.bounds import _good_set_edges, compute_L
+from stefanlab.densities import _check_int
 from stefanlab.numerics import bisect_nondecreasing
 from stefanlab.solver import (FrontierPath, ParticleEnsemble, PicardResult, _scan_sorted,
                               initial_jump_stratified, iter_y_chunks)
@@ -523,3 +533,58 @@ def increment_ratios_loop(d, cols, h_grid):
     means = sums / total
     var = np.clip(sq_sums / total - means ** 2, 0.0, None)
     return means, np.sqrt(var / total)
+
+
+def path_columns(frontier, n_paths, seed, t_indices):
+    """(X, Y) at the grid columns t_indices of one pass of n_paths sample
+    paths: X = Lambda - B and its grid running max Y, one row per path (the
+    full paths are never kept). seed is an integer in [0, 2^64)."""
+    _check_int(ValueError, "n_paths", n_paths, 1)
+    _check_int(ValueError, "seed", seed, 0, 2**64)
+    x, y = np.empty((2, n_paths, len(t_indices)))
+    for (lo, hi), x_tile, y_tile in iter_y_chunks(frontier, n_paths, seed):
+        x[lo:hi] = x_tile[:, t_indices]
+        y[lo:hi] = y_tile[:, t_indices]
+    return x, y
+
+
+def bridge_path_columns(frontier, n_paths, seed, t_indices, gen):
+    """(X, Y) at the grid columns t_indices as in ``path_columns``, with Y the
+    continuous running max of the path that is a Brownian bridge between the
+    grid times, which makes Lambda linear there: each step's maximum is
+    (X_j + X_{j+1} + sqrt((X_{j+1} - X_j)^2 - 2 dt log U)) / 2 (Glasserman,
+    Monte Carlo Methods in Financial Engineering, 2004, 6.4), with U uniform on
+    (0, 1] from the generator gen."""
+    cols = np.asarray(t_indices)
+    dt = np.diff(frontier.t)
+    x, y = np.empty((2, n_paths, len(cols)))
+    for (lo, hi), x_tile, _ in iter_y_chunks(frontier, n_paths, seed):
+        a, b = x_tile[:, :-1], x_tile[:, 1:]
+        log_u = np.log1p(-gen.random(a.shape))
+        top = 0.5 * (a + b + np.sqrt((b - a) ** 2 - 2.0 * dt * log_u))
+        x[lo:hi] = x_tile[:, cols]
+        y[lo:hi] = np.maximum.accumulate(top, axis=1)[:, cols - 1]
+    return x, y
+
+
+def prob_in_G_mc(d, cols):
+    """(P(Y_t in G), binomial standard errors) per column of the running-max
+    samples cols = Y[:, t_indices], G the good set of ``_good_set_edges``."""
+    edges = _good_set_edges(d, float(compute_L(d).rho))
+    p = (np.searchsorted(edges, cols, side="right") % 2 == 1).sum(axis=0) / len(cols)
+    return p, np.sqrt(p * (1.0 - p) / len(cols))
+
+
+def increment_ratios(d, cols, h):
+    """(means, standard errors) of (F(Z + h) - F(Z)) / h per (column, h) over
+    the rows of the samples cols = Z[:, t_indices]: one ``cdf_fast`` call per
+    column and 8192-row block, the sums taken per block, then across blocks."""
+    shifts = np.concatenate([[0.0], h])[:, None]
+    sums = np.zeros((2, cols.shape[1], len(h)))  # of the ratios and of their squares
+    for c, z in enumerate(cols.T):
+        for lo in range(0, len(z), _CHUNK):
+            F = np.asarray(d.cdf_fast(z[lo:lo + _CHUNK] + shifts))  # row j is F(Z + h_j), h_0 = 0
+            ratio = (F[1:] - F[0]) / shifts[1:]
+            sums[:, c] += ratio.sum(axis=1), (ratio * ratio).sum(axis=1)
+    means, sq_means = sums / len(cols)
+    return means, np.sqrt(np.clip(sq_means - means ** 2, 0.0, None) / len(cols))

@@ -15,7 +15,6 @@ from _oracles import bruteforce_sup_ratio, physical_jump_bruteforce
 from stefanlab import make_piecewise, uniform_density
 from stefanlab.bounds import (
     _default_t_indices,
-    _path_columns,
     compute_L,
     compute_sqrt_constants,
     estimate_delta0,
@@ -44,12 +43,6 @@ N_STEPS = 500
 DT = T_HORIZON / N_STEPS
 N_PARTICLES = 100_000
 M_PATHS = 100_000
-
-
-def _samples(frontier, n_t, n_paths):
-    """The bounds report's default grid of n_t times and the running-max samples there."""
-    t_indices = _default_t_indices(frontier, n_t)
-    return t_indices, _path_columns(frontier, n_paths, SEED, t_indices)[1]
 
 
 def _line(num, name, ok, detail=""):
@@ -209,7 +202,7 @@ def test_criterion_09_good_set_occupation(pw_std, picard_run):
     res, _ = picard_run
     t0 = time.perf_counter()
     consts = compute_sqrt_constants(pw_std, beta_slope=0.8)
-    rep = estimate_prob_in_G(res.frontier, pw_std, consts, *_samples(res.frontier, 10, 20_000))
+    rep = estimate_prob_in_G(res.frontier, pw_std, consts, _default_t_indices(res.frontier, 10))
     ok = True
     for lhs, rhs, sl, sr in zip(rep.lhs, rep.rhs, rep.lhs_se, rep.rhs_se):
         if lhs < rhs - 3.0 * (sl + sr):
@@ -230,10 +223,10 @@ def test_criterion_10_contraction_diagnostic(pw_std, picard_run):
     cfg = SolverConfig(n_particles=10, dt=0.0005, T=0.1, seed=SEED,
                        picard=PicardConfig(n_paths=20_000, max_iters=30, tol=1e-4))
     fr_u = picard_minimal(u2, cfg).frontier
-    rep_u = estimate_delta0(fr_u, u2, *_samples(fr_u, 8, 20_000))
+    rep_u = estimate_delta0(fr_u, u2, _default_t_indices(fr_u, 8))
     uniform_ok = rep_u.delta0_hat + 3.0 * rep_u.se_at_max <= 0.5 + 0.01
 
-    rep_pw = estimate_delta0(res.frontier, pw_std, *_samples(res.frontier, 8, 20_000))
+    rep_pw = estimate_delta0(res.frontier, pw_std, _default_t_indices(res.frontier, 8))
     pw_ok = rep_pw.delta0_hat + 3.0 * rep_pw.se_at_max < 1.0
     elapsed = time.perf_counter() - t0
     _line(10, "contraction diagnostic", uniform_ok and pw_ok and elapsed < 180.0,
@@ -258,8 +251,8 @@ def test_criterion_11_thread_determinism(pw_std, sine_density):
         rep = check_averaging_condition(sine_density, 0.5, threads=threads)
         consts = compute_sqrt_constants(pw_std, 0.8)
         fr = picard_minimal(pw_std, cfg).frontier
-        d0 = estimate_delta0(fr, pw_std, *_samples(fr, 8, 8000))
-        pg = estimate_prob_in_G(fr, pw_std, consts, *_samples(fr, 10, 8000))
+        d0 = estimate_delta0(fr, pw_std, _default_t_indices(fr, 8))
+        pg = estimate_prob_in_G(fr, pw_std, consts, _default_t_indices(fr, 10))
         return (pic, par, grid, rep.psi_values, rep.margin_1_7,
                 d0.node_means, pg.lhs, pg.rhs)
 

@@ -1,21 +1,27 @@
+import json
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.special import erfc, ndtr
 
-from _oracles import bruteforce_sup_ratio, drifted_sup_bridge_mc, increment_ratios_loop
+from _oracles import (bridge_path_columns, bruteforce_sup_ratio, drifted_sup_bridge_mc,
+                      increment_ratios, increment_ratios_loop, path_columns, prob_in_G_mc)
 from stefanlab import bounds, make_density, make_piecewise, uniform_density
 from stefanlab import rng as streams
 from stefanlab.bounds import (
+    _CUTS,
     _QUAD_NODES,
     _default_t_indices,
+    _frontier_cells,
     _good_set_edges,
-    _path_columns,
+    _running_max_cdf,
     _sup_cdf_quad,
     assemble_bounds_report,
     compute_L,
@@ -29,20 +35,26 @@ from stefanlab.bounds import (
     simulate_drifted_sup,
     verify_frontier_envelopes,
 )
+from stefanlab.numerics import first_passage_masses
 from stefanlab.solver import FrontierPath, PicardConfig, SolverConfig, picard_minimal
 
 ROOT_2_PI = math.sqrt(2.0 / math.pi)
 
 
 def _samples(frontier, n_t, n_paths, seed):
-    """The report's default grid of n_t times and the running-max samples there."""
+    """The report's default grid of n_t times and the grid running-max samples there."""
     t_indices = _default_t_indices(frontier, n_t)
-    return t_indices, _path_columns(frontier, n_paths, seed, t_indices)[1]
+    return t_indices, path_columns(frontier, n_paths, seed, t_indices)[1]
+
+
+def _slope_times(frontier):
+    """The slope constant's 12 report times."""
+    return _default_t_indices(frontier, 12, per=200)
 
 
 def _slope_samples(frontier, n_paths, seed):
     """The samples Lambda - B at the slope constant's 12 report times."""
-    return _path_columns(frontier, n_paths, seed, _default_t_indices(frontier, 12, per=200))[0]
+    return path_columns(frontier, n_paths, seed, _slope_times(frontier))[0]
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +170,7 @@ def test_sqrt_constants_errors():
 
 
 def test_beta_slope_estimate_in_contract_range(pw_std, pw_frontier):
-    beta, table = estimate_beta_slope(pw_std, _slope_samples(pw_frontier, 20_000, 2))
+    beta, table = estimate_beta_slope(pw_frontier, pw_std, _slope_times(pw_frontier))
     assert 0.0 < beta < 1.0
     assert table.shape[0] > 0 and np.all(table >= 0.0)
 
@@ -169,7 +181,7 @@ def test_beta_slope_estimate_in_contract_range(pw_std, pw_frontier):
 
 
 def test_envelopes_on_minimal_frontier(pw_std, pw_frontier):
-    beta, _ = estimate_beta_slope(pw_std, _slope_samples(pw_frontier, 20_000, 2))
+    beta, _ = estimate_beta_slope(pw_frontier, pw_std, _slope_times(pw_frontier))
     consts = compute_sqrt_constants(pw_std, beta)
     m = verify_frontier_envelopes(pw_frontier, consts, n_mc=20_000)
     assert m.sqrt_lower_margin >= -3.0 * m.max_se
@@ -292,7 +304,7 @@ def test_estimators_reject_a_bad_n_paths(pw_frontier, n_paths):
     with pytest.raises(ValueError, match="n_paths"):
         simulate_drifted_sup(3.0, n_paths=n_paths, n_steps=10)
     with pytest.raises(ValueError, match="n_paths"):
-        _path_columns(pw_frontier, n_paths, 0, _default_t_indices(pw_frontier, 8))
+        path_columns(pw_frontier, n_paths, 0, _default_t_indices(pw_frontier, 8))
 
 
 @pytest.mark.parametrize("spec", [(0.3, 1.1, 0.6, 0.7), ("1/3", "3/2", "1/4", "2/3"),
@@ -334,9 +346,8 @@ def test_good_set_reaches_the_band_table_depth():
     d = make_piecewise(0.3, 1.01, 0.95, 0.9)
     rho = float(compute_L(d).rho)
     y = 0.5 * (float(d.even_endpoint(41)) + rho * float(d.odd_endpoint(41)))
-    fr = _zero_frontier(0.01, K=10)
-    rep = estimate_prob_in_G(fr, d, compute_sqrt_constants(d, 0.5), [10], np.full((1, 1), y))
-    assert rep.lhs[0] == 1.0
+    lhs, _ = prob_in_G_mc(d, np.full((1, 1), y))
+    assert lhs[0] == 1.0
 
 
 def test_prob_in_G_reflection_identity(pw_std):
@@ -346,18 +357,17 @@ def test_prob_in_G_reflection_identity(pw_std):
     K = 2000
     fr = _zero_frontier(a2 ** 2, K)
     consts = compute_sqrt_constants(pw_std, 0.5)
-    rep = estimate_prob_in_G(fr, pw_std, consts, [K], _path_columns(fr, 40_000, 3, [K])[1])
+    # 4 K = 8000 quadrature cells: the first-passage solve runs in blocks of rows
+    rep = estimate_prob_in_G(fr, pw_std, consts, [K])
     lo, hi = _good_set_edges(pw_std, float(compute_L(pw_std).rho)).reshape(-1, 2).T / a2
     want = float(np.sum(erfc(lo / math.sqrt(2.0)) - erfc(hi / math.sqrt(2.0))))
-    # the discrete running max undershoots, biasing the estimate down a touch
     assert rep.lhs[0] == pytest.approx(want, abs=3.0 * rep.lhs_se[0] + 0.012)
 
 
 def test_prob_in_G_dominates_lemma_bound(pw_std, pw_frontier):
-    beta, _ = estimate_beta_slope(pw_std, _slope_samples(pw_frontier, 20_000, 2))
+    beta, _ = estimate_beta_slope(pw_frontier, pw_std, _slope_times(pw_frontier))
     consts = compute_sqrt_constants(pw_std, beta)
-    rep = estimate_prob_in_G(pw_frontier, pw_std, consts,
-                             *_samples(pw_frontier, 10, 20_000, 4))
+    rep = estimate_prob_in_G(pw_frontier, pw_std, consts, _default_t_indices(pw_frontier, 10))
     assert len(rep.t_values) == 10
     for lhs, rhs, se_l, se_r in zip(rep.lhs, rep.rhs, rep.lhs_se, rep.rhs_se):
         assert lhs >= rhs - 3.0 * (se_l + se_r)
@@ -375,7 +385,7 @@ def test_delta0_lipschitz_uniform():
     cfg = SolverConfig(n_particles=10, dt=0.001, T=0.1, seed=7,
                        picard=PicardConfig(n_paths=10_000, max_iters=20, tol=1e-4))
     fr = picard_minimal(u2, cfg).frontier
-    rep = estimate_delta0(fr, u2, *_samples(fr, 8, 10_000, 5))
+    rep = estimate_delta0(fr, u2, _default_t_indices(fr, 8))
     # F is 1/2-Lipschitz, so every node mean is at most 1/2
     assert rep.delta0_hat <= 0.5 + 1e-12
     assert rep.delta0_hat + 3.0 * rep.se_at_max <= 0.51
@@ -386,12 +396,12 @@ def test_delta0_bounded_by_max_density():
                         "values": [0.9, 0.9, 0.0]})
     t = np.linspace(0.0, 0.1, 101)
     fr = FrontierPath(t=t, lam=np.zeros_like(t))
-    rep = estimate_delta0(fr, tri, *_samples(fr, 8, 5000, 6))
+    rep = estimate_delta0(fr, tri, _default_t_indices(fr, 8))
     assert rep.delta0_hat <= 0.9 + 1e-12
 
 
 def test_delta0_piecewise_below_one(pw_std, pw_frontier):
-    rep = estimate_delta0(pw_frontier, pw_std, *_samples(pw_frontier, 8, 20_000, 5))
+    rep = estimate_delta0(pw_frontier, pw_std, _default_t_indices(pw_frontier, 8))
     assert rep.delta0_hat + 3.0 * rep.se_at_max < 1.0
     assert rep.node_means.shape == (len(rep.t_values), len(rep.h_values))
 
@@ -399,17 +409,19 @@ def test_delta0_piecewise_below_one(pw_std, pw_frontier):
 @pytest.mark.parametrize("seed", [5, 314])
 def test_estimators_block_evaluation_equals_the_node_loop(pw_std, sine_density, pw_frontier,
                                                           seed):
-    # 10_000 paths span two 8192-row blocks of the sums
+    # 10_000 paths span two 8192-row blocks of the sums; the block evaluation is
+    # the Monte Carlo referee's of the slope constant and delta0
     t_indices, cols = _samples(pw_frontier, 8, 10_000, seed)
     x_cols = _slope_samples(pw_frontier, 10_000, seed)
     for d in (pw_std, sine_density):
         u = d.support_upper
-        beta, table = estimate_beta_slope(d, x_cols)
+        table, _ = increment_ratios(d, x_cols, np.geomspace(1e-3 * u, 2.0 * u, 24))
+        beta = np.max(table)
         means, _ = increment_ratios_loop(d, x_cols, np.geomspace(1e-3 * u, 2.0 * u, 24))
         assert np.array_equal(table, means) and beta == np.max(means)
-        rep = estimate_delta0(pw_frontier, d, t_indices, cols)
+        node_means, node_ses = increment_ratios(d, cols, np.geomspace(1e-4 * u, u, 16))
         means, ses = increment_ratios_loop(d, cols, np.geomspace(1e-4 * u, u, 16))
-        assert np.array_equal(rep.node_means, means) and np.array_equal(rep.node_ses, ses)
+        assert np.array_equal(node_means, means) and np.array_equal(node_ses, ses)
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +436,12 @@ def test_early_increment_margin(pw_std, pw_frontier):
 
 
 def test_bounds_report_one_y_pass_equals_the_standalone_estimators(pw_std, pw_frontier):
-    # 10_000 paths span two 8192-row blocks, so the per-block sums matter;
-    # each estimator here is fed by its own pass on its own grid
-    rep = assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000, seed=5, n_paths=10_000)
-    assert rep.beta_slope == estimate_beta_slope(pw_std, _slope_samples(pw_frontier, 10_000, 5))[0]
+    # each estimator here runs on its own, on the report's grid of times
+    rep = assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000)
+    assert rep.beta_slope == estimate_beta_slope(pw_frontier, pw_std, _slope_times(pw_frontier))[0]
     consts = compute_sqrt_constants(pw_std, rep.beta_slope)
-    pg = estimate_prob_in_G(pw_frontier, pw_std, consts,
-                            *_samples(pw_frontier, 10, 10_000, 5))
-    d0 = estimate_delta0(pw_frontier, pw_std, *_samples(pw_frontier, 8, 10_000, 5))
+    pg = estimate_prob_in_G(pw_frontier, pw_std, consts, _default_t_indices(pw_frontier, 10))
+    d0 = estimate_delta0(pw_frontier, pw_std, _default_t_indices(pw_frontier, 8))
     assert rep.prob_g.to_dict() == pg.to_dict()
     assert np.array_equal(rep.prob_g.lhs_se, pg.lhs_se)
     assert (rep.delta0_hat, rep.delta0_se) == (d0.delta0_hat, d0.se_at_max)
@@ -455,14 +465,18 @@ def test_bounds_report_calls_each_estimator_once_through_the_module(pw_std, pw_f
 
 
 def test_bounds_report_draws_every_number_from_its_one_pass(pw_std, pw_frontier, monkeypatch):
-    # the slope constant reads the report's pass, so every normal is a Y_SAMPLES lane
+    # the Monte Carlo referee of the report's estimates reads X and Y off one
+    # pass, at the union of the estimates' times, so every normal is a Y_SAMPLES lane
     kinds = []
 
     def normal_block(seed, kind, *args, _fn=streams.normal_block, **kwargs):
         kinds.append(kind)
         return _fn(seed, kind, *args, **kwargs)
     monkeypatch.setattr(streams, "normal_block", normal_block)
-    assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000, seed=5, n_paths=2000)
+    union = np.unique(np.concatenate([_slope_times(pw_frontier),
+                                      _default_t_indices(pw_frontier, 10),
+                                      _default_t_indices(pw_frontier, 8)]))
+    path_columns(pw_frontier, 2000, 5, union)
     assert kinds and set(kinds) == {streams.Y_SAMPLES}
 
 
@@ -480,12 +494,144 @@ def test_envelopes_and_report_reject_a_bad_n_mc(pw_std, pw_frontier, n_mc):
 def test_report_sampler_rejects_a_bad_seed(pw_std, pw_frontier, seed):
     # 2.5 and True were truncated to a seed; -1 and 2^64 raised OverflowError
     with pytest.raises(ValueError, match="seed"):
-        _path_columns(pw_frontier, 100, seed, [1])
+        path_columns(pw_frontier, 100, seed, [1])
     with pytest.raises(ValueError, match="seed"):
-        assemble_bounds_report(pw_std, pw_frontier, n_mc=1000, seed=seed, n_paths=100)
+        simulate_drifted_sup(3.0, n_paths=100, n_steps=10, seed=seed)
 
 
 def test_report_sampler_takes_the_seed_range_ends(pw_frontier):
     for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
-        x, y = _path_columns(pw_frontier, 3, seed, [1, 2])
+        x, y = path_columns(pw_frontier, 3, seed, [1, 2])
         assert x.shape == y.shape == (3, 2) and np.all(y >= x)
+
+
+# ---------------------------------------------------------------------------
+# first-passage quadrature of the running max
+# ---------------------------------------------------------------------------
+
+
+def test_drifted_sup_quad_is_pinned():
+    # recorded before the Volterra solve moved into numerics.first_passage_masses
+    want = {(1.3, 0.05): ("0x1.d85acbcc56000p-14", "0x1.d85acbcc56000p-14"),
+            (1.3, 0.5): ("0x1.27d2449588d50p-5", "0x1.e7479d5b00000p-20"),
+            (1.3, 2.0): ("0x1.44e70279c854bp-1", "0x1.bf9be09800000p-22"),
+            (5.228, 0.3): ("0x0.0p+0", "0x0.0p+0"),
+            (5.228, 1.0): ("0x1.e69cd36000000p-26", "0x1.56af700000000p-28"),
+            (5.228, 4.0): ("0x1.1ceedf70bafc0p-4", "0x1.26c2114000000p-22"),
+            (0.0, 0.7): ("0x1.083aae2b86550p-1", "0x0.0p+0")}
+    for c3, xs in ((1.3, [0.05, 0.5, 2.0]), (5.228, [0.3, 1.0, 4.0]), (0.0, [0.7])):
+        p, err = prob_drifted_sup_quad(c3, xs)
+        got = [(float(a).hex(), float(b).hex()) for a, b in zip(p, err)]
+        assert got == [want[c3, x] for x in xs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=st.floats(0.0, 4.0), k=st.integers(20, 400), t_end=st.floats(0.01, 1.0),
+       y=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6),
+       picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+def test_running_max_cdf_matches_bachelier_levy_on_a_linear_frontier(mu, k, t_end, y, picks):
+    # P(sup_{s <= t} (mu s - B_s) <= y) = Phi((y - mu t)/sqrt(t)) - e^{2 mu y} Phi((-y - mu t)/sqrt(t))
+    t_end = min(t_end, 1.0 / mu) if mu > 0.0 else t_end
+    t = np.linspace(0.0, t_end, k + 1)
+    fr = FrontierPath(t=t, lam=np.minimum(mu * t, 1.0))
+    y = np.asarray(y)
+    ti = np.unique(np.clip(np.rint(np.asarray(picks) * k).astype(int), 1, k))
+    p = _running_max_cdf(fr, ti, y, _CUTS)
+    err = np.abs(p - _running_max_cdf(fr, ti, y, _CUTS // 2))
+    tt = t[ti][:, None]
+    want = ndtr((y - mu * tt) / np.sqrt(tt)) - np.exp(2.0 * mu * y) * ndtr((-y - mu * tt) / np.sqrt(tt))
+    # the half-cell distance bounds the error at levels a step's spread above the
+    # start; below it the uniform cells resolve the first passage coarsely
+    far = y >= math.sqrt(t[1])
+    assert np.all(np.abs(p - want)[:, far] <= 2.0 * err[:, far] + 5e-5)
+    assert np.all(np.abs(p - want) <= 0.02)
+
+
+def test_running_max_cdf_is_zero_below_a_positive_start():
+    # Y_t >= Lambda_0, so P(Y_t <= y) = 0 for every y < Lambda_0 (and at y = Lambda_0)
+    t = np.linspace(0.0, 0.1, 51)
+    fr = FrontierPath(t=t, lam=0.3 + 0.5 * np.sqrt(t))
+    y = np.array([-1.0, 0.0, 0.1, 0.29999, 0.3, 0.31, 0.5, 1.0, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = _running_max_cdf(fr, [1, 10, 50], y, _CUTS)
+    assert np.all(p[:, :5] == 0.0) and np.all(p[:, -1] == 1.0)
+    assert np.all(np.isfinite(p)) and np.all((0.0 < p[:, 5:]) & (p[:, 5:] <= 1.0))
+
+
+def test_first_passage_blocks_solve_the_whole_system():
+    # 3000 cells: three blocks of rows, against one solve of the whole triangle
+    t, g, s, g_s = _frontier_cells(FrontierPath(t=np.linspace(0.0, 0.3, 751),
+                                                lam=np.sqrt(np.linspace(0.0, 0.3, 751))), 750, 4)
+    x = np.array([0.0, 0.05, 0.4, 0.9, math.inf])
+    got = first_passage_masses(t, g, s, g_s, x)
+    kernel = np.tril(ndtr(np.subtract.outer(g[1:], g_s)
+                          / np.sqrt(np.abs(np.subtract.outer(t[1:], s)))))
+    rhs = ndtr((g[1:, None] - x[1:-1]) / np.sqrt(t[1:, None]))
+    assert np.allclose(got[:, 1:-1], solve_triangular(kernel, rhs, lower=True),
+                       rtol=0.0, atol=1e-13)
+    assert got[0, 0] == 1.0 and not np.any(got[1:, 0]) and not np.any(got[:, -1])
+
+
+@pytest.fixture(scope="module", params=[2026, 314])
+def bridge_referee(request, pw_frontier):
+    """(seed, X, Y) of 20_000 paths at the union of the report's times, Y the
+    continuous running max of the bridge referee."""
+    union = np.unique(np.concatenate([_slope_times(pw_frontier),
+                                      _default_t_indices(pw_frontier, 10),
+                                      _default_t_indices(pw_frontier, 8)]))
+    gen = np.random.default_rng(request.param)
+    x, y = bridge_path_columns(pw_frontier, 20_000, request.param, union, gen)
+    return union, x, y
+
+
+def test_report_quadratures_agree_with_the_exact_bridge_referee(pw_std, pw_frontier,
+                                                                bridge_referee):
+    union, x, y = bridge_referee
+    rep = assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000)
+    pg = rep.prob_g
+    p, se = prob_in_G_mc(pw_std, y[:, np.searchsorted(union, _default_t_indices(pw_frontier, 10))])
+    assert np.all(np.abs(pg.lhs - p) <= 3.0 * se + pg.lhs_se)
+    a = pw_std.support_upper
+    ti_d = np.searchsorted(union, _default_t_indices(pw_frontier, 8))
+    means, ses = increment_ratios(pw_std, y[:, ti_d], np.geomspace(1e-4 * a, a, 16))
+    best = np.argmax(means)
+    assert abs(rep.delta0_hat - means.flat[best]) <= 3.0 * ses.flat[best] + rep.delta0_se
+    # X_t is N(Lambda_t, t) however the path is monitored: the grid referee's columns
+    ti_b = np.searchsorted(union, _slope_times(pw_frontier))
+    means, ses = increment_ratios(pw_std, x[:, ti_b], np.geomspace(1e-3 * a, 2.0 * a, 24))
+    best = np.argmax(means)
+    assert abs(rep.beta_slope - means.flat[best]) <= 3.0 * ses.flat[best]
+
+
+def test_report_errors_are_below_the_monte_carlo_errors_they_replace(pw_std, pw_frontier,
+                                                                     bridge_referee):
+    union, _, y = bridge_referee
+    rep = assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000)
+    _, se = prob_in_G_mc(pw_std, y[:, np.searchsorted(union, _default_t_indices(pw_frontier, 10))])
+    assert np.all(rep.prob_g.lhs_se < se)
+    a = pw_std.support_upper
+    ti_d = np.searchsorted(union, _default_t_indices(pw_frontier, 8))
+    _, ses = increment_ratios(pw_std, y[:, ti_d], np.geomspace(1e-4 * a, a, 16))
+    assert rep.delta0_se < np.min(ses[ses > 0.0])
+
+
+def test_bounds_report_draws_no_random_number(pw_std, pw_frontier, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bounds report drew a random number")
+
+    draws = [name for name, fn in vars(streams).items()
+             if callable(fn) and not name.startswith("_")
+             and getattr(fn, "__module__", None) == streams.__name__]
+    assert {"uniform_block", "normal_block", "ziggurat_block"} <= set(draws)
+    for name in draws:
+        monkeypatch.setattr(streams, name, refuse)
+    rep = assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000)
+    assert 0.0 < rep.beta_slope < 1.0
+
+
+def test_bounds_report_ignores_seed_and_n_paths(pw_std, pw_frontier):
+    # the keywords stay for callers that still pass them; they change nothing
+    a = assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000, seed=1, n_paths=100)
+    b = assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000, seed=2**63, n_paths=50_000)
+    assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
