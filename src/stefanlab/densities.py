@@ -592,8 +592,9 @@ class PeriodicOscillatoryDensity(Density):
             if Fs[-1] >= 1.0:
                 break
             hi *= 2.0
-        else:
-            raise DensityError("normalization bracket search failed; profile mass too small")
+        else:  # f tends to g(0) as x grows, and a g(0) of 0 can leave a finite mass below 1
+            raise DensityError(f"normalization impossible: g(0) = {self.g.eval(0.0):g}, and the "
+                               f"mass up to x = {xs[-1]:g} is {Fs[-1]:.6g} < 1")
         # a lies where the table crosses 1; its value at the right end holds the bracket
         j = int(np.searchsorted(Fs, 1.0))
         x_lo, F_lo = xs[j - 1], Fs[j - 1]
@@ -743,7 +744,8 @@ def _pwl_cdf_invert(u, xg, fg, Fg):
     denom = fg[idx] + np.sqrt(disc)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(denom > 0.0, 2.0 * d / denom, 0.0)
-    return xg[idx] + np.minimum(s, h)
+    # u = F(top) is the top: the solve there is off by sqrt(ulp) where f -> 0
+    return np.where(uc >= Fg[-1], xg[-1], xg[idx] + np.minimum(s, h))
 
 
 @dataclass(frozen=True, eq=False)
@@ -825,8 +827,10 @@ def _make_tabulated(grid, values, cls=TabulatedDensity, **fields):
     normalized = abs(mass - 1.0) > 1e-12
     if normalized:
         values = values / mass
-    F = _pwl_F(grid, values)
-    F[-1] = min(F[-1], 1.0)
+    # the top node is exactly 1: the cumulative sum can end an ulp or two below
+    # it, and where f falls to 0 at the top that moved F^-1(1) by sqrt(ulp)
+    F = np.minimum(_pwl_F(grid, values), 1.0)
+    F[-1] = 1.0
     return cls(grid=grid, values=values, F_grid=F, normalized=normalized, **fields)
 
 

@@ -18,7 +18,7 @@ Two routes to the frontier Lambda_t = P(absorption by t):
   summed exactly as integers of 2^-s, so each run's total is updated only
   where a path moved and does not depend on how the paths are split.
 
-All randomness is drawn from counter-based streams (see rng), so results are
+All randomness is drawn from keyed streams (see rng), so results are
 bit-identical across runs and thread counts.
 """
 from __future__ import annotations
@@ -316,7 +316,7 @@ def simulate_particles(density: Density, cfg: SolverConfig):
     (``_near_barrier_cascade``); the dead are scattered into the full-length
     outputs and dropped from the pair. A survivor's Gaussian lane is its rank
     in the ascending ids: step k reads the first len(ids) lanes of its
-    ``GAUSS_STEP`` block (``rng.ziggurat_block``). After the first cascade the
+    ``GAUSS_STEP`` block (``rng.normal_block``). After the first cascade the
     main thread draws step k's ``BRIDGE`` lanes, one per survivor at risk of a
     kill and none for the rest, which no uniform could kill (``_bridge_kills``).
 
@@ -374,7 +374,7 @@ def simulate_particles(density: Density, cfg: SolverConfig):
                 k = pop()
             except IndexError:
                 return drawn
-            dz = rng.ziggurat_block(cfg.seed, rng.GAUSS_STEP, k, m)
+            dz = rng.normal_block(cfg.seed, rng.GAUSS_STEP, k, m)
             dz *= sqdt
             drawn[k] = dz
 
@@ -443,30 +443,32 @@ def _row_tiles(n_rows, width):
             yield lo, min(lo + step, c_hi)
 
 
-def _brownian_tile(seed, stream, lo, hi, sq_steps):
-    """Paths lo .. hi - 1 (inside one chunk), drawn from their lane offset in
-    the chunk's normal block."""
+def _chunk_paths(seed, stream, chunk, n_paths, sq_steps):
+    """Yield ((lo, hi), B) for the row tiles of 8192-path chunk ``chunk`` of
+    n_paths paths, read in order from the chunk's one normal stream."""
     K = len(sq_steps)
-    chunk_id, row = divmod(lo, _CHUNK)
-    z = rng.normal_block(seed, stream, chunk_id, (hi - lo) * K, start=row * K)
-    z = z.reshape(hi - lo, K)
-    B = np.empty((hi - lo, K + 1))
-    B[:, 0] = 0.0
-    np.cumsum(np.multiply(z, sq_steps, out=z), axis=1, out=B[:, 1:])
-    return B
+    gen = rng.normal_stream(seed, stream, chunk)
+    c_lo = chunk * _CHUNK
+    for lo, hi in _row_tiles(min(n_paths - c_lo, _CHUNK), K):
+        z = gen.standard_normal((hi - lo, K))
+        B = np.empty((hi - lo, K + 1))
+        B[:, 0] = 0.0
+        np.cumsum(np.multiply(z, sq_steps, out=z), axis=1, out=B[:, 1:])
+        yield (c_lo + lo, c_lo + hi), B
 
 
 def brownian_chunks(seed, stream, n_paths, sq_steps):
     """Yield ((lo, hi), B) for n_paths Brownian paths in cache-sized row tiles.
 
     B has one row per path, B[:, 0] = 0 and B[:, 1:] = cumsum(z * sq_steps),
-    with z the normal block of the path's 8192-path chunk on the stream. A
-    tile holds about _TILE numbers, never crosses a chunk, and is drawn from
-    its lane offset in the chunk's block, so path j is the same number for
-    number for every tiling, thread count and consumer.
+    with z the normal block of the path's 8192-path chunk on the stream, read
+    row by row. A tile holds about _TILE numbers and never crosses a chunk,
+    and a chunk's tiles are read in order from its one ``rng.normal_stream``,
+    so path j is the same number for number for every tiling, thread count,
+    consumer and n_paths > j.
     """
-    for lo, hi in _row_tiles(n_paths, len(sq_steps)):
-        yield (lo, hi), _brownian_tile(seed, stream, lo, hi, sq_steps)
+    for chunk in range(-(-n_paths // _CHUNK)):
+        yield from _chunk_paths(seed, stream, chunk, n_paths, sq_steps)
 
 
 def iter_y_chunks(frontier: FrontierPath, n_paths, seed):
@@ -501,12 +503,13 @@ def picard_minimal(density: Density, cfg: SolverConfig):
     of the mean of the F values. A non-finite F raises ValueError.
 
     The float32 path store is time-major, one row of M paths per grid step,
-    filled by the pool from ``_brownian_tile``s transposed on write, so it holds
-    the same numbers as a path-major store. The paths are split into
-    cfg.threads contiguous runs, and each iteration runs one task per run. A
-    task sweeps the steps j = 1..K carrying each path's running max Y and q, and
-    the run's total of q: only the paths with Lambda_j - B_j > Y move, only they
-    get a new ``cdf_fast`` value, and the total changes by their change in q.
+    filled by the pool one 8192-path chunk per task, each chunk's tiles of
+    ``brownian_chunks`` transposed on write, so it holds the same numbers as a
+    path-major store. The paths are split into cfg.threads contiguous runs,
+    and each iteration runs one task per run. A task sweeps the steps j = 1..K
+    carrying each path's running max Y and q, and the run's total of q: only
+    the paths with Lambda_j - B_j > Y move, only they get a new ``cdf_fast``
+    value, and the total changes by their change in q.
     The totals are exact, so the iterates are the same at any thread count.
     """
     K = cfg.n_steps
@@ -524,9 +527,9 @@ def picard_minimal(density: Density, cfg: SolverConfig):
     scale = 2.0 ** (62 - int(M).bit_length())  # M values of at most 2^s stay below 2^62
     b32 = np.empty((K + 1, M), dtype=np.float32)
 
-    def fill_tile(span):
-        lo, hi = span
-        b32[:, lo:hi] = _brownian_tile(cfg.seed, rng.PICARD_PATHS, lo, hi, sq_steps).T
+    def fill_chunk(chunk):
+        for (lo, hi), B in _chunk_paths(cfg.seed, rng.PICARD_PATHS, chunk, M, sq_steps):
+            b32[:, lo:hi] = B.T
 
     def quantised_cdf(y):
         """F(y) in integer units of 2^-s; a non-finite F raises, uncast."""
@@ -563,7 +566,7 @@ def picard_minimal(density: Density, cfg: SolverConfig):
     iterations = 0
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        list(pool.map(fill_tile, _row_tiles(M, K)))
+        list(pool.map(fill_chunk, range(-(-M // _CHUNK))))
         for it in range(cfg.picard.max_iters):
             new_lam = sum(pool.map(sweep, runs)) / (scale * M)
             sup_change = float(np.max(np.abs(new_lam - lam)))

@@ -240,7 +240,7 @@ def simulate_particles_argsort(density, cfg):
     for k in range(1, K + 1):
         if np.any(alive):
             aidx = np.nonzero(alive)[0]
-            xi = rng.ziggurat_block(cfg.seed, rng.GAUSS_STEP, k, len(aidx))
+            xi = rng.normal_block(cfg.seed, rng.GAUSS_STEP, k, len(aidx))
             z_old = pos[aidx].copy()
             pos[aidx] += sqdt * xi
 

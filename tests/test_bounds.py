@@ -469,10 +469,10 @@ def test_bounds_report_draws_every_number_from_its_one_pass(pw_std, pw_frontier,
     # pass, at the union of the estimates' times, so every normal is a Y_SAMPLES lane
     kinds = []
 
-    def normal_block(seed, kind, *args, _fn=streams.normal_block, **kwargs):
+    def normal_stream(seed, kind, *args, _fn=streams.normal_stream, **kwargs):
         kinds.append(kind)
         return _fn(seed, kind, *args, **kwargs)
-    monkeypatch.setattr(streams, "normal_block", normal_block)
+    monkeypatch.setattr(streams, "normal_stream", normal_stream)
     union = np.unique(np.concatenate([_slope_times(pw_frontier),
                                       _default_t_indices(pw_frontier, 10),
                                       _default_t_indices(pw_frontier, 8)]))
@@ -623,7 +623,7 @@ def test_bounds_report_draws_no_random_number(pw_std, pw_frontier, monkeypatch):
     draws = [name for name, fn in vars(streams).items()
              if callable(fn) and not name.startswith("_")
              and getattr(fn, "__module__", None) == streams.__name__]
-    assert {"uniform_block", "normal_block", "ziggurat_block"} <= set(draws)
+    assert {"uniform_block", "normal_block", "normal_stream"} <= set(draws)
     for name in draws:
         monkeypatch.setattr(streams, name, refuse)
     rep = assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000)

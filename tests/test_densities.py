@@ -316,6 +316,22 @@ def test_periodic_profile_zero_near_u_0_is_rejected_after_one_table(monkeypatch,
     assert 0.0 < float(mass.removesuffix(" < 1")) < 1.0
 
 
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+def test_periodic_profile_with_g0_zero_and_too_little_mass_names_both(alpha):
+    # g(u) = u / pi on [0, pi] leaves f = x^(-alpha) / pi for x >= 1: a finite
+    # mass at alpha > 1, below 1 here, which no support endpoint reaches
+    values = [-1.0, 1.0]
+    with pytest.raises(DensityError, match=r"^normalization impossible: g\(0\) = 0, ") as exc:
+        PeriodicOscillatoryDensity(alpha, {"period": 2.0 * math.pi, "values": values})
+    head, mass = str(exc.value).split(" is ")
+    assert head.startswith("normalization impossible: g(0) = 0, and the mass up to x = ")
+    below_1, bound = tabulated_profile_mass(alpha, 2.0 * math.pi, values, [1.0])
+    total = float(below_1[0]) + 1.0 / (math.pi * (alpha - 1.0))
+    # the message keeps 6 digits; the oracle's 2-panel Simpson pieces above
+    # u = 20 add up to about 8e-7 at alpha = 2, more than its tail bound
+    assert float(mass.removesuffix(" < 1")) == pytest.approx(total, abs=2e-6 + bound)
+
+
 def test_periodic_tabulated_profile_mass_matches_break_aligned_oracle():
     # 64 samples of a sine put 4 kinks in each sixteenth of a period: the
     # quadrature cells must end on them, or the Gauss-Legendre rule loses mass
@@ -516,6 +532,17 @@ def test_gaussian_path_sample_roundtrip():
     if tail > 1e-3:
         assert d.sample(1.0 - tail / 2.0) > 1.0
     assert d.sample(1.0) == pytest.approx(d.support_upper, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), grid_size=st.integers(2, 600))
+@example(seed=11, grid_size=65)  # its trapezoid sum ends 2^-53 below 1
+def test_tabulated_cdf_is_one_at_the_top_and_its_quantile_is_the_top(seed, grid_size):
+    # the sum of the cells ended an ulp or more below 1 on about a quarter of
+    # the seeds, and where f falls to 0 the quantile of 1 missed the top by 3e-8
+    d = build_gaussian_path(0.5, 1.41, grid_size=grid_size, seed=seed)
+    assert float(d.cdf(d.support_upper)) == 1.0
+    assert d.sample(1.0) == d.support_upper
 
 
 def test_gaussian_path_rejects_a_grid_ending_below_one():

@@ -3,10 +3,11 @@ is used, every ``__all__`` entry names something the module defines, every
 def and class is referenced somewhere in the repository's code, every optional
 parameter is passed by some call, numbers from outside are type-checked
 only by the two checkers in ``densities``, each kind of random stream is
-drawn by one function of ``rng`` and keeps its counter word, no method of a
-density takes a matrix product, no subclass of a concrete density family
-reimplements it, a module reads no private name of another beyond a short
-allowlist, and every solver config field but ``threads`` is hashed."""
+drawn by one function of ``rng`` and keeps its number, no module but ``rng``
+reaches ``numpy.random``, no method of a density takes a matrix product, no
+subclass of a concrete density family reimplements it, a module reads no
+private name of another beyond a short allowlist, and every solver config
+field but ``threads`` is hashed."""
 import ast
 from pathlib import Path
 
@@ -204,9 +205,14 @@ def test_every_optional_parameter_is_passed_somewhere():
 
 
 def _draw_functions():
-    """The public functions of ``rng``: every draw of a stream goes through one."""
-    return {node.name for node in _tree(SRC / "rng.py").body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    """The public functions of ``rng`` that call no other one: every draw of a
+    stream goes through one of them. One that calls another, as ``normal_block``
+    reads the first lanes of ``normal_stream``, draws the numbers of that one."""
+    public = {node.name: node for node in _tree(SRC / "rng.py").body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    return {name for name, fn in public.items()
+            if not any(isinstance(call, ast.Call) and _call_name(call) in public
+                       for call in ast.walk(fn))}
 
 
 def _call_name(call):
@@ -271,7 +277,44 @@ def test_each_stream_kind_has_one_generator():
     assert not several, f"stream kinds drawn by more than one function: {several}"
 
 
-#: the counter word of every stream kind; a retired kind's number stays unused
+def _numpy_random_uses(tree):
+    """Lines where a module reaches ``numpy.random``: an import of it or of a
+    name from it, or an attribute ``random`` of a name numpy is bound to."""
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.startswith("numpy.random") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = module.startswith("numpy.random") or (
+                module == "numpy" and any(alias.name == "random" for alias in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                   and isinstance(node.value, ast.Name) and node.value.id in numpy_names)
+        if hit:
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rng.py"],
+                         ids=[p.name for p in MODULES if p.name != "rng.py"])
+def test_only_rng_reaches_numpy_random(path):
+    # every draw is a pure function of (seed, kind, block, lane) because every
+    # generator is built in rng; a generator built elsewhere would escape that
+    lines = sorted(_numpy_random_uses(_tree(path)))
+    assert not lines, f"{path.name} reaches numpy.random at lines {lines}"
+
+
+def test_the_numpy_random_check_sees_every_way_in():
+    uses = _numpy_random_uses(ast.parse(
+        "import numpy as np\nimport numpy.random\nfrom numpy import random\n"
+        "from numpy.random import default_rng\nnp.random.default_rng(0)\n"))
+    assert sorted(uses) == [2, 3, 4, 5]
+    assert list(_numpy_random_uses(_tree(SRC / "rng.py")))
+
+
+#: the number of every stream kind; a retired kind's number stays unused
 STREAM_KINDS = {"GAUSS_STEP": 1, "BRIDGE": 2, "PICARD_PATHS": 3, "Y_SAMPLES": 4, "U_SUP": 6,
                 "GAUSS_PATH": 7}
 

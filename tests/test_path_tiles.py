@@ -1,6 +1,6 @@
-"""Brownian paths drawn in row tiles: the uniforms under their normals, lane
-offsets into a Philox block, the tile layout, the memory the tiles save, and
-the Picard iteration built on them.
+"""Brownian paths drawn in row tiles: a chunk's normals read tile by tile,
+the bridge's uniforms, the tile layout, the memory the tiles save, and the
+Picard iteration built on them.
 
 ``tests/test_brownian_paths.py`` referees the tiled consumers against the
 whole-chunk loops bit for bit; these tests cover the pieces underneath.
@@ -18,11 +18,14 @@ from stefanlab.solver import _CHUNK, PicardConfig, SolverConfig, _row_tiles, pic
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), block=st.integers(0, 50),
-       start=st.integers(0, 3000), n=st.integers(0, 300))
-def test_normal_block_lane_offset_equals_sliced_block(seed, block, start, n):
-    got = rng.normal_block(seed, rng.Y_SAMPLES, block, n, start=start)
-    want = rng.normal_block(seed, rng.Y_SAMPLES, block, start + n)[start:]
+@given(seed=st.integers(0, 2**64 - 1), block=st.integers(0, 50), width=st.integers(1, 300),
+       rows=st.lists(st.integers(0, 40), max_size=8))
+def test_chunk_drawn_tile_by_tile_equals_its_whole_block(seed, block, width, rows):
+    # brownian_chunks reads a chunk's tiles in order from its one normal stream
+    gen = rng.normal_stream(seed, rng.Y_SAMPLES, block)
+    tiles = [gen.standard_normal((r, width)) for r in rows]
+    got = np.concatenate(tiles) if tiles else np.empty((0, width))
+    want = rng.normal_block(seed, rng.Y_SAMPLES, block, sum(rows) * width)
     assert got.tobytes() == want.tobytes()
 
 
