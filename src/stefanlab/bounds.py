@@ -208,14 +208,14 @@ def prob_drifted_sup_below(u_samples, x):
 _QUAD_NODES = 1000
 
 
-def _sup_cdf_quad(c3, x, n, shape=np.sqrt):
-    """P(sup over [0, 1] of (B_s + g(s)) <= x) per x, g = c3 shape: one minus
-    the first-passage masses of n uniform cells, clipped to [0, 1]; exactly 0
-    for x <= 0 and 1 for x = inf."""
+def _sup_cdf_quad(c3, x, n):
+    """P(sup over [0, 1] of (B_s + c3 sqrt(s)) <= x) per x: one minus the
+    first-passage masses of n uniform cells, clipped to [0, 1]; exactly 0 for
+    x <= 0 and 1 for x = inf."""
     x = np.asarray(x, dtype=float)
     t = np.arange(n + 1) / n
     s = t[1:] - 0.5 / n
-    mass = first_passage_masses(t, c3 * shape(t), s, c3 * shape(s), x)
+    mass = first_passage_masses(t, c3 * np.sqrt(t), s, c3 * np.sqrt(s), x)
     p = np.where(x > 0.0, 1.0, 0.0)
     solve = (x > 0.0) & (x < np.inf)
     p[solve] = np.clip(1.0 - mass[:, solve].sum(axis=0), 0.0, 1.0)

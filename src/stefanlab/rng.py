@@ -3,25 +3,23 @@
 Every draw in the package is a pure function of (seed, stream kind, block, lane),
 so per-particle / per-path logical streams are fixed lanes of a vectorized
 block, and results are bit-identical for any thread count and any chunking of
-the consumers. Each kind of stream is drawn one of two ways:
+the consumers. There is one engine: stream (seed, kind, block) is an SFC64
+generator seeded by ``SeedSequence(seed, spawn_key=(kind, block))``. The spawn
+key keeps distinct triples apart where a flat entropy list does not
+(``[2**32 + 5, 3, 0]`` and ``[5, 1, 3]`` seed the same state).
 
-* Normals (``normal_block``, ``normal_stream``): numpy's ziggurat
-  ``Generator.standard_normal`` (Marsaglia & Tsang, J. Stat. Softw. 2000) on an
-  SFC64 generator seeded by ``SeedSequence(seed, spawn_key=(kind, block))``.
-  The spawn key keeps distinct triples apart where a flat entropy list does not
-  (``[2**32 + 5, 3, 0]`` and ``[5, 1, 3]`` seed the same state). The ziggurat
-  rejects now and then, so a lane has no fixed position in the bit stream: a
-  lane is a position in the block's sequence. The first m values of a draw of
-  any length equal a draw of m, and successive draws from one
-  ``normal_stream`` read the next lanes, so a chunk read tile by tile equals
-  its whole block.
-* Uniforms (``uniform_block``, ``BRIDGE`` only): a Philox generator keyed by
-  the seed, its 256-bit counter's two high words set to (block, kind), one
-  64-bit word per lane. It costs about half an SFC64 seeding to build, and the
-  particle scheme builds one a step on its main thread.
+A lane is a position in its block's sequence. The normals are numpy's ziggurat
+``Generator.standard_normal`` (Marsaglia & Tsang, J. Stat. Softw. 2000), which
+rejects now and then, so a lane has no fixed position in the bit stream. The
+first m values of a draw of any length equal a draw of m, and successive draws
+from one ``stream`` read the next lanes, so a chunk read tile by tile equals
+its whole block. The uniforms (``uniform_block``, ``BRIDGE`` only) are
+1 - ``Generator.random``: multiples of 2^-53 in (0, 1], whose least value,
+2^-53, is above exp(-40), so a bridge lane whose kill probability is below
+exp(-40) needs no uniform.
 
 numpy promises no stability of a ``Generator`` method's stream across its
-versions, so the normals hold for one numpy version; the tests pin the first
+versions, so the draws hold for one numpy version; the tests pin the first
 lanes of every kind at the numpy version they were recorded at.
 """
 from __future__ import annotations
@@ -37,27 +35,10 @@ Y_SAMPLES = 4       # running-max sample paths, the bounds report's referee; blo
 U_SUP = 6           # drifted running-sup samples, the quadrature's referee; block = chunk
 GAUSS_PATH = 7      # density path sampling, block = 0
 
-_TWO53 = float(1 << 53)
 
-
-def _unit(bits):
-    """The uniforms (bits + 1/2) / 2^53 of 53-bit integers, in the open interval
-    (0, 1): bits = 2^53 - 1 rounds to 1.0 and is moved to the largest double
-    below 1."""
-    u = (bits.astype(np.float64) + 0.5) / _TWO53
-    return np.minimum(u, 1.0 - 2.0**-53, out=u)
-
-
-def uniform_block(seed, kind, block, n):
-    """n uniforms in the open interval (0, 1) for stream (seed, kind, block)."""
-    counter = np.array([0, 0, block, kind], dtype=np.uint64)
-    g = np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
-    return _unit(g.integers(0, 1 << 53, size=n, dtype=np.uint64))
-
-
-def normal_stream(seed, kind, block):
-    """The generator of normal stream (seed, kind, block): its
-    ``standard_normal`` calls read the block's lanes in order, from lane 0."""
+def stream(seed, kind, block):
+    """The generator of stream (seed, kind, block): its draws read the block's
+    lanes in order, from lane 0."""
     key = np.random.SeedSequence(seed, spawn_key=(kind, block))
     return np.random.Generator(np.random.SFC64(key))
 
@@ -68,4 +49,10 @@ def normal_block(seed, kind, block, n):
     The result equals ``normal_block(seed, kind, block, m)[:n]`` for every
     m >= n, so a consumer may draw more lanes than it reads.
     """
-    return normal_stream(seed, kind, block).standard_normal(n)
+    return stream(seed, kind, block).standard_normal(n)
+
+
+def uniform_block(seed, kind, block, n):
+    """The first n uniforms in (0, 1] of stream (seed, kind, block); a prefix
+    of every longer draw, as in ``normal_block``."""
+    return 1.0 - stream(seed, kind, block).random(n)

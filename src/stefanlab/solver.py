@@ -293,7 +293,7 @@ def _bridge_kills(seed, k, z_old, z_new, dt):
     """Indices of step k's survivors that the bridge kills: those at risk, with
     exponent -2 z_old z_new / dt above -40, read the lanes of ``BRIDGE`` block k
     in order and die when their uniform is below exp(exponent). The rest draw
-    nothing: exp(-40) < 2^-54, the least uniform, so no uniform could kill them."""
+    nothing: exp(-40) < 2^-53, the least uniform, so no uniform could kill them."""
     expo = -2.0 * z_old * z_new / dt
     at_risk = np.flatnonzero(expo > -40.0)
     if len(at_risk) == 0:
@@ -433,28 +433,22 @@ def simulate_particles(density: Density, cfg: SolverConfig):
 # ---------------------------------------------------------------------------
 
 
-def _row_tiles(n_rows, width):
-    """(lo, hi) row tiles of about _TILE elements of the given row width; a
-    tile never crosses an 8192-row chunk."""
-    step = max(1, _TILE // width)
-    for c_lo in range(0, n_rows, _CHUNK):
-        c_hi = min(c_lo + _CHUNK, n_rows)
-        for lo in range(c_lo, c_hi, step):
-            yield lo, min(lo + step, c_hi)
-
-
 def _chunk_paths(seed, stream, chunk, n_paths, sq_steps):
-    """Yield ((lo, hi), B) for the row tiles of 8192-path chunk ``chunk`` of
-    n_paths paths, read in order from the chunk's one normal stream."""
+    """Yield ((lo, hi), B) for the row tiles, of about _TILE numbers each, of
+    8192-path chunk ``chunk`` of n_paths paths, read in order from the chunk's
+    one stream."""
     K = len(sq_steps)
-    gen = rng.normal_stream(seed, stream, chunk)
+    gen = rng.stream(seed, stream, chunk)
     c_lo = chunk * _CHUNK
-    for lo, hi in _row_tiles(min(n_paths - c_lo, _CHUNK), K):
+    c_hi = min(c_lo + _CHUNK, n_paths)
+    step = max(1, _TILE // K)
+    for lo in range(c_lo, c_hi, step):
+        hi = min(lo + step, c_hi)
         z = gen.standard_normal((hi - lo, K))
         B = np.empty((hi - lo, K + 1))
         B[:, 0] = 0.0
         np.cumsum(np.multiply(z, sq_steps, out=z), axis=1, out=B[:, 1:])
-        yield (c_lo + lo, c_lo + hi), B
+        yield (lo, hi), B
 
 
 def brownian_chunks(seed, stream, n_paths, sq_steps):
@@ -463,7 +457,7 @@ def brownian_chunks(seed, stream, n_paths, sq_steps):
     B has one row per path, B[:, 0] = 0 and B[:, 1:] = cumsum(z * sq_steps),
     with z the normal block of the path's 8192-path chunk on the stream, read
     row by row. A tile holds about _TILE numbers and never crosses a chunk,
-    and a chunk's tiles are read in order from its one ``rng.normal_stream``,
+    and a chunk's tiles are read in order from its one ``rng.stream``,
     so path j is the same number for number for every tiling, thread count,
     consumer and n_paths > j.
     """

@@ -257,7 +257,10 @@ def test_drifted_sup_quad_matches_bachelier_levy_on_a_linear_boundary(mu):
     # P(sup_{s <= 1} (B_s + mu s) <= x) = Phi(x - mu) - exp(2 mu x) Phi(-x - mu)
     x = np.linspace(0.02, 6.0, 300)
     want = ndtr(x - mu) - np.exp(2.0 * mu * x) * ndtr(-x - mu)
-    got = _sup_cdf_quad(mu, x, _QUAD_NODES, shape=lambda s: s)
+    # the drifted-sup quadrature's uniform cells, with g(s) = mu s for mu sqrt(s)
+    t = np.arange(_QUAD_NODES + 1) / _QUAD_NODES
+    s = t[1:] - 0.5 / _QUAD_NODES
+    got = 1.0 - first_passage_masses(t, mu * t, s, mu * s, x).sum(axis=0)
     assert np.max(np.abs(got - want)) < 1e-5
 
 
@@ -469,10 +472,10 @@ def test_bounds_report_draws_every_number_from_its_one_pass(pw_std, pw_frontier,
     # pass, at the union of the estimates' times, so every normal is a Y_SAMPLES lane
     kinds = []
 
-    def normal_stream(seed, kind, *args, _fn=streams.normal_stream, **kwargs):
+    def stream(seed, kind, *args, _fn=streams.stream, **kwargs):
         kinds.append(kind)
         return _fn(seed, kind, *args, **kwargs)
-    monkeypatch.setattr(streams, "normal_stream", normal_stream)
+    monkeypatch.setattr(streams, "stream", stream)
     union = np.unique(np.concatenate([_slope_times(pw_frontier),
                                       _default_t_indices(pw_frontier, 10),
                                       _default_t_indices(pw_frontier, 8)]))
@@ -623,7 +626,7 @@ def test_bounds_report_draws_no_random_number(pw_std, pw_frontier, monkeypatch):
     draws = [name for name, fn in vars(streams).items()
              if callable(fn) and not name.startswith("_")
              and getattr(fn, "__module__", None) == streams.__name__]
-    assert {"uniform_block", "normal_block", "normal_stream"} <= set(draws)
+    assert {"uniform_block", "normal_block", "stream"} <= set(draws)
     for name in draws:
         monkeypatch.setattr(streams, name, refuse)
     rep = assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000)

@@ -325,11 +325,21 @@ def test_periodic_profile_with_g0_zero_and_too_little_mass_names_both(alpha):
         PeriodicOscillatoryDensity(alpha, {"period": 2.0 * math.pi, "values": values})
     head, mass = str(exc.value).split(" is ")
     assert head.startswith("normalization impossible: g(0) = 0, and the mass up to x = ")
-    below_1, bound = tabulated_profile_mass(alpha, 2.0 * math.pi, values, [1.0])
+    below_1, bound = tabulated_profile_mass(alpha, 2.0 * math.pi, values, [1.0],
+                                            tail_panels=16)
     total = float(below_1[0]) + 1.0 / (math.pi * (alpha - 1.0))
-    # the message keeps 6 digits; the oracle's 2-panel Simpson pieces above
-    # u = 20 add up to about 8e-7 at alpha = 2, more than its tail bound
+    # the message keeps 6 digits
     assert float(mass.removesuffix(" < 1")) == pytest.approx(total, abs=2e-6 + bound)
+
+
+def test_tabulated_profile_mass_bound_covers_its_simpson_pieces():
+    # at 2 panels per piece above u = 20 this case was off by 7.6e-7, 85 times
+    # the bound of the tail past u_c alone
+    args = (2.0, 2.0 * math.pi, [-1.0, 1.0], [1.0])
+    mass, bound = tabulated_profile_mass(*args)
+    finer, finer_bound = tabulated_profile_mass(*args, tail_panels=16)
+    assert abs(mass[0] - finer[0]) + finer_bound <= bound
+    assert finer[0] == pytest.approx(0.53949482, abs=1e-8)
 
 
 def test_periodic_tabulated_profile_mass_matches_break_aligned_oracle():

@@ -4,13 +4,15 @@ def and class is referenced somewhere in the repository's code, every optional
 parameter is passed by some call, numbers from outside are type-checked
 only by the two checkers in ``densities``, each kind of random stream is
 drawn by one function of ``rng`` and keeps its number, no module but ``rng``
-reaches ``numpy.random``, no method of a density takes a matrix product, no
+reaches ``numpy.random``, ``rng`` builds its generators at one call site and
+on SFC64 alone, no method of a density takes a matrix product, no
 subclass of a concrete density family reimplements it, a module reads no
 private name of another beyond a short allowlist, and every solver config
 field but ``threads`` is hashed."""
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -205,14 +207,12 @@ def test_every_optional_parameter_is_passed_somewhere():
 
 
 def _draw_functions():
-    """The public functions of ``rng`` that call no other one: every draw of a
-    stream goes through one of them. One that calls another, as ``normal_block``
-    reads the first lanes of ``normal_stream``, draws the numbers of that one."""
-    public = {node.name: node for node in _tree(SRC / "rng.py").body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    return {name for name, fn in public.items()
-            if not any(isinstance(call, ast.Call) and _call_name(call) in public
-                       for call in ast.walk(fn))}
+    """The public functions of ``rng``: every draw of a stream goes through one
+    of them. They share one engine, ``stream``, but read it differently
+    (``uniform_block`` its ``random``, the others its ``standard_normal``), so
+    each counts as its own way to draw."""
+    return {node.name for node in _tree(SRC / "rng.py").body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
 
 
 def _call_name(call):
@@ -304,6 +304,36 @@ def test_only_rng_reaches_numpy_random(path):
     # generator is built in rng; a generator built elsewhere would escape that
     lines = sorted(_numpy_random_uses(_tree(path)))
     assert not lines, f"{path.name} reaches numpy.random at lines {lines}"
+
+
+#: what builds a numpy generator, and the bit generators numpy offers
+GENERATOR_BUILDERS = {"Generator", "default_rng", "RandomState"}
+BIT_GENERATORS = {name for name, obj in vars(np.random).items()
+                  if isinstance(obj, type) and issubclass(obj, np.random.BitGenerator)}
+
+
+def _engine_uses(tree):
+    """(lines that build a numpy generator, bit generators named) in a module."""
+    names = [(node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+    builds = sorted(line for line, name in names if name in GENERATOR_BUILDERS)
+    return builds, {name for _, name in names if name in BIT_GENERATORS}
+
+
+def test_rng_builds_one_generator_on_sfc64():
+    # a second engine would give a second keying rule and a second set of
+    # numbers to pin; every stream is one SFC64 generator built in one place
+    builds, bit_generators = _engine_uses(_tree(SRC / "rng.py"))
+    assert len(builds) == 1, f"rng.py builds a numpy generator at lines {builds}"
+    assert bit_generators == {"SFC64"}
+
+
+def test_the_engine_check_sees_a_second_engine():
+    assert {"SFC64", "PCG64", "MT19937"} <= BIT_GENERATORS
+    builds, bit_generators = _engine_uses(ast.parse(
+        "import numpy as np\ng = np.random.Generator(np.random.SFC64(1))\n"
+        "h = np.random.Generator(np.random.PCG64(1))\nr = np.random.default_rng(2)\n"))
+    assert builds == [2, 3, 4] and bit_generators == {"SFC64", "PCG64"}
 
 
 def test_the_numpy_random_check_sees_every_way_in():

@@ -59,12 +59,12 @@ def test_simulate_bit_identical_to_argsort_referee(density_name, kw, request):
 
 @settings(max_examples=300, deadline=None)
 @given(zo=st.floats(0.0, 1e300, exclude_min=True), p=st.floats(0.0, 1e300, exclude_min=True),
-       dt=st.floats(1e-8, 1.0), k=st.integers(0, 2**53 - 1))
+       dt=st.floats(1e-8, 1.0), k=st.integers(1, 2**53))
 def test_bridge_kill_clamp_changes_no_decision(zo, p, dt, k):
     # no uniform kills a lane whose exponent is clamped at -40, so the bridge
-    # draws no uniform for such a lane
-    assert np.exp(-40.0) < 2.0**-54
-    ub = rng._unit(np.array([k], dtype=np.uint64))[0]
+    # draws no uniform for such a lane; the uniforms are k 2^-53, k = 1 .. 2^53
+    assert np.exp(-40.0) < 2.0**-53
+    ub = k * 2.0**-53
     with np.errstate(over="ignore"):
         arg = -2.0 * np.float64(zo) * p / dt
     assert (ub < np.exp(max(arg, -40.0))) == (ub < np.exp(arg))
@@ -76,12 +76,11 @@ def test_bridge_kill_clamp_changes_no_decision(zo, p, dt, k):
        dt=st.floats(1e-4, 1e-2), k=st.integers(1, 10**6), seed=st.integers(0, 2**64 - 1))
 def test_bridge_kills_the_lanes_the_clamped_rule_kills(zp, dt, k, seed):
     # the clamped rule read one uniform per survivor; give it the new draws on
-    # the at-risk lanes and the least uniform, 2^-54, on every other lane
-    assert rng._unit(np.zeros(1, dtype=np.uint64))[0] == 2.0**-54
+    # the at-risk lanes and the least uniform, 2^-53, on every other lane
     zo, p = np.array(zp, dtype=float).reshape(-1, 2).T
     expo = -2.0 * zo * p / dt
     at_risk = np.flatnonzero(expo > -40.0)
-    u = np.full(len(zo), 2.0**-54)
+    u = np.full(len(zo), 2.0**-53)
     u[at_risk] = rng.uniform_block(seed, rng.BRIDGE, k, len(at_risk))
     clamped = np.flatnonzero(u < np.exp(np.maximum(expo, -40.0)))
     assert np.array_equal(solver._bridge_kills(seed, k, zo, p, dt), clamped)
@@ -108,6 +107,16 @@ def test_ziggurat_block_lanes_are_prefix_positions(triple, m, extra):
     # simulate_particles draws more lanes than a step reads; the first m must not move
     assert np.array_equal(rng.normal_block(*triple, m + extra)[:m],
                           rng.normal_block(*triple, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple=_triples, m=st.integers(0, 300), extra=st.integers(0, 300))
+def test_uniform_block_lanes_are_prefix_positions_in_the_half_open_interval(triple, m, extra):
+    # lanes lie in (0, 1] on the grid k 2^-53, so the least, 2^-53, is above exp(-40)
+    u = rng.uniform_block(*triple, m + extra)
+    assert np.all((0.0 < u) & (u <= 1.0))
+    assert np.array_equal(np.ldexp(np.ldexp(u, 53).round(), -53), u)
+    assert u[:m].tobytes() == rng.uniform_block(*triple, m).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

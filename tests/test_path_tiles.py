@@ -10,11 +10,11 @@ import tracemalloc
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
 
 from stefanlab import make_piecewise, rng
 from stefanlab.bounds import simulate_drifted_sup
-from stefanlab.solver import _CHUNK, PicardConfig, SolverConfig, _row_tiles, picard_minimal
+from stefanlab.solver import (_CHUNK, _TILE, PicardConfig, SolverConfig, brownian_chunks,
+                              picard_minimal)
 
 
 @settings(max_examples=200, deadline=None)
@@ -22,29 +22,46 @@ from stefanlab.solver import _CHUNK, PicardConfig, SolverConfig, _row_tiles, pic
        rows=st.lists(st.integers(0, 40), max_size=8))
 def test_chunk_drawn_tile_by_tile_equals_its_whole_block(seed, block, width, rows):
     # brownian_chunks reads a chunk's tiles in order from its one normal stream
-    gen = rng.normal_stream(seed, rng.Y_SAMPLES, block)
+    gen = rng.stream(seed, rng.Y_SAMPLES, block)
     tiles = [gen.standard_normal((r, width)) for r in rows]
     got = np.concatenate(tiles) if tiles else np.empty((0, width))
     want = rng.normal_block(seed, rng.Y_SAMPLES, block, sum(rows) * width)
     assert got.tobytes() == want.tobytes()
 
 
-def test_uniform_map_stays_inside_the_unit_interval():
-    # (2^53 - 1/2) / 2^53 rounds to 1.0, whose ndtri would be a silent +inf increment
-    bits = np.array([0, 1, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
-    u = rng._unit(bits)
-    assert np.all((0.0 < u) & (u < 1.0)) and np.all(np.diff(u) > 0)
-    assert np.all(np.isfinite(ndtri(u)))
+class _GridEnds:
+    """A stand-in generator whose ``random`` returns the two least, a middle and
+    the greatest value of its grid k 2^-53 on [0, 1)."""
+
+    def random(self, n):
+        return np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])[:n]
+
+
+def test_uniform_map_stays_inside_the_unit_interval(monkeypatch):
+    # random() lies in [0, 1); 1 - random() lies in (0, 1], least 2^-53, which
+    # is above exp(-40), so the bridge may skip lanes that no uniform can kill
+    monkeypatch.setattr(rng, "stream", lambda seed, kind, block: _GridEnds())
+    u = rng.uniform_block(0, rng.BRIDGE, 0, 4)
+    assert u.tolist() == [1.0, 1.0 - 2.0**-53, 0.5, 2.0**-53]
+    assert np.all((0.0 < u) & (u <= 1.0)) and np.all(np.diff(u) < 0)
+    assert u.min() == 2.0**-53 > np.exp(-40.0)
 
 
 @settings(max_examples=200, deadline=None)
-@given(n_rows=st.integers(1, 4 * _CHUNK + 5), width=st.integers(1, 5000))
-def test_row_tiles_cover_rows_in_order_inside_chunks(n_rows, width):
-    tiles = list(_row_tiles(n_rows, width))
-    assert tiles[0][0] == 0 and tiles[-1][1] == n_rows
-    for (lo, hi), (nxt, _) in zip(tiles, tiles[1:] + [(n_rows, None)]):
+@given(n_paths=st.integers(1, 4 * _CHUNK + 5), width=st.integers(1, 40))
+def test_row_tiles_cover_rows_in_order_inside_chunks(n_paths, width):
+    # widths above _TILE / _CHUNK = 16 split a chunk into several tiles
+    tiles = []
+    for (lo, hi), B in brownian_chunks(5, rng.Y_SAMPLES, n_paths, np.ones(width)):
+        assert B.shape == (hi - lo, width + 1)
+        tiles.append((lo, hi))
+    assert tiles[0][0] == 0 and tiles[-1][1] == n_paths
+    for (lo, hi), (nxt, _) in zip(tiles, tiles[1:] + [(n_paths, None)]):
         assert lo < hi == nxt
         assert lo // _CHUNK == (hi - 1) // _CHUNK
+        # a full tile holds _TILE numbers to within one row; only a chunk's last is short
+        assert (hi - lo) * width <= max(_TILE, width)
+        assert (hi - lo) * width > _TILE - width or hi % _CHUNK == 0 or hi == n_paths
 
 
 def test_drifted_sup_memory_stays_at_tile_size():
