@@ -299,14 +299,15 @@ def _frontier_cells(frontier: FrontierPath, k, cuts):
     return fine_t[::2], fine_lam[::2], fine_t[1::2], fine_lam[1::2]
 
 
-def _running_max_cdf(frontier: FrontierPath, t_indices, x, cuts):
-    """P(Y_t <= x) per (t in t_indices, x), clipped to [0, 1], for the
-    continuous running max Y_t = sup_{s<=t} (Lambda_s - B_s): one first-passage
-    solve, with -B as the Brownian motion and Lambda as the boundary, on the
-    grid cells up to the last t, each cut into `cuts`."""
+def _running_max_sums(frontier: FrontierPath, t_indices, x, w, cuts):
+    """Sum over k of w[k] P(Y_t <= x[k]) per (t in t_indices, column of w),
+    unclipped, for the continuous running max Y_t = sup_{s<=t} (Lambda_s - B_s):
+    one first-passage solve on the combined right sides, with -B as the
+    Brownian motion and Lambda as the boundary, on the grid cells up to the
+    last t, each cut into `cuts`."""
     t_indices = np.asarray(t_indices)
-    mass = first_passage_masses(*_frontier_cells(frontier, int(t_indices.max()), cuts), x)
-    return np.clip(1.0 - np.cumsum(mass, axis=0)[cuts * t_indices - 1], 0.0, 1.0)
+    mass = first_passage_masses(*_frontier_cells(frontier, int(t_indices.max()), cuts), x, w)
+    return w.sum(axis=0) - np.cumsum(mass, axis=0)[cuts * t_indices - 1]
 
 
 def estimate_prob_in_G(frontier: FrontierPath, d: PiecewiseGeometricDensity,
@@ -317,19 +318,15 @@ def estimate_prob_in_G(frontier: FrontierPath, d: PiecewiseGeometricDensity,
     (alpha2 - 1)/(alpha2 - L) that the contraction argument needs. G holds
     every band of the density's float table, down to about 1e-14 a1, and
     P(Y_t in G) sums P(Y_t <= hi) - P(Y_t <= lo) over its pieces [lo, hi]: one
-    first-passage solve with a column per edge of G gives every t. lhs_se is
-    the distance from the same solve at half the cells. rhs_se is P(|N| >= a)
-    times the quadrature's own error estimate for P(U <= b - a)."""
+    first-passage solve on one right side, G's edges weighted +-1, gives every
+    t. lhs_se is the distance from the same solve at half the cells. rhs_se is
+    P(|N| >= a) times the quadrature's own error estimate for P(U <= b - a)."""
     sb = compute_L(d)
     rho = float(sb.rho)
     edges = _good_set_edges(d, rho)
-
-    def occupation(cuts):
-        cdf = _running_max_cdf(frontier, t_indices, edges, cuts)
-        return (cdf[:, 1::2] - cdf[:, ::2]).sum(axis=1)
-
-    lhs = occupation(_CUTS)
-    lhs_se = np.abs(lhs - occupation(_CUTS // 2))
+    sign = np.where(np.arange(len(edges)) % 2, 1.0, -1.0)[:, None]  # +hi, -lo
+    lhs = _running_max_sums(frontier, t_indices, edges, sign, _CUTS)[:, 0]
+    lhs_se = np.abs(lhs - _running_max_sums(frontier, t_indices, edges, sign, _CUTS // 2)[:, 0])
 
     tv = frontier.t[t_indices]
     a_vals, b_vals = _lemma_interval(d, edges, tv)
@@ -378,9 +375,11 @@ def estimate_delta0(frontier: FrontierPath, d: Density, t_indices):
     t_indices and 16 log-spaced increments h; the per-node means double as the
     expected-increment-ratio probe (increment h playing the role of the window
     size). A mean sums, over the y cells of ``_y_edges``, P(Y_t in the cell)
-    times the ratio at the cell's midpoint; the mass above the top edge takes
-    the top cell's ratio. The cells' masses come from one first-passage solve
-    with a column per y edge, on the grid cells each cut in two (1000 cells on
+    times the ratio r at the cell's midpoint; the mass above the top edge takes
+    the top cell's ratio. Summed by parts, sum_k (P_{k+1} - P_k) r_k is
+    r_top - sum_k P_k (r_k - r_{k-1}) with P_k = P(Y_t <= y_k), so one
+    first-passage solve with a column per h (the ratio's steps along y as
+    weights) gives every t, on the grid cells each cut in two (1000 cells on
     500 steps); node_ses is the distance from the same sum on the uncut cells."""
     a = d.support_upper
     h_grid = np.geomspace(1e-4 * a, a, 16)
@@ -388,15 +387,10 @@ def estimate_delta0(frontier: FrontierPath, d: Density, t_indices):
     mid = 0.5 * (y[:-1] + y[1:])
     F = np.asarray(d.cdf_fast(mid + np.concatenate([[0.0], h_grid])[:, None]))
     ratio = ((F[1:] - F[0]) / h_grid[:, None]).T  # (y cell, h)
-    ratio = np.vstack([ratio, ratio[-1]])
-
-    def node_means(cuts):
-        cdf = _running_max_cdf(frontier, t_indices, y, cuts)
-        cell_mass = np.diff(cdf, axis=1, append=1.0)  # the last column is the mass above a
-        return (cell_mass[:, :, None] * ratio).sum(axis=1)
-
-    means = node_means(_CUTS // 2)
-    ses = np.abs(means - node_means(_CUTS // 4))
+    steps = np.diff(ratio, axis=0, prepend=0.0, append=ratio[-1:])  # per y edge; 0 at a
+    sums = _running_max_sums(frontier, t_indices, y, steps, _CUTS // 2)
+    means = ratio[-1] - sums
+    ses = np.abs(sums - _running_max_sums(frontier, t_indices, y, steps, _CUTS // 4))
     flat = int(np.argmax(means))
     return Delta0Report(
         delta0_hat=float(means.ravel()[flat]),

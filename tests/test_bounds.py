@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.special import erfc, ndtr
@@ -21,7 +21,7 @@ from stefanlab.bounds import (
     _default_t_indices,
     _frontier_cells,
     _good_set_edges,
-    _running_max_cdf,
+    _running_max_sums,
     _sup_cdf_quad,
     assemble_bounds_report,
     compute_L,
@@ -532,6 +532,8 @@ def test_drifted_sup_quad_is_pinned():
 @given(mu=st.floats(0.0, 4.0), k=st.integers(20, 400), t_end=st.floats(0.01, 1.0),
        y=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6),
        picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+# a level far below one step's spread: a clip to [0, 1] read 0 at 4 and 2 cuts
+@example(mu=3.735, k=90, t_end=0.2207, y=[5.2e-4], picks=[11 / 90])
 def test_running_max_cdf_matches_bachelier_levy_on_a_linear_frontier(mu, k, t_end, y, picks):
     # P(sup_{s <= t} (mu s - B_s) <= y) = Phi((y - mu t)/sqrt(t)) - e^{2 mu y} Phi((-y - mu t)/sqrt(t))
     t_end = min(t_end, 1.0 / mu) if mu > 0.0 else t_end
@@ -539,14 +541,14 @@ def test_running_max_cdf_matches_bachelier_levy_on_a_linear_frontier(mu, k, t_en
     fr = FrontierPath(t=t, lam=np.minimum(mu * t, 1.0))
     y = np.asarray(y)
     ti = np.unique(np.clip(np.rint(np.asarray(picks) * k).astype(int), 1, k))
-    p = _running_max_cdf(fr, ti, y, _CUTS)
-    err = np.abs(p - _running_max_cdf(fr, ti, y, _CUTS // 2))
+    levels = np.eye(len(y))  # one weight column per level: P(Y_t <= y) itself
+    p = _running_max_sums(fr, ti, y, levels, _CUTS)
+    err = np.abs(p - _running_max_sums(fr, ti, y, levels, _CUTS // 2))
     tt = t[ti][:, None]
     want = ndtr((y - mu * tt) / np.sqrt(tt)) - np.exp(2.0 * mu * y) * ndtr((-y - mu * tt) / np.sqrt(tt))
-    # the half-cell distance bounds the error at levels a step's spread above the
-    # start; below it the uniform cells resolve the first passage coarsely
-    far = y >= math.sqrt(t[1])
-    assert np.all(np.abs(p - want)[:, far] <= 2.0 * err[:, far] + 5e-5)
+    # unclipped, the half-cell distance bounds the error at every level, also
+    # below one step's spread, where the uniform cells resolve the passage coarsely
+    assert np.all(np.abs(p - want) <= 2.0 * err + 5e-5)
     assert np.all(np.abs(p - want) <= 0.02)
 
 
@@ -557,7 +559,7 @@ def test_running_max_cdf_is_zero_below_a_positive_start():
     y = np.array([-1.0, 0.0, 0.1, 0.29999, 0.3, 0.31, 0.5, 1.0, math.inf])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p = _running_max_cdf(fr, [1, 10, 50], y, _CUTS)
+        p = _running_max_sums(fr, [1, 10, 50], y, np.eye(len(y)), _CUTS)
     assert np.all(p[:, :5] == 0.0) and np.all(p[:, -1] == 1.0)
     assert np.all(np.isfinite(p)) and np.all((0.0 < p[:, 5:]) & (p[:, 5:] <= 1.0))
 
@@ -574,6 +576,23 @@ def test_first_passage_blocks_solve_the_whole_system():
     assert np.allclose(got[:, 1:-1], solve_triangular(kernel, rhs, lower=True),
                        rtol=0.0, atol=1e-13)
     assert got[0, 0] == 1.0 and not np.any(got[1:, 0]) and not np.any(got[:, -1])
+    # weighted, the levels at g(0) = 0 and at inf included: the masses times w
+    w = np.random.default_rng(5).standard_normal((len(x), 3))
+    assert np.allclose(first_passage_masses(t, g, s, g_s, x, w), got @ w, rtol=0.0, atol=1e-13)
+
+
+def test_bounds_report_solves_on_at_most_16_right_sides(pw_std, pw_frontier, monkeypatch):
+    # delta0 solves on one combined right side per increment h, the occupation on
+    # one in all; a column per y level or per edge of G would be 1500 or 51 here
+    widths = []
+
+    def recording(a, b, **kw):
+        widths.append(b.shape[1])
+        return solve_triangular(a, b, **kw)
+
+    monkeypatch.setattr("stefanlab.numerics.solve_triangular", recording)
+    assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000)
+    assert widths and max(widths) <= 16
 
 
 @pytest.fixture(scope="module", params=[2026, 314])
