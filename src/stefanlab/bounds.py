@@ -215,11 +215,9 @@ def _sup_cdf_quad(c3, x, n):
     x = np.asarray(x, dtype=float)
     t = np.arange(n + 1) / n
     s = t[1:] - 0.5 / n
-    mass = first_passage_masses(t, c3 * np.sqrt(t), s, c3 * np.sqrt(s), x)
-    p = np.where(x > 0.0, 1.0, 0.0)
-    solve = (x > 0.0) & (x < np.inf)
-    p[solve] = np.clip(1.0 - mass[:, solve].sum(axis=0), 0.0, 1.0)
-    return p
+    mass = np.asfortranarray(  # column-major: numpy sums each level's masses pairwise
+        first_passage_masses(t, c3 * np.sqrt(t), s, c3 * np.sqrt(s), x, np.eye(len(x))))
+    return np.clip(1.0 - mass.sum(axis=0), 0.0, 1.0)
 
 
 def prob_drifted_sup_quad(c3, x):
@@ -318,15 +316,21 @@ def estimate_prob_in_G(frontier: FrontierPath, d: PiecewiseGeometricDensity,
     (alpha2 - 1)/(alpha2 - L) that the contraction argument needs. G holds
     every band of the density's float table, down to about 1e-14 a1, and
     P(Y_t in G) sums P(Y_t <= hi) - P(Y_t <= lo) over its pieces [lo, hi]: one
-    first-passage solve on one right side, G's edges weighted +-1, gives every
-    t. lhs_se is the distance from the same solve at half the cells. rhs_se is
-    P(|N| >= a) times the quadrature's own error estimate for P(U <= b - a)."""
+    first-passage solve with a column per edge of G gives every t, each level
+    clipped to [0, 1]. lhs_se is the unclipped sum's distance from the same at
+    half the cells. rhs_se is P(|N| >= a) times the quadrature's own error
+    estimate for P(U <= b - a)."""
     sb = compute_L(d)
     rho = float(sb.rho)
     edges = _good_set_edges(d, rho)
-    sign = np.where(np.arange(len(edges)) % 2, 1.0, -1.0)[:, None]  # +hi, -lo
-    lhs = _running_max_sums(frontier, t_indices, edges, sign, _CUTS)[:, 0]
-    lhs_se = np.abs(lhs - _running_max_sums(frontier, t_indices, edges, sign, _CUTS // 2)[:, 0])
+    cdf, half = (_running_max_sums(frontier, t_indices, edges, np.eye(len(edges)), cuts)
+                 for cuts in (_CUTS, _CUTS // 2))
+
+    def occupation(cdf):
+        return (cdf[:, 1::2] - cdf[:, ::2]).sum(axis=1)
+
+    lhs = occupation(np.clip(cdf, 0.0, 1.0))  # a clip moves a level only toward the truth
+    lhs_se = np.abs(occupation(cdf) - occupation(half))
 
     tv = frontier.t[t_indices]
     a_vals, b_vals = _lemma_interval(d, edges, tv)
@@ -375,12 +379,12 @@ def estimate_delta0(frontier: FrontierPath, d: Density, t_indices):
     t_indices and 16 log-spaced increments h; the per-node means double as the
     expected-increment-ratio probe (increment h playing the role of the window
     size). A mean sums, over the y cells of ``_y_edges``, P(Y_t in the cell)
-    times the ratio r at the cell's midpoint; the mass above the top edge takes
-    the top cell's ratio. Summed by parts, sum_k (P_{k+1} - P_k) r_k is
-    r_top - sum_k P_k (r_k - r_{k-1}) with P_k = P(Y_t <= y_k), so one
-    first-passage solve with a column per h (the ratio's steps along y as
-    weights) gives every t, on the grid cells each cut in two (1000 cells on
-    500 steps); node_ses is the distance from the same sum on the uncut cells."""
+    times the ratio r at the cell's midpoint, and the mass above the top edge
+    times the top cell's r_top. By parts, that is r_top minus the sum over k of
+    P(Y_t <= y_k) (r_k - r_{k-1}): one unclipped first-passage solve with r's
+    steps along y as a column per h, on the grid cells each cut in two (1000
+    cells on 500 steps); node_ses is the distance from the same sum on the
+    uncut cells."""
     a = d.support_upper
     h_grid = np.geomspace(1e-4 * a, a, 16)
     y = _y_edges(a)

@@ -76,11 +76,10 @@ _ROWS = 1024
 _STRIP = 128
 
 
-def first_passage_masses(t, g, s, g_s, x, w=None):
+def first_passage_masses(t, g, s, g_s, x, w):
     """Masses of the first time a Brownian motion W meets x - g, that is the
-    first u with W_u + g(u) >= x, in the cells (t[i - 1], t[i]], i = 1..n: an
-    (n, len(x)) array, one column per level x. With a weight array w of shape
-    (len(x), m), the (n, m) array of those masses times w.
+    first u with W_u + g(u) >= x, in the cells (t[i - 1], t[i]], i = 1..n,
+    times the weights w (len(x) by m): an (n, m) array, a column per x for w = I.
 
     t holds the cell ends from t[0] = 0 and g the boundary there; s holds the
     cells' midpoints and g_s the boundary there. The passage time tau solves
@@ -88,12 +87,11 @@ def first_passage_masses(t, g, s, g_s, x, w=None):
     int_0^t P(W_t - W_u >= g(u) - g(t)) dP(tau <= u) for t > 0. The law of tau
     is taken uniform within each cell, the kernel at the cell's midpoint, and
     the equation holds at the cells' right ends, which makes a lower-triangular
-    system with one right side per x. The system is linear in its right side,
-    so with w it is solved on the m combined right sides, not one per level.
-    Its rows are solved _ROWS at a time, each block after subtracting the
-    masses found above it, so no more than _ROWS kernel rows are held. A level
-    x <= g(0) is met at once: its column is 1 in the first cell and 0 after, so
-    1 minus its sum is exactly 0. A level x = inf is never met.
+    system, linear in its right side: it is solved on the m right sides that w
+    combines. Its rows are solved _ROWS at a time, each block after subtracting
+    the masses found above it, so no more than _ROWS kernel rows are held. A
+    level x <= g(0) is met at once: its masses are 1 in the first cell and 0
+    after, so 1 minus their sum is exactly 0. A level x = inf is never met.
     """
     x = np.asarray(x, dtype=float)
     if np.any(np.isnan(x)):
@@ -101,20 +99,14 @@ def first_passage_masses(t, g, s, g_s, x, w=None):
     t, g, s, g_s = (np.asarray(v, dtype=float) for v in (t, g, s, g_s))
     t, g0, g = t[1:], g[0], g[1:]
     n = len(t)
+    mass = np.zeros((n, w.shape[1]))
+    mass[0] = w[x <= g0].sum(axis=0)
     solve = (x > g0) & (x < np.inf)
-    if w is None:
-        mass, cols = np.zeros((n, len(x))), solve
-        mass[0, x <= g0] = 1.0
-    else:
-        mass, cols = np.zeros((n, w.shape[1])), slice(None)
-        mass[0] = w[x <= g0].sum(axis=0)
     if not solve.any():
         return mass
     found = np.subtract.outer(g, x[solve])
     found /= np.sqrt(t)[:, None]
-    ndtr(found, out=found)  # the right sides, replaced block by block by the masses
-    if w is not None:
-        found = found @ w[solve]
+    found = ndtr(found, out=found) @ w[solve]  # the right sides, replaced by the masses
     for lo in range(0, n, _ROWS):
         hi = min(lo + _ROWS, n)
         kernel = np.zeros((hi - lo, hi))  # its upper triangle is never read
@@ -128,5 +120,5 @@ def first_passage_masses(t, g, s, g_s, x, w=None):
         if lo:
             found[lo:hi] -= kernel[:, :lo] @ found[:lo]
         found[lo:hi] = solve_triangular(kernel[:, lo:], found[lo:hi], lower=True)
-    mass[:, cols] += found
+    mass += found
     return mass

@@ -260,7 +260,7 @@ def test_drifted_sup_quad_matches_bachelier_levy_on_a_linear_boundary(mu):
     # the drifted-sup quadrature's uniform cells, with g(s) = mu s for mu sqrt(s)
     t = np.arange(_QUAD_NODES + 1) / _QUAD_NODES
     s = t[1:] - 0.5 / _QUAD_NODES
-    got = 1.0 - first_passage_masses(t, mu * t, s, mu * s, x).sum(axis=0)
+    got = 1.0 - first_passage_masses(t, mu * t, s, mu * s, x, np.eye(len(x))).sum(axis=0)
     assert np.max(np.abs(got - want)) < 1e-5
 
 
@@ -569,7 +569,7 @@ def test_first_passage_blocks_solve_the_whole_system():
     t, g, s, g_s = _frontier_cells(FrontierPath(t=np.linspace(0.0, 0.3, 751),
                                                 lam=np.sqrt(np.linspace(0.0, 0.3, 751))), 750, 4)
     x = np.array([0.0, 0.05, 0.4, 0.9, math.inf])
-    got = first_passage_masses(t, g, s, g_s, x)
+    got = first_passage_masses(t, g, s, g_s, x, np.eye(len(x)))
     kernel = np.tril(ndtr(np.subtract.outer(g[1:], g_s)
                           / np.sqrt(np.abs(np.subtract.outer(t[1:], s)))))
     rhs = ndtr((g[1:, None] - x[1:-1]) / np.sqrt(t[1:, None]))
@@ -581,9 +581,10 @@ def test_first_passage_blocks_solve_the_whole_system():
     assert np.allclose(first_passage_masses(t, g, s, g_s, x, w), got @ w, rtol=0.0, atol=1e-13)
 
 
-def test_bounds_report_solves_on_at_most_16_right_sides(pw_std, pw_frontier, monkeypatch):
-    # delta0 solves on one combined right side per increment h, the occupation on
-    # one in all; a column per y level or per edge of G would be 1500 or 51 here
+def test_bounds_report_solves_delta0_on_at_most_16_right_sides(pw_std, pw_frontier, monkeypatch):
+    # delta0 solves on one combined right side per increment h, not on a column
+    # per y level (1500 here); the report's widest solve is the occupation's, a
+    # column per edge of G, each clipped to [0, 1] before the sum
     widths = []
 
     def recording(a, b, **kw):
@@ -591,8 +592,11 @@ def test_bounds_report_solves_on_at_most_16_right_sides(pw_std, pw_frontier, mon
         return solve_triangular(a, b, **kw)
 
     monkeypatch.setattr("stefanlab.numerics.solve_triangular", recording)
-    assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000)
+    estimate_delta0(pw_frontier, pw_std, _default_t_indices(pw_frontier, 8))
     assert widths and max(widths) <= 16
+    widths.clear()
+    assemble_bounds_report(pw_std, pw_frontier, n_mc=20_000)
+    assert max(widths) == len(_good_set_edges(pw_std, float(compute_L(pw_std).rho)))
 
 
 @pytest.fixture(scope="module", params=[2026, 314])

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -907,15 +907,12 @@ def test_cdf_fast_nondecreasing(cdf_families, family, xs):
 
 # psi values with a run of -1 samples: f vanishes on a stretch of every period;
 # psi(0) > -1 keeps f(x) -> g(0) > 0 as x grows, so a support endpoint with mass
-# 1 exists (test_periodic_rejects_bad_profiles covers a psi(0) = -1 that has none);
-# the mean of g clears the 1e-12 below which a profile is rejected as massless
-# ([-1 + 1 ulp, -1, -1] is)
+# 1 exists (test_periodic_rejects_bad_profiles covers a psi(0) = -1 that has none)
 _zero_stretch_values = st.tuples(
     st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
     st.integers(2, 5),
     st.lists(st.floats(-1.0, 1.0), max_size=6),
-).map(lambda t: t[0] + [-1.0] * t[1] + t[2]).filter(
-    lambda v: v[0] > -1.0 and (1.0 + np.mean(v)) / 2.0 > 2e-12)
+).map(lambda t: t[0] + [-1.0] * t[1] + t[2]).filter(lambda v: v[0] > -1.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -925,7 +922,12 @@ _zero_stretch_values = st.tuples(
 def test_periodic_cdf_nondecreasing_where_f_vanishes_on_a_stretch(values, alpha, period, seed):
     # below x0 the tail expansion cancels only to rounding; the points come
     # unsorted, and cross x0 into the table
-    d = PeriodicOscillatoryDensity(alpha, {"period": period, "values": values})
+    try:
+        d = PeriodicOscillatoryDensity(alpha, {"period": period, "values": values})
+    except DensityError as exc:
+        # a profile such as [-1 + 1 ulp, -1, -1] is rejected as massless
+        assume("no mass" not in str(exc))
+        raise
     xs = np.concatenate([np.geomspace(1e-12, 1e-2, 20_000), np.geomspace(1e-12, d.a, 20_000)])
     xs = np.random.default_rng(seed).permutation(xs)
     order = np.argsort(xs, kind="stable")
